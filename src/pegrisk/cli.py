@@ -14,10 +14,9 @@ partially written artifacts are removed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import sys
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import config as cfgmod
@@ -131,171 +130,176 @@ class _Settings:
         return schema
 
 
-def _load_bars(settings: _Settings, path: str, instrument: str, venue_key: str) -> marketdata.BarSeries:
-    venue = settings.get(venue_key, "unspecified")
-    with open(path, newline="", encoding="utf-8") as stream:
-        return marketdata.parse_bars(
-            stream, schema=settings.column_schema(), instrument=instrument, venue=venue
+class _Stages:
+    """The paper's chain for one command: parse, align, fit, prob, features, regress, stats.
+
+    Each stage runs at most once, the first time something reads it, and
+    names itself in ``run.stage`` while it runs so an error reports where
+    it happened. Required inputs and model parameters are resolved up
+    front, in the config stage.
+    """
+
+    def __init__(
+        self, args: argparse.Namespace, run: _Run, inputs: tuple[str, ...], model: bool = True
+    ) -> None:
+        run.stage = "config"
+        self.run = run
+        self.settings = settings = _Settings(args)
+        if model:
+            self.rho_request = str(settings.get("rho", "0.73"))
+            self.horizon = settings.get("horizon", 90, int)
+            self.recovery = settings.get("recovery", 0.0, float)
+            self.window = settings.get("window", 60, int)
+            self.estimator = settings.get("estimator", "parkinson")
+            self.annualization = settings.get("annualization", "linear")
+            self.trim = settings.get("trim", True, bool)
+        self.paths = {role: settings.require(role) for role in inputs}
+        if "btc" in inputs and settings.get("usdt_alt"):
+            self.paths["usdt_alt"] = settings.get("usdt_alt")
+        self._bars: dict[str, marketdata.BarSeries] = {}
+
+    def bars(self, role: str) -> marketdata.BarSeries:
+        if role not in self._bars:
+            self.run.stage = "parse"
+            venue = self.settings.get(f"{role}_venue", "unspecified")
+            with open(self.paths[role], newline="", encoding="utf-8") as stream:
+                self._bars[role] = marketdata.parse_bars(
+                    stream, schema=self.settings.column_schema(), instrument=role, venue=venue
+                )
+        return self._bars[role]
+
+    @cached_property
+    def aligned(self) -> marketdata.AlignedSeries:
+        spot, futures = self.bars("spot"), self.bars("futures")
+        self.run.stage = "align"
+        return marketdata.align_daily(spot, futures)
+
+    @cached_property
+    def fit(self) -> tuple[float, pegmodel.Ar1Fit | None, pegmodel.RollingAr1 | None]:
+        """Effective rho, plus the full-sample and rolling fits behind it."""
+        deltas = self.aligned.deltas()
+        self.run.stage = "fit"
+        # estimation is informational when rho is fixed, so a degenerate series
+        # (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
+        full_fit = None
+        rolling = None
+        fit_error: EstimationError | None = None
+        try:
+            full_fit = pegmodel.fit_ar1(deltas)
+            if len(deltas) >= self.window:
+                rolling = pegmodel.fit_ar1_rolling(deltas, self.window)
+        except EstimationError as exc:
+            fit_error = exc
+        if self.rho_request == "estimate":
+            if rolling is not None:
+                return rolling.rho_mean, full_fit, rolling
+            if full_fit is not None:
+                return full_fit.rho, full_fit, rolling
+            raise fit_error
+        try:
+            rho = float(self.rho_request)
+        except ValueError:
+            raise SchemaError(f"rho must be a number or 'estimate', got {self.rho_request!r}") from None
+        return rho, full_fit, rolling
+
+    @cached_property
+    def untrimmed(self) -> list[pegmodel.DefaultProbPoint]:
+        """Raw inversions: they feed the statistics and the regressions."""
+        rho = self.fit[0]
+        self.run.stage = "prob"
+        return pegmodel.prob_series(
+            self.aligned, rho, self.horizon, self.recovery, trim=False, method=self.annualization
         )
 
+    @cached_property
+    def published(self) -> list[pegmodel.DefaultProbPoint]:
+        untrimmed = self.untrimmed
+        return pegmodel.trim_negative(untrimmed) if self.trim else untrimmed
 
-@dataclass
-class _ModelParams:
-    rho_request: str
-    horizon: int
-    recovery: float
-    window: int
-    estimator: str
-    annualization: str
-    trim: bool
+    @cached_property
+    def panel(self) -> list[features.PanelRow]:
+        untrimmed, btc = self.untrimmed, self.bars("btc")
+        # without an alternative USDT series, spot supplies its volatility
+        usdt = self.bars("usdt_alt" if "usdt_alt" in self.paths else "spot")
+        self.run.stage = "features"
+        return features.build_feature_panel(untrimmed, btc, usdt, self.estimator)
 
-    @classmethod
-    def resolve(cls, settings: _Settings) -> "_ModelParams":
-        return cls(
-            rho_request=str(settings.get("rho", "0.73")),
-            horizon=settings.get("horizon", 90, int),
-            recovery=settings.get("recovery", 0.0, float),
-            window=settings.get("window", 60, int),
-            estimator=settings.get("estimator", "parkinson"),
-            annualization=settings.get("annualization", "linear"),
-            trim=settings.get("trim", True, bool),
-        )
+    @cached_property
+    def regressions(self) -> dict[str, econometrics.RegressionResult]:
+        panel = self.panel
+        self.run.stage = "regress"
+        return econometrics.run_panel_regressions(panel)
 
+    @cached_property
+    def table3(self) -> list[econometrics.SummaryRow]:
+        aligned, untrimmed = self.aligned, self.untrimmed
+        self.run.stage = "stats"
+        return [
+            econometrics.summary_stats("s", [o.s for o in aligned.observations]),
+            econometrics.summary_stats("f", [o.f for o in aligned.observations]),
+            econometrics.summary_stats("f_minus_s_bps", [o.basis_bps for o in aligned.observations]),
+            econometrics.summary_stats("p_annualized_bps", [p.p_annualized_bps for p in untrimmed]),
+        ]
 
-def _effective_rho(
-    params: _ModelParams, deltas: list[float]
-) -> tuple[float, pegmodel.Ar1Fit | None, pegmodel.RollingAr1 | None]:
-    # estimation is informational when rho is fixed, so a degenerate series
-    # (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
-    full_fit = None
-    rolling = None
-    fit_error: EstimationError | None = None
-    try:
-        full_fit = pegmodel.fit_ar1(deltas)
-        if len(deltas) >= params.window:
-            rolling = pegmodel.fit_ar1_rolling(deltas, params.window)
-    except EstimationError as exc:
-        fit_error = exc
-    if params.rho_request == "estimate":
-        if rolling is not None:
-            return rolling.rho_mean, full_fit, rolling
-        if full_fit is not None:
-            return full_fit.rho, full_fit, rolling
-        raise fit_error
-    try:
-        rho = float(params.rho_request)
-    except ValueError:
-        raise SchemaError(f"rho must be a number or 'estimate', got {params.rho_request!r}") from None
-    return rho, full_fit, rolling
+    def write(self, names: tuple[str, ...], default_out: str | None = "out") -> dict[str, str]:
+        """Build the named artifacts, then write them if an output directory is set."""
+        texts = {name: ARTIFACTS[name](self) for name in names}
+        out = self.settings.get("out", default_out)
+        if out is not None:
+            self.run.stage = "write"
+            for name, text in texts.items():
+                self.run.write_text(Path(out) / name, text)
+        return texts
 
 
-def _apply_trim(points: list[pegmodel.DefaultProbPoint]) -> list[pegmodel.DefaultProbPoint]:
-    out = []
-    for point in points:
-        if point.p_horizon < 0.0:
-            out.append(
-                dataclasses.replace(point, p_horizon=0.0, p_annualized_bps=0.0, trimmed=True)
-            )
-        else:
-            out.append(point)
-    return out
+def _csv(write, rows) -> str:
+    buf = io.StringIO()
+    write(rows, buf)
+    return buf.getvalue()
 
 
-def _summary_rows(
-    aligned: marketdata.AlignedSeries, untrimmed: list[pegmodel.DefaultProbPoint]
-) -> list[econometrics.SummaryRow]:
-    return [
-        econometrics.summary_stats("s", [o.s for o in aligned.observations]),
-        econometrics.summary_stats("f", [o.f for o in aligned.observations]),
-        econometrics.summary_stats("f_minus_s_bps", [o.basis_bps for o in aligned.observations]),
-        econometrics.summary_stats("p_annualized_bps", [p.p_annualized_bps for p in untrimmed]),
-    ]
+PIPELINE_ARTIFACTS = (
+    "aligned.csv",
+    "prob.csv",
+    "table3.txt",
+    "table3.csv",
+    "table4.txt",
+    "table4.csv",
+    "figure1.vl.json",
+    "figure2.vl.json",
+)
+PANEL_INPUTS = ("spot", "futures", "btc")
+INPUT_ROLES = PANEL_INPUTS + ("usdt_alt",)
 
 
-def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    params = _ModelParams.resolve(settings)
-    spot_path = settings.require("spot")
-    futures_path = settings.require("futures")
-    btc_path = settings.require("btc")
-    usdt_alt_path = settings.get("usdt_alt")
-    outdir = Path(settings.get("out", "out"))
-
-    run.stage = "parse"
-    spot = _load_bars(settings, spot_path, "spot", "spot_venue")
-    futures = _load_bars(settings, futures_path, "futures", "futures_venue")
-    btc = _load_bars(settings, btc_path, "btc", "btc_venue")
-    usdt = (
-        _load_bars(settings, usdt_alt_path, "usdt_alt", "usdt_alt_venue")
-        if usdt_alt_path
-        else spot
+def _join_summary(aligned: marketdata.AlignedSeries) -> str:
+    report = aligned.join_report
+    return (
+        f"aligned {report.matched} dates "
+        f"(dropped {report.dropped_spot} spot, {report.dropped_futures} futures)"
     )
 
-    run.stage = "align"
-    aligned = marketdata.align_daily(spot, futures)
 
-    run.stage = "fit"
-    rho, full_fit, rolling = _effective_rho(params, aligned.deltas())
-
-    run.stage = "prob"
-    untrimmed = pegmodel.prob_series(
-        aligned, rho, params.horizon, params.recovery, trim=False, method=params.annualization
-    )
-    published = _apply_trim(untrimmed) if params.trim else untrimmed
-
-    run.stage = "features"
-    panel = features.build_feature_panel(untrimmed, btc, usdt, params.estimator)
-
-    run.stage = "regress"
-    regressions = econometrics.run_panel_regressions(panel)
-
-    run.stage = "stats"
-    table3 = _summary_rows(aligned, untrimmed)
-
-    run.stage = "write"
-    outdir.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    marketdata.write_aligned_csv(aligned, buf)
-    run.write_text(outdir / "aligned.csv", buf.getvalue())
-
-    buf = io.StringIO()
-    pegmodel.write_prob_csv(published, buf)
-    run.write_text(outdir / "prob.csv", buf.getvalue())
-
-    run.write_text(outdir / "table3.txt", econometrics.format_summary_table(table3))
-    run.write_text(outdir / "table3.csv", econometrics.summary_table_csv(table3))
-    run.write_text(outdir / "table4.txt", econometrics.format_regression_table(regressions))
-    run.write_text(outdir / "table4.csv", econometrics.regression_table_csv(regressions))
-    run.write_text(outdir / "figure1.vl.json", FIGURE1_STUB)
-    run.write_text(outdir / "figure2.vl.json", FIGURE2_STUB)
-
-    entries = {
-        "spot": spot_path,
-        "futures": futures_path,
-        "btc": btc_path,
-    }
-    if usdt_alt_path:
-        entries["usdt_alt"] = usdt_alt_path
-    for role in marketdata.ROLES:
-        value = settings.get(f"col_{role}")
+def _manifest(stages: _Stages) -> str:
+    rho, full_fit, rolling = stages.fit
+    entries = dict(stages.paths)
+    keys = [f"col_{role}" for role in marketdata.ROLES] + [f"{role}_venue" for role in INPUT_ROLES]
+    for key in keys:
+        value = stages.settings.get(key)
         if value is not None:
-            entries[f"col_{role}"] = value
-    for venue_key in ("spot_venue", "futures_venue", "btc_venue", "usdt_alt_venue"):
-        value = settings.get(venue_key)
-        if value is not None:
-            entries[venue_key] = value
+            entries[key] = value
     entries.update(
         {
-            "rho": params.rho_request,
-            "horizon": str(params.horizon),
-            "recovery": marketdata.fmt_float(params.recovery),
-            "window": str(params.window),
-            "estimator": params.estimator,
-            "annualization": params.annualization,
-            "trim": "true" if params.trim else "false",
+            "rho": stages.rho_request,
+            "horizon": str(stages.horizon),
+            "recovery": marketdata.fmt_float(stages.recovery),
+            "window": str(stages.window),
+            "estimator": stages.estimator,
+            "annualization": stages.annualization,
+            "trim": "true" if stages.trim else "false",
         }
     )
+    report = stages.aligned.join_report
     comments = [
         "pegrisk run manifest; feed back via --config to reproduce",
         f"rho_effective = {marketdata.fmt_float(rho)}",
@@ -307,65 +311,53 @@ def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
         (
             f"rho_rolling_mean = {marketdata.fmt_float(rolling.rho_mean)} over {len(rolling.fits)} windows"
             if rolling is not None
-            else f"rolling fit unavailable (series shorter than window {params.window} or degenerate)"
+            else f"rolling fit unavailable (series shorter than window {stages.window} or degenerate)"
         ),
-        (
-            f"join: matched {aligned.join_report.matched}, dropped "
-            f"{aligned.join_report.dropped_spot} spot / {aligned.join_report.dropped_futures} futures"
-        ),
-        "artifacts: aligned.csv prob.csv table3.txt table3.csv table4.txt table4.csv "
-        "figure1.vl.json figure2.vl.json",
+        f"join: matched {report.matched}, dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
+        "artifacts: " + " ".join(PIPELINE_ARTIFACTS),
     ]
-    run.write_text(outdir / "run_manifest.txt", cfgmod.format_kv(entries, comments))
+    return cfgmod.format_kv(entries, comments)
 
-    print(f"wrote {len(run.written)} artifacts to {outdir}")
-    print(
-        f"aligned {aligned.join_report.matched} dates "
-        f"(dropped {aligned.join_report.dropped_spot} spot, "
-        f"{aligned.join_report.dropped_futures} futures); rho = {rho:.4f}"
-    )
+
+# artifact name -> its text, built from the stages it needs
+ARTIFACTS = {
+    "aligned.csv": lambda st: _csv(marketdata.write_aligned_csv, st.aligned),
+    "prob.csv": lambda st: _csv(pegmodel.write_prob_csv, st.published),
+    "features.csv": lambda st: _csv(features.write_panel_csv, st.panel),
+    "table3.txt": lambda st: econometrics.format_summary_table(st.table3),
+    "table3.csv": lambda st: econometrics.summary_table_csv(st.table3),
+    "table4.txt": lambda st: econometrics.format_regression_table(st.regressions),
+    "table4.csv": lambda st: econometrics.regression_table_csv(st.regressions),
+    "figure1.vl.json": lambda st: FIGURE1_STUB,
+    "figure2.vl.json": lambda st: FIGURE2_STUB,
+    "run_manifest.txt": _manifest,
+}
+
+
+def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
+    stages = _Stages(args, run, PANEL_INPUTS)
+    texts = stages.write(PIPELINE_ARTIFACTS + ("run_manifest.txt",))
+    print(f"wrote {len(texts)} artifacts to {Path(stages.settings.get('out', 'out'))}")
+    print(f"{_join_summary(stages.aligned)}; rho = {stages.fit[0]:.4f}")
+    untrimmed = stages.untrimmed
     mean_p = sum(p.p_annualized_bps for p in untrimmed) / len(untrimmed)
     print(f"mean annualized default probability: {mean_p:.2f} bps over {len(untrimmed)} dates")
     return 0
 
 
 def cmd_align(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    spot_path = settings.require("spot")
-    futures_path = settings.require("futures")
-    outdir = Path(settings.get("out", "out"))
-
-    run.stage = "parse"
-    spot = _load_bars(settings, spot_path, "spot", "spot_venue")
-    futures = _load_bars(settings, futures_path, "futures", "futures_venue")
-
-    run.stage = "align"
-    aligned = marketdata.align_daily(spot, futures)
-
-    run.stage = "write"
-    buf = io.StringIO()
-    marketdata.write_aligned_csv(aligned, buf)
-    outdir.mkdir(parents=True, exist_ok=True)
-    run.write_text(outdir / "aligned.csv", buf.getvalue())
-    print(
-        f"aligned {aligned.join_report.matched} dates "
-        f"(dropped {aligned.join_report.dropped_spot} spot, "
-        f"{aligned.join_report.dropped_futures} futures)"
-    )
+    stages = _Stages(args, run, ("spot", "futures"), model=False)
+    stages.write(("aligned.csv",))
+    print(_join_summary(stages.aligned))
     return 0
 
 
 def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    params = _ModelParams.resolve(settings)
-    spot_path = settings.require("spot")
-
-    run.stage = "parse"
-    spot = _load_bars(settings, spot_path, "spot", "spot_venue")
+    stages = _Stages(args, run, ("spot",))
+    spot = stages.bars("spot")
 
     run.stage = "fit"
+    window = stages.window
     deltas = [bar.close - 1.0 for bar in spot.bars]
     full_fit = pegmodel.fit_ar1(deltas)
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
@@ -373,130 +365,42 @@ def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
     else:
         print("fit is not stable (rho outside (0, 1)); no half-life")
-    if len(deltas) >= params.window:
-        rolling = pegmodel.fit_ar1_rolling(deltas, params.window)
+    if len(deltas) >= window:
+        rolling = pegmodel.fit_ar1_rolling(deltas, window)
         print(
             f"rolling mean rho = {rolling.rho_mean:.6f} "
-            f"over {len(rolling.fits)} windows of {params.window} days"
+            f"over {len(rolling.fits)} windows of {window} days"
         )
     else:
-        print(f"series shorter than window {params.window}; rolling fit skipped")
+        print(f"series shorter than window {window}; rolling fit skipped")
     return 0
-
-
-def _aligned_and_prob(
-    settings: _Settings, params: _ModelParams, run: _Run
-) -> tuple[marketdata.AlignedSeries, list[pegmodel.DefaultProbPoint], float]:
-    spot_path = settings.require("spot")
-    futures_path = settings.require("futures")
-
-    run.stage = "parse"
-    spot = _load_bars(settings, spot_path, "spot", "spot_venue")
-    futures = _load_bars(settings, futures_path, "futures", "futures_venue")
-
-    run.stage = "align"
-    aligned = marketdata.align_daily(spot, futures)
-
-    run.stage = "fit"
-    rho, _, _ = _effective_rho(params, aligned.deltas())
-
-    run.stage = "prob"
-    untrimmed = pegmodel.prob_series(
-        aligned, rho, params.horizon, params.recovery, trim=False, method=params.annualization
-    )
-    return aligned, untrimmed, rho
 
 
 def cmd_prob(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    params = _ModelParams.resolve(settings)
-    outdir = Path(settings.get("out", "out"))
-    _, untrimmed, rho = _aligned_and_prob(settings, params, run)
-    published = _apply_trim(untrimmed) if params.trim else untrimmed
-
-    run.stage = "write"
-    buf = io.StringIO()
-    pegmodel.write_prob_csv(published, buf)
-    outdir.mkdir(parents=True, exist_ok=True)
-    run.write_text(outdir / "prob.csv", buf.getvalue())
+    stages = _Stages(args, run, ("spot", "futures"))
+    stages.write(("prob.csv",))
+    published = stages.published
     mean_p = sum(p.p_annualized_bps for p in published) / len(published)
-    print(f"wrote {len(published)} points (rho {rho:.4f}); mean {mean_p:.2f} bps annualized")
+    print(f"wrote {len(published)} points (rho {stages.fit[0]:.4f}); mean {mean_p:.2f} bps annualized")
     return 0
 
 
-def _panel_from_args(
-    settings: _Settings, params: _ModelParams, run: _Run
-) -> list[features.PanelRow]:
-    btc_path = settings.require("btc")
-    usdt_alt_path = settings.get("usdt_alt")
-    aligned, untrimmed, _ = _aligned_and_prob(settings, params, run)
-
-    run.stage = "parse"
-    btc = _load_bars(settings, btc_path, "btc", "btc_venue")
-    if usdt_alt_path:
-        usdt = _load_bars(settings, usdt_alt_path, "usdt_alt", "usdt_alt_venue")
-    else:
-        spot_path = settings.require("spot")
-        usdt = _load_bars(settings, spot_path, "spot", "spot_venue")
-
-    run.stage = "features"
-    return features.build_feature_panel(untrimmed, btc, usdt, params.estimator)
-
-
 def cmd_features(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    params = _ModelParams.resolve(settings)
-    outdir = Path(settings.get("out", "out"))
-    panel = _panel_from_args(settings, params, run)
-
-    run.stage = "write"
-    buf = io.StringIO()
-    features.write_panel_csv(panel, buf)
-    outdir.mkdir(parents=True, exist_ok=True)
-    run.write_text(outdir / "features.csv", buf.getvalue())
-    print(f"wrote {len(panel)} panel rows")
+    stages = _Stages(args, run, PANEL_INPUTS)
+    stages.write(("features.csv",))
+    print(f"wrote {len(stages.panel)} panel rows")
     return 0
 
 
 def cmd_regress(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    params = _ModelParams.resolve(settings)
-    out = settings.get("out")
-    panel = _panel_from_args(settings, params, run)
-
-    run.stage = "regress"
-    regressions = econometrics.run_panel_regressions(panel)
-    text = econometrics.format_regression_table(regressions)
-    print(text, end="")
-    if out:
-        run.stage = "write"
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        run.write_text(outdir / "table4.txt", text)
-        run.write_text(outdir / "table4.csv", econometrics.regression_table_csv(regressions))
+    stages = _Stages(args, run, PANEL_INPUTS)
+    print(stages.write(("table4.txt", "table4.csv"), default_out=None)["table4.txt"], end="")
     return 0
 
 
 def cmd_stats(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    params = _ModelParams.resolve(settings)
-    out = settings.get("out")
-    aligned, untrimmed, _ = _aligned_and_prob(settings, params, run)
-
-    run.stage = "stats"
-    rows = _summary_rows(aligned, untrimmed)
-    text = econometrics.format_summary_table(rows)
-    print(text, end="")
-    if out:
-        run.stage = "write"
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        run.write_text(outdir / "table3.txt", text)
-        run.write_text(outdir / "table3.csv", econometrics.summary_table_csv(rows))
+    stages = _Stages(args, run, ("spot", "futures"))
+    print(stages.write(("table3.txt", "table3.csv"), default_out=None)["table3.txt"], end="")
     return 0
 
 
@@ -568,73 +472,79 @@ def cmd_fixture(args: argparse.Namespace, run: _Run) -> int:
     return 0
 
 
+# add_argument keywords of every flag; the dest is the flag name with "_" for "-"
+FLAGS: dict[str, dict] = {
+    "config": {"help": "key=value config file; flags override it"},
+    "spot": {"help": "spot OHLCV CSV"},
+    "spot-venue": {},
+    "futures": {"help": "futures OHLCV CSV"},
+    "futures-venue": {},
+    "btc": {"help": "BTC OHLCV CSV"},
+    "btc-venue": {},
+    "usdt-alt": {"help": "alternative USDT series for its volatility"},
+    "usdt-alt-venue": {},
+    "rho": {"help": "mean-reversion coefficient, or 'estimate'"},
+    "horizon": {"type": int, "help": "futures horizon in days (default 90)"},
+    "recovery": {"type": float, "help": "recovery rate in [0, 1) (default 0)"},
+    "window": {"type": int, "help": "rolling estimation window (default 60)"},
+    "annualization": {"choices": ("linear", "compounded")},
+    "estimator": {"choices": features.ESTIMATORS, "help": "intraday volatility estimator"},
+    "out": {"help": "output directory"},
+    "innovation-sd": {"type": float},
+    "delta0": {"type": float},
+    "p-default": {"type": float},
+    "seed": {"type": int},
+    "n-paths": {"type": int},
+    "n-days": {"type": int},
+    "p-amplitude": {"type": float},
+    "p-period-days": {"type": int},
+    "futures-noise-sd": {"type": float},
+    "intraday-range-sd": {"type": float},
+}
+
+_MARKET = "config spot spot-venue futures futures-venue"
+_PANEL = _MARKET + " btc btc-venue usdt-alt usdt-alt-venue"
+_MODEL = "rho horizon recovery window annualization"
+_SIM = "config rho horizon recovery innovation-sd delta0 p-default seed"
+
+# subcommand -> (handler, the flags it reads, help); "trim" is --trim/--no-trim
+COMMANDS = {
+    "pipeline": (
+        cmd_pipeline,
+        f"{_PANEL} {_MODEL} estimator trim out",
+        "run everything and write all artifacts",
+    ),
+    "align": (cmd_align, f"{_MARKET} out", "align spot and futures into a daily panel"),
+    "fit": (cmd_fit, "config spot spot-venue window", "estimate the mean-reversion coefficient"),
+    "prob": (cmd_prob, f"{_MARKET} {_MODEL} trim out", "write the default-probability series"),
+    "features": (cmd_features, f"{_PANEL} {_MODEL} estimator out", "write the regression panel"),
+    "regress": (cmd_regress, f"{_PANEL} {_MODEL} estimator out", "run the panel regressions"),
+    "stats": (cmd_stats, f"{_MARKET} {_MODEL} out", "summary statistics of the panel"),
+    "simulate": (cmd_simulate, f"{_SIM} n-paths", "Monte Carlo check of the pricing identity"),
+    "fixture": (
+        cmd_fixture,
+        f"{_SIM} out n-days p-amplitude p-period-days futures-noise-sd intraday-range-sd",
+        "generate a synthetic dataset",
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pegrisk",
         description="Market-implied peg-break probabilities from stablecoin spot and futures prices",
     )
     sub = parser.add_subparsers(dest="command")
-
-    cfg = argparse.ArgumentParser(add_help=False)
-    cfg.add_argument("--config", help="key=value config file; flags override it")
-
-    market = argparse.ArgumentParser(add_help=False)
-    market.add_argument("--spot", help="spot OHLCV CSV")
-    market.add_argument("--futures", help="futures OHLCV CSV")
-    market.add_argument("--spot-venue", dest="spot_venue")
-    market.add_argument("--futures-venue", dest="futures_venue")
-
-    btc = argparse.ArgumentParser(add_help=False)
-    btc.add_argument("--btc", help="BTC OHLCV CSV")
-    btc.add_argument("--usdt-alt", dest="usdt_alt", help="alternative USDT series for its volatility")
-    btc.add_argument("--btc-venue", dest="btc_venue")
-    btc.add_argument("--usdt-alt-venue", dest="usdt_alt_venue")
-
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--rho", help="mean-reversion coefficient, or 'estimate'")
-    model.add_argument("--horizon", type=int, help="futures horizon in days (default 90)")
-    model.add_argument("--recovery", type=float, help="recovery rate in [0, 1) (default 0)")
-    model.add_argument("--window", type=int, help="rolling estimation window (default 60)")
-    model.add_argument("--estimator", choices=features.ESTIMATORS, help="intraday volatility estimator")
-    model.add_argument("--annualization", choices=("linear", "compounded"))
-    trim = model.add_mutually_exclusive_group()
-    trim.add_argument("--trim", dest="trim", action="store_const", const="true")
-    trim.add_argument("--no-trim", dest="trim", action="store_const", const="false")
-
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="output directory")
-
-    sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--innovation-sd", dest="innovation_sd", type=float)
-    sim.add_argument("--delta0", type=float)
-    sim.add_argument("--p-default", dest="p_default", type=float)
-    sim.add_argument("--seed", type=int)
-
-    p = sub.add_parser("pipeline", parents=[cfg, market, btc, model, out], help="run everything and write all artifacts")
-    p.set_defaults(func=cmd_pipeline)
-    p = sub.add_parser("align", parents=[cfg, market, out], help="align spot and futures into a daily panel")
-    p.set_defaults(func=cmd_align)
-    p = sub.add_parser("fit", parents=[cfg, market, model], help="estimate the mean-reversion coefficient")
-    p.set_defaults(func=cmd_fit)
-    p = sub.add_parser("prob", parents=[cfg, market, model, out], help="write the default-probability series")
-    p.set_defaults(func=cmd_prob)
-    p = sub.add_parser("features", parents=[cfg, market, btc, model, out], help="write the regression panel")
-    p.set_defaults(func=cmd_features)
-    p = sub.add_parser("regress", parents=[cfg, market, btc, model, out], help="run the panel regressions")
-    p.set_defaults(func=cmd_regress)
-    p = sub.add_parser("stats", parents=[cfg, market, model, out], help="summary statistics of the panel")
-    p.set_defaults(func=cmd_stats)
-    p = sub.add_parser("simulate", parents=[cfg, model, sim], help="Monte Carlo check of the pricing identity")
-    p.add_argument("--n-paths", dest="n_paths", type=int)
-    p.set_defaults(func=cmd_simulate)
-    p = sub.add_parser("fixture", parents=[cfg, model, sim, out], help="generate a synthetic dataset")
-    p.add_argument("--n-days", dest="n_days", type=int)
-    p.add_argument("--p-amplitude", dest="p_amplitude", type=float)
-    p.add_argument("--p-period-days", dest="p_period_days", type=int)
-    p.add_argument("--futures-noise-sd", dest="futures_noise_sd", type=float)
-    p.add_argument("--intraday-range-sd", dest="intraday_range_sd", type=float)
-    p.set_defaults(func=cmd_fixture)
-
+    for name, (func, flags, help_text) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        for flag in flags.split():
+            if flag == "trim":
+                trim = command.add_mutually_exclusive_group()
+                trim.add_argument("--trim", dest="trim", action="store_const", const="true")
+                trim.add_argument("--no-trim", dest="trim", action="store_const", const="false")
+            else:
+                command.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 

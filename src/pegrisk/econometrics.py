@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import EstimationError
 from .features import PanelRow
@@ -103,6 +102,10 @@ def ols_hc0(
 
     ``X`` must already contain the intercept column if one is wanted.
     """
+    # imported here: scipy.linalg costs about 0.35 s to import, which
+    # commands that never regress should not pay
+    from scipy.linalg import solve_triangular
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.ndim != 2:

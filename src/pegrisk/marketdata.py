@@ -11,6 +11,7 @@ significant digits so a write/read cycle is lossless.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable, Mapping, TextIO
@@ -48,9 +49,13 @@ class Bar:
     volume: float
 
     def __post_init__(self) -> None:
+        for name in ROLES[1:]:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         for name in ("open", "high", "low", "close"):
             value = getattr(self, name)
-            if not value > 0.0:  # also rejects NaN
+            if not value > 0.0:
                 raise ValidationError(f"{name} must be strictly positive, got {value!r}")
         if self.high < self.low:
             raise ValidationError(f"high {self.high} below low {self.low}")

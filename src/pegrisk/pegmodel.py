@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterable, Sequence, TextIO
 
@@ -44,13 +44,11 @@ class Ar1Fit:
     """One estimated mean-reversion coefficient.
 
     ``window`` is None for a full-sample fit or the half-open index range
-    of the slice a rolling fit was run on. ``residuals`` holds the n-1
-    one-step innovations implied by the fitted coefficient.
+    of the slice a rolling fit was run on.
     """
 
     rho: float
     stderr: float
-    residuals: tuple[float, ...]
     n: int
     window: tuple[int, int] | None = None
 
@@ -77,13 +75,7 @@ def _fit_slice(values: np.ndarray, window: tuple[int, int] | None) -> Ar1Fit:
     residuals = lead - rho * lagged
     dof = lagged.size - 1  # pairs minus the single slope parameter
     sigma2 = float(np.dot(residuals, residuals)) / dof
-    return Ar1Fit(
-        rho=rho,
-        stderr=math.sqrt(sigma2 / sxx),
-        residuals=tuple(float(r) for r in residuals),
-        n=int(values.size),
-        window=window,
-    )
+    return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=int(values.size), window=window)
 
 
 def fit_ar1(deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
@@ -208,10 +200,11 @@ def prob_series(
 ) -> list[DefaultProbPoint]:
     """Implied default probabilities for every aligned observation.
 
-    With ``trim`` set, negative raw inversions are clamped to zero and
-    flagged; untrimmed values should feed summary statistics, trimmed ones
-    the published series. Raw values below :data:`RAW_PROB_FLOOR` emit a
-    :class:`DataQualityWarning` instead of being silently clamped.
+    With ``trim`` set, the raw series passes through :func:`trim_negative`;
+    untrimmed values should feed summary statistics, trimmed ones the
+    published series. Raw values below :data:`RAW_PROB_FLOOR` emit a
+    :class:`DataQualityWarning` instead of being silently clamped. An
+    inversion or annualization that fails names the date it failed on.
     """
     points = []
     for obs in aligned.observations:
@@ -226,19 +219,31 @@ def prob_series(
                 DataQualityWarning,
                 stacklevel=2,
             )
-        trimmed = trim and raw < 0.0
-        p = 0.0 if trimmed else raw
+        try:
+            p_bps = annualize(raw, h, method)
+        except DomainError as exc:
+            raise DomainError(f"{obs.date}: {exc}") from exc
         points.append(
             DefaultProbPoint(
                 date=obs.date,
-                p_horizon=p,
-                p_annualized_bps=annualize(p, h, method),
+                p_horizon=raw,
+                p_annualized_bps=p_bps,
                 horizon_days=h,
                 recovery=recovery,
-                trimmed=trimmed,
+                trimmed=False,
             )
         )
-    return points
+    return trim_negative(points) if trim else points
+
+
+def trim_negative(points: Iterable[DefaultProbPoint]) -> list[DefaultProbPoint]:
+    """Clamp negative per-horizon probabilities to zero and flag them as trimmed."""
+    return [
+        replace(point, p_horizon=0.0, p_annualized_bps=0.0, trimmed=True)
+        if point.p_horizon < 0.0
+        else point
+        for point in points
+    ]
 
 
 def write_prob_csv(points: Iterable[DefaultProbPoint], stream: TextIO) -> None:

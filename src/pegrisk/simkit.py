@@ -17,7 +17,7 @@ invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
@@ -184,7 +184,6 @@ class FixtureSet:
     spot: BarSeries
     futures: BarSeries
     btc: BarSeries
-    planted_p: tuple[float, ...] = field(repr=False, default=())
 
 
 def _bars_from_closes(
@@ -270,5 +269,4 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
         spot=BarSeries(instrument="USDT_USD", venue="synthetic", bars=tuple(spot_bars)),
         futures=BarSeries(instrument="USDT_USD_FUT", venue="synthetic", bars=tuple(futures_bars)),
         btc=BarSeries(instrument="BTC_USDT", venue="synthetic", bars=tuple(btc_bars)),
-        planted_p=tuple(float(p) for p in p_path),
     )

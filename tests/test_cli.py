@@ -300,6 +300,26 @@ class TestSimulateCommand:
         assert "DomainError" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--window", "30"],
+        ["fixture", "--estimator", "range"],
+        ["fit", "--spot", "spot.csv", "--rho", "0.5"],
+        ["prob", "--estimator", "range"],
+        ["features", "--no-trim"],
+        ["regress", "--trim"],
+        ["stats", "--estimator", "range"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_flag_the_command_ignores_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out

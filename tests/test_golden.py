@@ -203,11 +203,13 @@ def test_single_stage_outputs_equal_pipeline_artifacts(datasets, dataset, model,
     btc = ["--btc", str(data / "btc.csv")]
     pipe = tmp_path / "pipeline"
     assert _run(["pipeline", *market, *btc, *model, "--out", str(pipe)], capsys)[0] == 0
+    # regress and stats read the untrimmed series and take no trim flag
+    untrimmed = [arg for arg in model if arg != "--no-trim"]
     commands = {
         "align": (market, ("aligned.csv",)),
         "prob": (market + model, ("prob.csv",)),
-        "regress": (market + btc + model, ("table4.txt", "table4.csv")),
-        "stats": (market + model, ("table3.txt", "table3.csv")),
+        "regress": (market + btc + untrimmed, ("table4.txt", "table4.csv")),
+        "stats": (market + untrimmed, ("table3.txt", "table3.csv")),
     }
     for command, (args, names) in commands.items():
         out = tmp_path / command

@@ -69,6 +69,13 @@ class TestParseBars:
         with pytest.raises(ValidationError, match="line 2"):
             _series(text)
 
+    @pytest.mark.parametrize("column", range(1, 6))
+    def test_infinite_value_rejected(self, column):
+        cells = "2020-03-12,1.0,1.1,0.9,1.0,1e6".split(",")
+        cells[column] = "inf"
+        with pytest.raises(ValidationError, match="line 2: .* must be finite"):
+            _series(_bars_csv([",".join(cells)]))
+
     def test_duplicate_date_rejected(self):
         text = _bars_csv(
             ["2020-03-12,1.0,1.1,0.9,1.0,1e6", "2020-03-12,1.0,1.1,0.9,1.0,1e6"]

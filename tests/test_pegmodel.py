@@ -33,10 +33,8 @@ class TestFitAr1:
     def test_geometric_decay_exact(self):
         fit = fit_ar1([1.0, 0.5, 0.25, 0.125])
         assert fit.rho == pytest.approx(0.5, abs=1e-15)
-        assert all(abs(r) < 1e-15 for r in fit.residuals)
         assert fit.stderr == pytest.approx(0.0, abs=1e-12)
         assert fit.n == 4
-        assert len(fit.residuals) == 3
         assert fit.window is None
         assert fit.is_stable
 
@@ -311,6 +309,12 @@ class TestProbSeries:
         aligned = _aligned([(0.5, 0.4)])
         with pytest.raises(InversionError, match="2020-01-01"):
             prob_series(aligned, rho=0.99, h=1, recovery=0.9)
+
+    def test_probability_above_one_names_date(self):
+        # futures below the recovery value put the raw probability above 1
+        aligned = _aligned([(1.0, 0.3)])
+        with pytest.raises(DomainError, match="2020-01-01: probability above 1"):
+            prob_series(aligned, rho=0.73, h=90, recovery=0.5)
 
     def test_annualized_field_matches_annualize(self):
         aligned = _aligned([(1.0007, 0.9992), (1.0, 1.002)])
