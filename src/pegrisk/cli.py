@@ -269,7 +269,6 @@ PIPELINE_ARTIFACTS = (
     "figure2.vl.json",
 )
 PANEL_INPUTS = ("spot", "futures", "btc")
-INPUT_ROLES = PANEL_INPUTS + ("usdt_alt",)
 
 
 def _join_summary(aligned: marketdata.AlignedSeries) -> str:
@@ -283,8 +282,8 @@ def _join_summary(aligned: marketdata.AlignedSeries) -> str:
 def _manifest(stages: _Stages) -> str:
     rho, full_fit, rolling = stages.fit
     entries = dict(stages.paths)
-    keys = [f"col_{role}" for role in marketdata.ROLES] + [f"{role}_venue" for role in INPUT_ROLES]
-    for key in keys:
+    venues = [f"{role}_venue" for role in (*PANEL_INPUTS, "usdt_alt")]
+    for key in [f"col_{role}" for role in marketdata.ROLES] + venues:
         value = stages.settings.get(key)
         if value is not None:
             entries[key] = value
@@ -313,7 +312,8 @@ def _manifest(stages: _Stages) -> str:
             if rolling is not None
             else f"rolling fit unavailable (series shorter than window {stages.window} or degenerate)"
         ),
-        f"join: matched {report.matched}, dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
+        f"join: matched {report.matched}, "
+        f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
         "artifacts: " + " ".join(PIPELINE_ARTIFACTS),
     ]
     return cfgmod.format_kv(entries, comments)
