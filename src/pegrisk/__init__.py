@@ -25,17 +25,13 @@ from .errors import (
     ValidationError,
 )
 from .features import (
-    FeaturePoint,
-    PanelRow,
+    Panel,
     build_feature_panel,
     daily_returns,
-    feature_points,
     intraday_vol,
 )
 from .marketdata import (
-    AlignedObservation,
     AlignedSeries,
-    Bar,
     BarSeries,
     JoinReport,
     align_daily,
@@ -46,7 +42,7 @@ from .marketdata import (
 )
 from .pegmodel import (
     Ar1Fit,
-    DefaultProbPoint,
+    ProbSeries,
     RollingAr1,
     annualize,
     fit_ar1,
@@ -72,22 +68,17 @@ from .simkit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedObservation",
     "AlignedSeries",
     "AlignmentError",
     "annualize",
     "Ar1Fit",
     "align_daily",
-    "Bar",
     "BarSeries",
     "build_feature_panel",
     "daily_returns",
     "DataQualityWarning",
-    "DefaultProbPoint",
     "DomainError",
     "EstimationError",
-    "FeaturePoint",
-    "feature_points",
     "fit_ar1",
     "fit_ar1_rolling",
     "FixtureConfig",
@@ -99,10 +90,11 @@ __all__ = [
     "InversionError",
     "JoinReport",
     "ols_hc0",
-    "PanelRow",
+    "Panel",
     "parse_bars",
     "PegRiskError",
     "prob_series",
+    "ProbSeries",
     "read_aligned_csv",
     "RecoveredProb",
     "RegressionResult",

@@ -177,7 +177,7 @@ class _Stages:
     @cached_property
     def fit(self) -> tuple[float, pegmodel.Ar1Fit | None, pegmodel.RollingAr1 | None]:
         """Effective rho, plus the full-sample and rolling fits behind it."""
-        deltas = self.aligned.deltas()
+        deltas = self.aligned.delta
         self.run.stage = "fit"
         # estimation is informational when rho is fixed, so a degenerate series
         # (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
@@ -203,7 +203,7 @@ class _Stages:
         return rho, full_fit, rolling
 
     @cached_property
-    def untrimmed(self) -> list[pegmodel.DefaultProbPoint]:
+    def untrimmed(self) -> pegmodel.ProbSeries:
         """Raw inversions: they feed the statistics and the regressions."""
         rho = self.fit[0]
         self.run.stage = "prob"
@@ -212,12 +212,12 @@ class _Stages:
         )
 
     @cached_property
-    def published(self) -> list[pegmodel.DefaultProbPoint]:
+    def published(self) -> pegmodel.ProbSeries:
         untrimmed = self.untrimmed
         return pegmodel.trim_negative(untrimmed) if self.trim else untrimmed
 
     @cached_property
-    def panel(self) -> list[features.PanelRow]:
+    def panel(self) -> features.Panel:
         untrimmed, btc = self.untrimmed, self.bars("btc")
         # without an alternative USDT series, spot supplies its volatility
         usdt = self.bars("usdt_alt" if "usdt_alt" in self.paths else "spot")
@@ -235,10 +235,10 @@ class _Stages:
         aligned, untrimmed = self.aligned, self.untrimmed
         self.run.stage = "stats"
         return [
-            econometrics.summary_stats("s", [o.s for o in aligned.observations]),
-            econometrics.summary_stats("f", [o.f for o in aligned.observations]),
-            econometrics.summary_stats("f_minus_s_bps", [o.basis_bps for o in aligned.observations]),
-            econometrics.summary_stats("p_annualized_bps", [p.p_annualized_bps for p in untrimmed]),
+            econometrics.summary_stats("s", aligned.s),
+            econometrics.summary_stats("f", aligned.f),
+            econometrics.summary_stats("f_minus_s_bps", aligned.basis_bps),
+            econometrics.summary_stats("p_annualized_bps", untrimmed.p_annualized_bps),
         ]
 
     def write(self, names: tuple[str, ...], default_out: str | None = "out") -> dict[str, str]:
@@ -340,7 +340,7 @@ def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
     print(f"wrote {len(texts)} artifacts to {Path(stages.settings.get('out', 'out'))}")
     print(f"{_join_summary(stages.aligned)}; rho = {stages.fit[0]:.4f}")
     untrimmed = stages.untrimmed
-    mean_p = sum(p.p_annualized_bps for p in untrimmed) / len(untrimmed)
+    mean_p = sum(untrimmed.p_annualized_bps.tolist()) / len(untrimmed)
     print(f"mean annualized default probability: {mean_p:.2f} bps over {len(untrimmed)} dates")
     return 0
 
@@ -358,7 +358,7 @@ def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
 
     run.stage = "fit"
     window = stages.window
-    deltas = [bar.close - 1.0 for bar in spot.bars]
+    deltas = spot.close - 1.0
     full_fit = pegmodel.fit_ar1(deltas)
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
@@ -380,7 +380,7 @@ def cmd_prob(args: argparse.Namespace, run: _Run) -> int:
     stages = _Stages(args, run, ("spot", "futures"))
     stages.write(("prob.csv",))
     published = stages.published
-    mean_p = sum(p.p_annualized_bps for p in published) / len(published)
+    mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
     print(f"wrote {len(published)} points (rho {stages.fit[0]:.4f}); mean {mean_p:.2f} bps annualized")
     return 0
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .features import PanelRow
+from .features import Panel
 
 STAR_THRESHOLDS = ((2.576, "***"), (1.960, "**"), (1.645, "*"))
 
@@ -156,22 +156,21 @@ def ols_hc0(
     )
 
 
-def run_panel_regressions(panel: Sequence[PanelRow]) -> dict[str, RegressionResult]:
+def run_panel_regressions(panel: Panel) -> dict[str, RegressionResult]:
     """Regress annualized default probability on the feature columns.
 
     Four designs: BTC volatility alone, USDT volatility alone, BTC returns
-    alone, and all three together. Rows with an undefined return are
+    alone, and all three together. Rows with an undefined (NaN) return are
     dropped only from the designs that use returns.
     """
+    has_return = ~np.isnan(panel.r_btc_bps)
     results = {}
     for label, regressors in REGRESSOR_SETS.items():
-        uses_returns = "r_btc_bps" in regressors
-        rows = [row for row in panel if not uses_returns or row.r_btc_bps is not None]
-        if not rows:
+        rows = has_return if "r_btc_bps" in regressors else np.ones(len(panel), dtype=bool)
+        if not rows.any():
             raise EstimationError(f"no usable rows for regression {label}")
-        y = [row.p_bps for row in rows]
-        X = [[1.0] + [getattr(row, reg) for reg in regressors] for row in rows]
-        results[label] = ols_hc0(y, X, names=("intercept",) + regressors)
+        columns = [np.ones(int(rows.sum()))] + [getattr(panel, reg)[rows] for reg in regressors]
+        results[label] = ols_hc0(panel.p_bps[rows], np.column_stack(columns), names=("intercept",) + regressors)
     return results
 
 

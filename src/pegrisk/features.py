@@ -13,15 +13,15 @@ on a series' first date.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from datetime import date
-from typing import Iterable, Sequence, TextIO
+from typing import TextIO
+
+import numpy as np
 
 from .errors import AlignmentError, DomainError, EstimationError
-from .marketdata import BarSeries, fmt_float
-from .pegmodel import DefaultProbPoint
+from .marketdata import BarSeries, Table, fmt_column, fmt_float, iso_dates, write_csv
+from .pegmodel import ProbSeries
 
 PARKINSON_FACTOR = 2.0 * math.sqrt(math.log(2.0))
 
@@ -30,118 +30,87 @@ ESTIMATORS = ("parkinson", "range")
 PANEL_HEADER = ("date", "p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps")
 
 
-def intraday_vol(bars: BarSeries, estimator: str = "parkinson") -> list[tuple[date, float]]:
+def intraday_vol(bars: BarSeries, estimator: str = "parkinson") -> np.ndarray:
     """Per-bar intraday volatility in basis points."""
     if estimator not in ESTIMATORS:
         raise DomainError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    out = []
-    for bar in bars.bars:
-        if estimator == "range":
-            sigma = (bar.high - bar.low) / bar.close * 1e4
-        else:
-            sigma = math.log(bar.high / bar.low) / PARKINSON_FACTOR * 1e4
-        out.append((bar.timestamp, sigma))
-    return out
+    if estimator == "range":
+        return (bars.high - bars.low) / bars.close * 1e4
+    # scalar libm log, one value at a time: np.log differs from it in the
+    # last bit on some inputs, which would change the regression tables
+    log_range = np.array([math.log(x) for x in (bars.high / bars.low).tolist()])
+    return log_range / PARKINSON_FACTOR * 1e4
 
 
-def daily_returns(bars: BarSeries) -> list[tuple[date, float]]:
-    """Close-to-close returns in basis points, one per consecutive bar pair."""
+def daily_returns(bars: BarSeries) -> np.ndarray:
+    """Close-to-close returns in basis points, one per consecutive bar pair.
+
+    Element i is the return into the bar at ``bars.date[i + 1]``.
+    """
     if len(bars) < 2:
         raise EstimationError(f"need at least 2 bars for returns, got {len(bars)}")
-    return [
-        (cur.timestamp, (cur.close / prev.close - 1.0) * 1e4)
-        for prev, cur in zip(bars.bars, bars.bars[1:])
-    ]
+    return (bars.close[1:] / bars.close[:-1] - 1.0) * 1e4
 
 
-@dataclass(frozen=True)
-class FeaturePoint:
-    """Volatility and return regressors for one date.
+@dataclass(frozen=True, eq=False)
+class Panel(Table):
+    """The regression panel: annualized probability plus features, by date.
 
-    ``r_btc_bps`` is None on the first date of the return series.
+    ``r_btc_bps`` is NaN on the first BTC date, where no return is defined.
     """
 
-    date: date
-    sigma_btc_bps: float
-    sigma_usdt_bps: float
-    r_btc_bps: float | None
+    COLUMNS = {
+        "date": "datetime64[D]",
+        "p_bps": "float64",
+        "sigma_btc_bps": "float64",
+        "sigma_usdt_bps": "float64",
+        "r_btc_bps": "float64",
+    }
 
-
-@dataclass(frozen=True)
-class PanelRow:
-    """One joined row of the regression panel: probability plus features."""
-
-    date: date
-    p_bps: float
-    sigma_btc_bps: float
-    sigma_usdt_bps: float
-    r_btc_bps: float | None
-
-
-def feature_points(
-    btc: BarSeries, usdt: BarSeries, estimator: str = "parkinson"
-) -> list[FeaturePoint]:
-    """Inner join of BTC volatility, USDT volatility, and BTC returns by date."""
-    sigma_btc = dict(intraday_vol(btc, estimator))
-    sigma_usdt = dict(intraday_vol(usdt, estimator))
-    returns = dict(daily_returns(btc)) if len(btc) >= 2 else {}
-    common = sorted(set(sigma_btc) & set(sigma_usdt))
-    if not common:
-        raise AlignmentError("no dates in common between the BTC and USDT series")
-    return [
-        FeaturePoint(
-            date=day,
-            sigma_btc_bps=sigma_btc[day],
-            sigma_usdt_bps=sigma_usdt[day],
-            r_btc_bps=returns.get(day),
-        )
-        for day in common
-    ]
+    date: np.ndarray
+    p_bps: np.ndarray
+    sigma_btc_bps: np.ndarray
+    sigma_usdt_bps: np.ndarray
+    r_btc_bps: np.ndarray
 
 
 def build_feature_panel(
-    prob: Sequence[DefaultProbPoint],
+    prob: ProbSeries,
     btc: BarSeries,
     usdt: BarSeries,
     estimator: str = "parkinson",
-) -> list[PanelRow]:
-    """Join probability points with the feature series on date.
+) -> Panel:
+    """Join the probability series with BTC and USDT volatility and BTC returns on date.
 
-    Rows without a return (the first BTC date) carry ``r_btc_bps = None``
+    Rows without a return (the first BTC date) carry ``r_btc_bps = NaN``
     and are dropped only by regressions that use returns, so n probability
     points yield n rows for volatility-only designs and n-1 when returns
     enter.
     """
-    if not prob:
+    if len(prob) == 0:
         raise AlignmentError("probability series is empty")
-    features = {point.date: point for point in feature_points(btc, usdt, estimator)}
-    rows = [
-        PanelRow(
-            date=point.date,
-            p_bps=point.p_annualized_bps,
-            sigma_btc_bps=features[point.date].sigma_btc_bps,
-            sigma_usdt_bps=features[point.date].sigma_usdt_bps,
-            r_btc_bps=features[point.date].r_btc_bps,
-        )
-        for point in prob
-        if point.date in features
-    ]
-    if not rows:
+    sigma_btc, sigma_usdt = intraday_vol(btc, estimator), intraday_vol(usdt, estimator)
+    returns = np.full(len(btc), np.nan)
+    if len(btc) >= 2:
+        returns[1:] = daily_returns(btc)
+    days, in_btc, in_usdt = np.intersect1d(btc.date, usdt.date, assume_unique=True, return_indices=True)
+    if days.size == 0:
+        raise AlignmentError("no dates in common between the BTC and USDT series")
+    days, in_prob, in_features = np.intersect1d(prob.date, days, assume_unique=True, return_indices=True)
+    if days.size == 0:
         raise AlignmentError("no dates in common across the probability series and feature inputs")
-    return rows
+    in_btc, in_usdt = in_btc[in_features], in_usdt[in_features]
+    return Panel(
+        date=days,
+        p_bps=prob.p_annualized_bps[in_prob],
+        sigma_btc_bps=sigma_btc[in_btc],
+        sigma_usdt_bps=sigma_usdt[in_usdt],
+        r_btc_bps=returns[in_btc],
+    )
 
 
-def write_panel_csv(rows: Iterable[PanelRow], stream: TextIO) -> None:
+def write_panel_csv(panel: Panel, stream: TextIO) -> None:
     """Write the joined panel; undefined returns become empty cells."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PANEL_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.date.isoformat(),
-                fmt_float(row.p_bps),
-                fmt_float(row.sigma_btc_bps),
-                fmt_float(row.sigma_usdt_bps),
-                "" if row.r_btc_bps is None else fmt_float(row.r_btc_bps),
-            ]
-        )
+    returns = ["" if math.isnan(r) else fmt_float(r) for r in panel.r_btc_bps.tolist()]
+    columns = (panel.p_bps, panel.sigma_btc_bps, panel.sigma_usdt_bps)
+    write_csv(stream, PANEL_HEADER, iso_dates(panel.date), *map(fmt_column, columns), returns)

@@ -18,17 +18,16 @@ points.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from datetime import date
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataQualityWarning, DomainError, EstimationError, InversionError
-from .marketdata import AlignedSeries, fmt_float
+from .marketdata import AlignedSeries, Table, fmt_column, iso_dates, write_csv
 
 DAYS_PER_YEAR = 365.0
 
@@ -37,20 +36,16 @@ DAYS_PER_YEAR = 365.0
 RAW_PROB_FLOOR = -0.05
 
 PROB_HEADER = ("date", "p_horizon", "p_annualized_bps", "trimmed")
+ANNUALIZATIONS = ("linear", "compounded")
 
 
 @dataclass(frozen=True)
 class Ar1Fit:
-    """One estimated mean-reversion coefficient.
-
-    ``window`` is None for a full-sample fit or the half-open index range
-    of the slice a rolling fit was run on.
-    """
+    """One estimated mean-reversion coefficient."""
 
     rho: float
     stderr: float
     n: int
-    window: tuple[int, int] | None = None
 
     @property
     def is_stable(self) -> bool:
@@ -59,23 +54,13 @@ class Ar1Fit:
 
 @dataclass(frozen=True)
 class RollingAr1:
-    """Per-window fits plus the mean coefficient across windows."""
+    """The coefficient of every window (``fits``) and their mean."""
 
-    fits: tuple[Ar1Fit, ...]
+    fits: np.ndarray
     rho_mean: float
 
 
-def _fit_slice(values: np.ndarray, window: tuple[int, int] | None) -> Ar1Fit:
-    lagged = values[:-1]
-    lead = values[1:]
-    sxx = float(np.dot(lagged, lagged))
-    if sxx == 0.0:
-        raise EstimationError("degenerate regressor: lagged deviations are all zero")
-    rho = float(np.dot(lagged, lead) / sxx)
-    residuals = lead - rho * lagged
-    dof = lagged.size - 1  # pairs minus the single slope parameter
-    sigma2 = float(np.dot(residuals, residuals)) / dof
-    return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=int(values.size), window=window)
+_DEGENERATE = "degenerate regressor: lagged deviations are all zero"
 
 
 def fit_ar1(deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
@@ -89,7 +74,16 @@ def fit_ar1(deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
         raise EstimationError("deviations must be one-dimensional")
     if values.size < 3:
         raise EstimationError(f"need at least 3 observations, got {values.size}")
-    return _fit_slice(values, None)
+    lagged = values[:-1]
+    lead = values[1:]
+    sxx = float(np.dot(lagged, lagged))
+    if sxx == 0.0:
+        raise EstimationError(_DEGENERATE)
+    rho = float(np.dot(lagged, lead) / sxx)
+    residuals = lead - rho * lagged
+    dof = lagged.size - 1  # pairs minus the single slope parameter
+    sigma2 = float(np.dot(residuals, residuals)) / dof
+    return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=int(values.size))
 
 
 def fit_ar1_rolling(deviations: Sequence[float] | np.ndarray, window: int) -> RollingAr1:
@@ -99,12 +93,15 @@ def fit_ar1_rolling(deviations: Sequence[float] | np.ndarray, window: int) -> Ro
         raise EstimationError(f"rolling window must be at least 3, got {window}")
     if window > values.size:
         raise EstimationError(f"window {window} longer than series of length {values.size}")
-    fits = tuple(
-        _fit_slice(values[start : start + window], (start, start + window))
-        for start in range(values.size - window + 1)
-    )
-    rho_mean = float(np.mean([fit.rho for fit in fits]))
-    return RollingAr1(fits=fits, rho_mean=rho_mean)
+    # one row per window; vecdot on these contiguous rows gives the same
+    # bits as np.dot on each slice
+    lagged = sliding_window_view(values[:-1], window - 1)
+    lead = sliding_window_view(values[1:], window - 1)
+    sxx = np.vecdot(lagged, lagged)
+    if (sxx == 0.0).any():
+        raise EstimationError(_DEGENERATE)
+    rhos = np.vecdot(lagged, lead) / sxx
+    return RollingAr1(fits=rhos, rho_mean=float(np.mean(rhos)))
 
 
 def half_life(rho: float) -> float:
@@ -121,14 +118,21 @@ def _check_shared_domain(rho: float, h: int) -> None:
         raise DomainError(f"horizon must be at least 1 day, got {h}")
 
 
-def theoretical_futures(delta: float, rho: float, h: int, p: float, recovery: float = 0.0) -> float:
+def _check_inversion_domain(rho: float, h: int, recovery: float) -> None:
+    _check_shared_domain(rho, h)
+    if not 0.0 <= recovery < 1.0:
+        raise DomainError(f"recovery must lie in [0, 1), got {recovery}")
+
+
+def theoretical_futures(delta, rho: float, h: int, p, recovery: float = 0.0):
     """Futures price for a given default probability and recovery rate.
 
     (1 - p) * (1 + rho**h * delta) + p * recovery: survivors carry the
-    decayed deviation, defaults pay the recovery value.
+    decayed deviation, defaults pay the recovery value. ``delta`` and ``p``
+    may be floats or equal-length arrays.
     """
     _check_shared_domain(rho, h)
-    if not 0.0 <= p <= 1.0:
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise DomainError(f"default probability must lie in [0, 1], got {p}")
     if not 0.0 <= recovery <= 1.0:
         raise DomainError(f"recovery must lie in [0, 1], got {recovery}")
@@ -142,9 +146,7 @@ def implied_default_prob(s: float, f: float, rho: float, h: int, recovery: float
     form divides the futures shortfall by the survivor/recovery gap. Exact
     inverse of :func:`theoretical_futures` in the probability argument.
     """
-    _check_shared_domain(rho, h)
-    if not 0.0 <= recovery < 1.0:
-        raise DomainError(f"recovery must lie in [0, 1), got {recovery}")
+    _check_inversion_domain(rho, h, recovery)
     survivor_value = 1.0 + rho**h * (s - 1.0)
     denominator = survivor_value - recovery
     if denominator <= 0.0:
@@ -155,39 +157,49 @@ def implied_default_prob(s: float, f: float, rho: float, h: int, recovery: float
     return (survivor_value - f) / denominator
 
 
-def annualize(p_horizon: float, h: int, method: str = "linear") -> float:
-    """Rescale a per-horizon probability to a 365-day basis, in basis points.
+def annualize(p_horizon: float | np.ndarray, h: int, method: str = "linear") -> float | np.ndarray:
+    """Rescale per-horizon probabilities to a 365-day basis, in basis points.
 
     linear:      p * (365 / h) * 1e4
     compounded:  (1 - (1 - p)**(365 / h)) * 1e4
 
-    Small negative inputs pass through unchanged in sign so untrimmed
-    diagnostic series can be summarized; values above 1 are rejected.
+    Takes one probability or an array of them. Small negative inputs pass
+    through unchanged in sign so untrimmed diagnostic series can be
+    summarized; values above 1 are rejected.
     """
     if h < 1:
         raise DomainError(f"horizon must be at least 1 day, got {h}")
-    if p_horizon > 1.0:
+    if np.any(p_horizon > 1.0):
         raise DomainError(f"probability above 1: {p_horizon}")
-    if p_horizon <= -1.0:
+    if np.any(p_horizon <= -1.0):
         raise DomainError(f"probability at or below -1: {p_horizon}")
     periods = DAYS_PER_YEAR / h
     if method == "linear":
         return p_horizon * periods * 1e4
     if method == "compounded":
-        return (1.0 - (1.0 - p_horizon) ** periods) * 1e4
+        if isinstance(p_horizon, np.ndarray):
+            # scalar libm pow, one value at a time: np.power differs from it
+            # in the last bit on some inputs, which would change prob.csv
+            survival = np.array([(1.0 - p) ** periods for p in p_horizon.tolist()])
+        else:
+            survival = (1.0 - p_horizon) ** periods
+        return (1.0 - survival) * 1e4
     raise DomainError(f"unknown annualization method {method!r}")
 
 
-@dataclass(frozen=True)
-class DefaultProbPoint:
-    """Per-horizon and annualized implied default probability for one date."""
+@dataclass(frozen=True, eq=False)
+class ProbSeries(Table):
+    """Per-horizon and annualized implied default probability by date.
 
-    date: date
-    p_horizon: float
-    p_annualized_bps: float
-    horizon_days: int
-    recovery: float
-    trimmed: bool
+    ``trimmed`` flags dates whose negative raw value was clamped to zero.
+    """
+
+    COLUMNS = {"date": "datetime64[D]", "p_horizon": "float64", "p_annualized_bps": "float64", "trimmed": "bool"}
+
+    date: np.ndarray
+    p_horizon: np.ndarray
+    p_annualized_bps: np.ndarray
+    trimmed: np.ndarray
 
 
 def prob_series(
@@ -197,64 +209,66 @@ def prob_series(
     recovery: float = 0.0,
     trim: bool = True,
     method: str = "linear",
-) -> list[DefaultProbPoint]:
+) -> ProbSeries:
     """Implied default probabilities for every aligned observation.
 
-    With ``trim`` set, the raw series passes through :func:`trim_negative`;
+    The inversion of :func:`implied_default_prob`, element-wise. With
+    ``trim`` set, the raw series passes through :func:`trim_negative`;
     untrimmed values should feed summary statistics, trimmed ones the
     published series. Raw values below :data:`RAW_PROB_FLOOR` emit a
     :class:`DataQualityWarning` instead of being silently clamped. An
-    inversion or annualization that fails names the date it failed on.
+    inversion or annualization that fails names the first date it fails
+    on; dates before it still warn.
     """
-    points = []
-    for obs in aligned.observations:
-        try:
-            raw = implied_default_prob(obs.s, obs.f, rho, h, recovery)
-        except InversionError as exc:
-            raise InversionError(f"{obs.date}: {exc}") from exc
-        if raw < RAW_PROB_FLOOR:
-            warnings.warn(
-                f"{obs.date}: raw default probability {raw:.6f} below {RAW_PROB_FLOOR}; "
-                "check the input prices",
-                DataQualityWarning,
-                stacklevel=2,
-            )
-        try:
-            p_bps = annualize(raw, h, method)
-        except DomainError as exc:
-            raise DomainError(f"{obs.date}: {exc}") from exc
-        points.append(
-            DefaultProbPoint(
-                date=obs.date,
-                p_horizon=raw,
-                p_annualized_bps=p_bps,
-                horizon_days=h,
-                recovery=recovery,
-                trimmed=False,
-            )
+    _check_inversion_domain(rho, h, recovery)
+    survivor_value = 1.0 + rho**h * (aligned.s - 1.0)
+    denominator = survivor_value - recovery
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = (survivor_value - aligned.f) / denominator
+    bad = (denominator <= 0.0) | (raw > 1.0) | (raw <= -1.0) | (method not in ANNUALIZATIONS)
+    first_bad = int(np.argmax(bad)) if bad.any() else raw.size
+    # a date whose inversion succeeds warns before its annualization fails
+    warn_until = first_bad + 1 if first_bad < raw.size and denominator[first_bad] > 0.0 else first_bad
+    for i in np.flatnonzero(raw[:warn_until] < RAW_PROB_FLOOR):
+        warnings.warn(
+            f"{aligned.date[i]}: raw default probability {raw[i]:.6f} below {RAW_PROB_FLOOR}; "
+            "check the input prices",
+            DataQualityWarning,
+            stacklevel=2,
         )
-    return trim_negative(points) if trim else points
+    if first_bad < raw.size:
+        s, f = float(aligned.s[first_bad]), float(aligned.f[first_bad])
+        try:  # the scalar path raises the error this date hit, with its message
+            annualize(implied_default_prob(s, f, rho, h, recovery), h, method)
+        except (InversionError, DomainError) as exc:
+            raise type(exc)(f"{aligned.date[first_bad]}: {exc}") from exc
+    series = ProbSeries(
+        date=aligned.date,
+        p_horizon=raw,
+        p_annualized_bps=annualize(raw, h, method),
+        trimmed=np.zeros(raw.size, dtype=bool),
+    )
+    return trim_negative(series) if trim else series
 
 
-def trim_negative(points: Iterable[DefaultProbPoint]) -> list[DefaultProbPoint]:
+def trim_negative(series: ProbSeries) -> ProbSeries:
     """Clamp negative per-horizon probabilities to zero and flag them as trimmed."""
-    return [
-        replace(point, p_horizon=0.0, p_annualized_bps=0.0, trimmed=True)
-        if point.p_horizon < 0.0
-        else point
-        for point in points
-    ]
+    negative = series.p_horizon < 0.0
+    return replace(
+        series,
+        p_horizon=np.where(negative, 0.0, series.p_horizon),
+        p_annualized_bps=np.where(negative, 0.0, series.p_annualized_bps),
+        trimmed=series.trimmed | negative,
+    )
 
 
-def write_prob_csv(points: Iterable[DefaultProbPoint], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PROB_HEADER)
-    for point in points:
-        writer.writerow(
-            [
-                point.date.isoformat(),
-                fmt_float(point.p_horizon),
-                fmt_float(point.p_annualized_bps),
-                "true" if point.trimmed else "false",
-            ]
-        )
+def write_prob_csv(series: ProbSeries, stream: TextIO) -> None:
+    trimmed = np.where(series.trimmed, "true", "false").tolist()
+    write_csv(
+        stream,
+        PROB_HEADER,
+        iso_dates(series.date),
+        fmt_column(series.p_horizon),
+        fmt_column(series.p_annualized_bps),
+        trimmed,
+    )

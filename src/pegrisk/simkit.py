@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
 from .errors import DomainError
-from .marketdata import Bar, BarSeries
+from .marketdata import BarSeries
 from .pegmodel import implied_default_prob, theoretical_futures
 
 
@@ -188,34 +188,27 @@ class FixtureSet:
 
 def _bars_from_closes(
     closes: np.ndarray,
-    days: list[date],
+    days: np.ndarray,
     rng: np.random.Generator,
     range_sd: float,
     volume_scale: float,
-) -> list[Bar]:
+    instrument: str,
+) -> BarSeries:
     n = closes.size
     hi_off = np.abs(rng.normal(0.0, range_sd, n))
     lo_off = np.minimum(np.abs(rng.normal(0.0, range_sd, n)), 0.5)
     volumes = volume_scale * rng.lognormal(0.0, 0.5, n)
-    bars = []
-    prev_close = closes[0]
-    for i in range(n):
-        close = float(closes[i])
-        open_ = float(prev_close)
-        high = max(open_, close) * (1.0 + float(hi_off[i]))
-        low = min(open_, close) * (1.0 - float(lo_off[i]))
-        bars.append(
-            Bar(
-                timestamp=days[i],
-                open=open_,
-                high=high,
-                low=low,
-                close=close,
-                volume=float(volumes[i]),
-            )
-        )
-        prev_close = close
-    return bars
+    opens = np.concatenate((closes[:1], closes[:-1]))  # each bar opens at the previous close
+    return BarSeries(
+        date=days,
+        open=opens,
+        high=np.maximum(opens, closes) * (1.0 + hi_off),
+        low=np.minimum(opens, closes) * (1.0 - lo_off),
+        close=closes,
+        volume=volumes,
+        instrument=instrument,
+        venue="synthetic",
+    )
 
 
 def planted_prob_path(config: FixtureConfig) -> np.ndarray:
@@ -237,7 +230,7 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
     right-hand side. Deterministic: one seed, one fixed draw order.
     """
     rng = np.random.default_rng(config.seed)
-    days = [config.start + timedelta(days=i) for i in range(config.n_days)]
+    days = np.datetime64(config.start, "D") + np.arange(config.n_days)
 
     deviations = simulate_ar1_series(
         config.rho, config.innovation_sd, config.n_days, config.delta0, rng=rng
@@ -246,27 +239,14 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
 
     p_path = planted_prob_path(config)
     futures_noise = rng.normal(0.0, config.futures_noise_sd, config.n_days)
-    futures_closes = np.array(
-        [
-            theoretical_futures(
-                float(deviations[i]), config.rho, config.horizon_days, float(p_path[i]), config.recovery
-            )
-            for i in range(config.n_days)
-        ]
-    )
+    futures_closes = theoretical_futures(deviations, config.rho, config.horizon_days, p_path, config.recovery)
     futures_closes = np.maximum(futures_closes + futures_noise, 1e-6)
 
-    spot_bars = _bars_from_closes(spot_closes, days, rng, config.intraday_range_sd, config.volume_scale)
-    futures_bars = _bars_from_closes(
-        futures_closes, days, rng, config.intraday_range_sd, config.volume_scale
-    )
+    range_sd, volume_scale = config.intraday_range_sd, config.volume_scale
+    spot = _bars_from_closes(spot_closes, days, rng, range_sd, volume_scale, "USDT_USD")
+    futures = _bars_from_closes(futures_closes, days, rng, range_sd, volume_scale, "USDT_USD_FUT")
 
     btc_steps = rng.normal(0.0, config.btc_daily_vol, config.n_days)
     btc_closes = config.btc_start * np.exp(np.cumsum(btc_steps))
-    btc_bars = _bars_from_closes(btc_closes, days, rng, config.btc_range_sd, config.volume_scale / 100.0)
-
-    return FixtureSet(
-        spot=BarSeries(instrument="USDT_USD", venue="synthetic", bars=tuple(spot_bars)),
-        futures=BarSeries(instrument="USDT_USD_FUT", venue="synthetic", bars=tuple(futures_bars)),
-        btc=BarSeries(instrument="BTC_USDT", venue="synthetic", bars=tuple(btc_bars)),
-    )
+    btc = _bars_from_closes(btc_closes, days, rng, config.btc_range_sd, volume_scale / 100.0, "BTC_USDT")
+    return FixtureSet(spot=spot, futures=futures, btc=btc)

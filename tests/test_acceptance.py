@@ -136,9 +136,7 @@ def test_criterion_07_hc0_oracle_equivalence():
 
 
 def test_criterion_08_planted_coefficient_regression():
-    import datetime
-
-    from pegrisk.features import PanelRow
+    from pegrisk.features import Panel
 
     hits = 0
     for seed in range(100):
@@ -149,17 +147,14 @@ def test_criterion_08_planted_coefficient_regression():
         r_btc = rng.normal(0.0, 400.0, n)
         noise = rng.normal(0.0, 0.05 * sigma_btc)  # heteroscedastic by construction
         p = 0.04 * sigma_btc + noise
-        start = datetime.date(2020, 2, 28)
-        panel = [
-            PanelRow(
-                date=start + datetime.timedelta(days=i),
-                p_bps=float(p[i]),
-                sigma_btc_bps=float(sigma_btc[i]),
-                sigma_usdt_bps=float(sigma_usdt[i]),
-                r_btc_bps=None if i == 0 else float(r_btc[i]),
-            )
-            for i in range(n)
-        ]
+        r_btc[0] = np.nan  # no return on the first date
+        panel = Panel(
+            date=np.datetime64("2020-02-28") + np.arange(n),
+            p_bps=p,
+            sigma_btc_bps=sigma_btc,
+            sigma_usdt_bps=sigma_usdt,
+            r_btc_bps=r_btc,
+        )
         column = run_panel_regressions(panel)["I"]
         i = column.names.index("sigma_btc_bps")
         if abs(column.coefficients[i] - 0.04) <= 2.0 * column.hc0_stderr[i]:
@@ -243,10 +238,10 @@ def test_criterion_10_real_data_replication():
     points = prob_series(aligned, rho=0.73, h=90, trim=False)
 
     stats = {
-        "s": summary_stats("s", [o.s for o in aligned.observations]),
-        "f": summary_stats("f", [o.f for o in aligned.observations]),
-        "f_minus_s": summary_stats("f_minus_s", [o.basis_bps for o in aligned.observations]),
-        "p": summary_stats("p", [p.p_annualized_bps for p in points]),
+        "s": summary_stats("s", aligned.s),
+        "f": summary_stats("f", aligned.f),
+        "f_minus_s": summary_stats("f_minus_s", aligned.basis_bps),
+        "p": summary_stats("p", points.p_annualized_bps),
     }
     assert stats["s"].mean == pytest.approx(1.0007, rel=0.10)
     assert stats["f"].mean == pytest.approx(0.9992, rel=0.10)

@@ -5,7 +5,6 @@ sandwich formula using explicit matrix inverses; the library must match it
 to high relative precision on small random designs.
 """
 
-import datetime
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from pegrisk.econometrics import (
     summary_table_csv,
 )
 from pegrisk.errors import EstimationError
-from pegrisk.features import PanelRow
+from pegrisk.features import Panel
 
 
 def naive_ols_hc0(y, X):
@@ -169,19 +168,14 @@ def _panel(n, seed=0, beta=0.04, constant_usdt=False):
     r_btc = rng.normal(0.0, 400.0, n)
     noise = rng.normal(0.0, 0.05 * sigma_btc)  # heteroscedastic by construction
     p = beta * sigma_btc + noise
-    start = datetime.date(2020, 2, 28)
-    rows = []
-    for i in range(n):
-        rows.append(
-            PanelRow(
-                date=start + datetime.timedelta(days=i),
-                p_bps=float(p[i]),
-                sigma_btc_bps=float(sigma_btc[i]),
-                sigma_usdt_bps=float(sigma_usdt[i]),
-                r_btc_bps=None if i == 0 else float(r_btc[i]),
-            )
-        )
-    return rows
+    r_btc[0] = np.nan  # no return on the first date
+    return Panel(
+        date=np.datetime64("2020-02-28") + np.arange(n),
+        p_bps=p,
+        sigma_btc_bps=sigma_btc,
+        sigma_usdt_bps=sigma_usdt,
+        r_btc_bps=r_btc,
+    )
 
 
 class TestPanelRegressions:

@@ -1,6 +1,5 @@
 """Tests for the volatility and return regressors and the panel join."""
 
-import datetime
 import io
 import math
 
@@ -17,61 +16,49 @@ from pegrisk.features import (
     intraday_vol,
     write_panel_csv,
 )
-from pegrisk.marketdata import Bar, BarSeries
-from pegrisk.pegmodel import DefaultProbPoint
+from pegrisk.marketdata import BarSeries
+from pegrisk.pegmodel import ProbSeries
 
-START = datetime.date(2020, 2, 28)
+START = np.datetime64("2020-02-28")
 
 
 def _series(ohlc_rows, instrument="X", venue="test"):
-    bars = tuple(
-        Bar(
-            timestamp=START + datetime.timedelta(days=i),
-            open=o,
-            high=h,
-            low=lo,
-            close=c,
-            volume=1e6,
-        )
-        for i, (o, h, lo, c) in enumerate(ohlc_rows)
+    o, h, lo, c = np.array(ohlc_rows, dtype=float).reshape(-1, 4).T
+    days = START + np.arange(c.size)
+    return BarSeries(
+        date=days, open=o, high=h, low=lo, close=c, volume=np.full(c.size, 1e6), instrument=instrument, venue=venue
     )
-    return BarSeries(instrument=instrument, venue=venue, bars=bars)
 
 
 def _flat_series(closes, **kwargs):
     return _series([(c, c, c, c) for c in closes], **kwargs)
 
 
-def _prob_points(n, value_bps=30.0):
-    return [
-        DefaultProbPoint(
-            date=START + datetime.timedelta(days=i),
-            p_horizon=value_bps / (365.0 / 90.0) / 1e4,
-            p_annualized_bps=value_bps,
-            horizon_days=90,
-            recovery=0.0,
-            trimmed=False,
-        )
-        for i in range(n)
-    ]
+def _prob_points(n, value_bps=30.0, first_day=0):
+    return ProbSeries(
+        date=START + first_day + np.arange(n),
+        p_horizon=np.full(n, value_bps / (365.0 / 90.0) / 1e4),
+        p_annualized_bps=np.full(n, value_bps),
+        trimmed=np.zeros(n, dtype=bool),
+    )
 
 
 class TestIntradayVol:
     def test_zero_range_is_zero(self):
         series = _flat_series([1.0, 1.0])
-        assert all(v == 0.0 for _, v in intraday_vol(series, "parkinson"))
-        assert all(v == 0.0 for _, v in intraday_vol(series, "range"))
+        assert all(v == 0.0 for v in intraday_vol(series, "parkinson"))
+        assert all(v == 0.0 for v in intraday_vol(series, "range"))
 
     def test_parkinson_formula_value(self):
         ratio = math.exp(0.0033302)
         series = _series([(1.0, ratio, 1.0, 1.0)])
-        (_, sigma), = intraday_vol(series, "parkinson")
+        (sigma,) = intraday_vol(series, "parkinson")
         assert sigma == pytest.approx(0.0033302 / PARKINSON_FACTOR * 1e4, rel=1e-12)
         assert sigma == pytest.approx(20.0, abs=1e-3)
 
     def test_range_formula_value(self):
         series = _series([(1.0, 1.01, 0.99, 1.0)])
-        (_, sigma), = intraday_vol(series, "range")
+        (sigma,) = intraday_vol(series, "range")
         assert sigma == pytest.approx(200.0, abs=1e-9)
 
     def test_unknown_estimator(self):
@@ -82,8 +69,8 @@ class TestIntradayVol:
     def test_parkinson_below_range_when_close_at_low(self, ratio):
         low = 1.0
         series = _series([(low, low * ratio, low, low)])
-        (_, parkinson), = intraday_vol(series, "parkinson")
-        (_, range_), = intraday_vol(series, "range")
+        (parkinson,) = intraday_vol(series, "parkinson")
+        (range_,) = intraday_vol(series, "range")
         assert 0.0 < parkinson / range_ <= 1.0
 
     @given(st.floats(min_value=1.0 + 1e-6, max_value=5.0))
@@ -92,8 +79,8 @@ class TestIntradayVol:
         high = low * ratio
         mid = (high + low) / 2.0
         series = _series([(mid, high, low, mid)])
-        (_, parkinson), = intraday_vol(series, "parkinson")
-        (_, range_), = intraday_vol(series, "range")
+        (parkinson,) = intraday_vol(series, "parkinson")
+        (range_,) = intraday_vol(series, "range")
         expected = math.log(ratio) * (ratio + 1.0) / (2.0 * (ratio - 1.0) * PARKINSON_FACTOR)
         assert parkinson / range_ == pytest.approx(expected, rel=1e-9)
 
@@ -101,18 +88,18 @@ class TestIntradayVol:
 class TestDailyReturns:
     def test_single_step_up(self):
         series = _flat_series([100.0, 101.0])
-        (day, r), = daily_returns(series)
+        (r,) = daily_returns(series)
         assert r == pytest.approx(100.0, abs=1e-9)
-        assert day == START + datetime.timedelta(days=1)
+        assert series.date[1] == START + 1  # the return belongs to the second bar
 
     def test_crash_scale_drop(self):
         series = _flat_series([100.0, 50.0])
-        (_, r), = daily_returns(series)
+        (r,) = daily_returns(series)
         assert r == pytest.approx(-5000.0, abs=1e-9)
 
     def test_constant_closes_zero(self):
         series = _flat_series([3.0] * 6)
-        assert all(r == 0.0 for _, r in daily_returns(series))
+        assert all(r == 0.0 for r in daily_returns(series))
 
     def test_needs_two_bars(self):
         with pytest.raises(EstimationError):
@@ -121,7 +108,7 @@ class TestDailyReturns:
     @given(st.lists(st.floats(min_value=10.0, max_value=1000.0), min_size=2, max_size=30))
     def test_log_returns_telescope(self, closes):
         series = _flat_series(closes)
-        total = sum(math.log1p(r / 1e4) for _, r in daily_returns(series))
+        total = sum(math.log1p(r / 1e4) for r in daily_returns(series))
         assert total == pytest.approx(math.log(closes[-1] / closes[0]), abs=1e-12)
 
 
@@ -134,24 +121,14 @@ class TestBuildFeaturePanel:
         usdt = _series([(1.0, 1.001, 0.999, 1.0)] * n, instrument="USDT")
         panel = build_feature_panel(_prob_points(n), btc, usdt)
         assert len(panel) == n
-        with_returns = [row for row in panel if row.r_btc_bps is not None]
+        with_returns = [row for row in panel if not math.isnan(row.r_btc_bps)]
         assert len(with_returns) == n - 1
-        assert panel[0].r_btc_bps is None
+        assert math.isnan(panel.r_btc_bps[0])
 
     def test_disjoint_dates_error(self):
         btc = _flat_series([1.0, 1.0], instrument="BTC")
         usdt = _flat_series([1.0, 1.0], instrument="USDT")
-        late = [
-            DefaultProbPoint(
-                date=START + datetime.timedelta(days=100 + i),
-                p_horizon=0.0,
-                p_annualized_bps=0.0,
-                horizon_days=90,
-                recovery=0.0,
-                trimmed=False,
-            )
-            for i in range(3)
-        ]
+        late = _prob_points(3, value_bps=0.0, first_day=100)
         with pytest.raises(AlignmentError):
             build_feature_panel(late, btc, usdt)
 
@@ -160,7 +137,7 @@ class TestBuildFeaturePanel:
         usdt = _flat_series([1.0], instrument="USDT")
         panel = build_feature_panel(_prob_points(1), btc, usdt)
         assert len(panel) == 1
-        assert panel[0].r_btc_bps is None
+        assert math.isnan(panel.r_btc_bps[0])
 
     def test_csv_empty_cell_for_missing_return(self):
         btc = _flat_series([1.0, 1.01], instrument="BTC")

@@ -4,15 +4,14 @@ import datetime
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pegrisk.errors import AlignmentError, SchemaError, ValidationError
 from pegrisk.marketdata import (
-    AlignedObservation,
     AlignedSeries,
-    Bar,
     BarSeries,
     align_daily,
     parse_bars,
@@ -21,6 +20,7 @@ from pegrisk.marketdata import (
 )
 
 HEADER = "timestamp,open,high,low,close,volume"
+DAY = datetime.date(2020, 3, 12)
 
 
 def _series(text):
@@ -35,13 +35,13 @@ class TestParseBars:
     def test_single_row(self):
         series = _series(_bars_csv(["2020-03-12,1.0005,1.0119,0.9971,1.0010,5e6"]))
         assert len(series) == 1
-        bar = series.bars[0]
+        (bar,) = series
         assert bar.high == 1.0119
         assert bar.low == 0.9971
         assert bar.open == 1.0005
         assert bar.close == 1.0010
         assert bar.volume == 5e6
-        assert bar.timestamp.isoformat() == "2020-03-12"
+        assert bar.date.isoformat() == "2020-03-12"
 
     def test_empty_body(self):
         series = _series(HEADER + "\n")
@@ -111,7 +111,7 @@ class TestParseBars:
         for _ in range(5):
             random.shuffle(rows)
             series = _series(_bars_csv(rows))
-            assert [b.timestamp.isoformat() for b in series.bars] == [
+            assert [b.date.isoformat() for b in series] == [
                 "2020-03-12",
                 "2020-03-13",
                 "2020-03-14",
@@ -119,21 +119,32 @@ class TestParseBars:
 
     def test_timestamp_with_time_component(self):
         series = _series(_bars_csv(["2020-03-12T00:00:00Z,1.0,1.1,0.9,1.0,1e6"]))
-        assert series.bars[0].timestamp.isoformat() == "2020-03-12"
+        assert next(iter(series)).date.isoformat() == "2020-03-12"
+
+
+def _bar_series(open, high, low, close, volume, venue="test"):
+    return BarSeries(
+        date=[DAY], open=[open], high=[high], low=[low], close=[close], volume=[volume], instrument="X", venue=venue
+    )
 
 
 class TestBarInvariants:
     def test_low_above_open_rejected(self):
         with pytest.raises(ValidationError):
-            Bar(timestamp=datetime.date(2020, 3, 12), open=0.99, high=1.1, low=1.0, close=1.05, volume=1.0)
+            _bar_series(open=0.99, high=1.1, low=1.0, close=1.05, volume=1.0)
 
     def test_negative_volume_rejected(self):
         with pytest.raises(ValidationError):
-            Bar(timestamp=datetime.date(2020, 3, 12), open=1.0, high=1.0, low=1.0, close=1.0, volume=-1.0)
+            _bar_series(open=1.0, high=1.0, low=1.0, close=1.0, volume=-1.0)
 
     def test_empty_venue_rejected(self):
         with pytest.raises(ValidationError):
-            BarSeries(instrument="X", venue="", bars=())
+            BarSeries(date=[], open=[], high=[], low=[], close=[], volume=[], instrument="X", venue="")
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValidationError, match="differ in length"):
+            BarSeries(date=[DAY], open=[1.0, 1.0], high=[1.0], low=[1.0], close=[1.0], volume=[1.0],
+                      instrument="X", venue="test")
 
 
 class TestAlignDaily:
@@ -141,18 +152,17 @@ class TestAlignDaily:
         spot = _series(_bars_csv(["2020-06-01,1.0,1.01,0.99,1.0007,1e6"]))
         futures = _series(_bars_csv(["2020-06-01,1.0,1.01,0.99,0.9992,1e6"]))
         aligned = align_daily(spot, futures)
-        obs = aligned.observations[0]
-        assert obs.delta == pytest.approx(0.0007, abs=1e-12)
-        assert obs.basis_bps == pytest.approx(-15.0, abs=1e-9)
-        assert obs.delta == obs.s - 1.0
-        assert obs.basis_bps == (obs.f - obs.s) * 1e4
+        assert aligned.delta[0] == pytest.approx(0.0007, abs=1e-12)
+        assert aligned.basis_bps[0] == pytest.approx(-15.0, abs=1e-9)
+        assert aligned.delta[0] == aligned.s[0] - 1.0
+        assert aligned.basis_bps[0] == (aligned.f[0] - aligned.s[0]) * 1e4
 
     def test_perfect_peg(self):
         spot = _series(_bars_csv(["2020-06-01,1.0,1.0,1.0,1.0,1e6"]))
         futures = _series(_bars_csv(["2020-06-01,1.0,1.0,1.0,1.0,1e6"]))
-        obs = align_daily(spot, futures).observations[0]
-        assert obs.delta == 0.0
-        assert obs.basis_bps == 0.0
+        aligned = align_daily(spot, futures)
+        assert aligned.delta[0] == 0.0
+        assert aligned.basis_bps[0] == 0.0
 
     def test_partial_overlap_counted(self):
         spot = _series(
@@ -163,7 +173,7 @@ class TestAlignDaily:
         )
         aligned = align_daily(spot, futures)
         assert len(aligned) == 1
-        assert aligned.observations[0].date.isoformat() == "2020-06-02"
+        assert str(aligned.date[0]) == "2020-06-02"
         assert aligned.join_report.matched == 1
         assert aligned.join_report.dropped_spot == 1
         assert aligned.join_report.dropped_futures == 1
@@ -197,26 +207,28 @@ price = st.floats(min_value=0.9, max_value=1.1, allow_nan=False, allow_infinity=
 
 @given(st.lists(st.tuples(price, price), min_size=1, max_size=20))
 def test_aligned_csv_roundtrip_bit_exact(prices):
-    observations = tuple(
-        AlignedObservation.from_prices(datetime.date(2020, 1, 1) + datetime.timedelta(days=i), s, f)
-        for i, (s, f) in enumerate(prices)
-    )
-    series = AlignedSeries(observations=observations)
+    s, f = zip(*prices)
+    days = np.datetime64("2020-01-01") + np.arange(len(prices))
+    series = AlignedSeries(date=days, s=s, f=f)
     buf = io.StringIO()
     write_aligned_csv(series, buf)
     reread = read_aligned_csv(io.StringIO(buf.getvalue()))
     assert len(reread) == len(series)
-    for a, b in zip(series.observations, reread.observations):
-        assert a.date == b.date
-        assert a.s == b.s and a.f == b.f
-        assert a.delta == b.delta and a.basis_bps == b.basis_bps
+    for column in ("date", "s", "f", "delta", "basis_bps"):
+        assert np.array_equal(getattr(series, column), getattr(reread, column))
 
 
 @given(st.tuples(price, price))
 def test_basis_matches_delta_identity(prices):
     s, f = prices
-    obs = AlignedObservation.from_prices(datetime.date(2020, 1, 1), s, f)
-    assert abs(obs.basis_bps) == pytest.approx(abs(obs.delta - (obs.f - 1.0)) * 1e4, abs=1e-9)
+    aligned = AlignedSeries(date=["2020-01-01"], s=[s], f=[f])
+    assert abs(aligned.basis_bps[0]) == pytest.approx(abs(aligned.delta[0] - (f - 1.0)) * 1e4, abs=1e-9)
+
+
+def test_read_aligned_csv_rejects_inconsistent_delta():
+    text = "date,s,f,delta,basis_bps\n2020-01-01,1.5,1.5,0.5,0\n2020-01-02,1.5,1.5,0.25,0\n"
+    with pytest.raises(ValidationError, match="line 3: 2020-01-02: delta 0.25 != s - 1 = 0.5"):
+        read_aligned_csv(io.StringIO(text))
 
 
 def test_align_order_insensitive():
@@ -232,4 +244,4 @@ def test_align_order_insensitive():
         again = align_daily(
             _series(_bars_csv(shuffled_rows)), _series(_bars_csv(shuffled_fut))
         )
-        assert again.observations == base.observations
+        assert list(again) == list(base)

@@ -1,14 +1,12 @@
 """Tests for mean-reversion fitting and the default-probability inversion."""
 
-import datetime
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pegrisk.errors import DataQualityWarning, DomainError, EstimationError, InversionError
-from pegrisk.marketdata import AlignedObservation, AlignedSeries
+from pegrisk.marketdata import AlignedSeries
 from pegrisk.pegmodel import (
     annualize,
     fit_ar1,
@@ -22,11 +20,8 @@ from pegrisk.simkit import simulate_ar1_series
 
 
 def _aligned(pairs):
-    observations = tuple(
-        AlignedObservation.from_prices(datetime.date(2020, 1, 1) + datetime.timedelta(days=i), s, f)
-        for i, (s, f) in enumerate(pairs)
-    )
-    return AlignedSeries(observations=observations)
+    s, f = zip(*pairs)
+    return AlignedSeries(date=np.datetime64("2020-01-01") + np.arange(len(pairs)), s=s, f=f)
 
 
 class TestFitAr1:
@@ -35,7 +30,6 @@ class TestFitAr1:
         assert fit.rho == pytest.approx(0.5, abs=1e-15)
         assert fit.stderr == pytest.approx(0.0, abs=1e-12)
         assert fit.n == 4
-        assert fit.window is None
         assert fit.is_stable
 
     @given(
@@ -73,12 +67,9 @@ class TestFitAr1:
         values = [1.0 * 0.5**t for t in range(10)]
         rolling = fit_ar1_rolling(values, window=5)
         assert len(rolling.fits) == 6
-        for fit in rolling.fits:
-            assert fit.rho == pytest.approx(0.5, rel=1e-12)
-            assert fit.n == 5
+        for rho in rolling.fits:
+            assert rho == pytest.approx(0.5, rel=1e-12)
         assert rolling.rho_mean == pytest.approx(0.5, rel=1e-12)
-        assert rolling.fits[0].window == (0, 5)
-        assert rolling.fits[-1].window == (5, 10)
 
     def test_window_longer_than_series(self):
         with pytest.raises(EstimationError, match="window"):
@@ -274,23 +265,23 @@ class TestProbSeries:
         aligned = _aligned([(1.0007, 0.9992)])
         points = prob_series(aligned, rho=0.73, h=90, recovery=0.0, trim=True)
         assert len(points) == 1
-        assert 29.0 <= points[0].p_annualized_bps <= 33.0
-        assert not points[0].trimmed
+        assert 29.0 <= points.p_annualized_bps[0] <= 33.0
+        assert not points.trimmed[0]
 
     def test_trimming_clamps_and_flags(self):
         # futures above the survivor value implies a negative raw probability
         aligned = _aligned([(1.0, 1.002)])
         points = prob_series(aligned, rho=0.73, h=90, trim=True)
-        assert points[0].p_horizon == 0.0
-        assert points[0].p_annualized_bps == 0.0
-        assert points[0].trimmed
+        assert points.p_horizon[0] == 0.0
+        assert points.p_annualized_bps[0] == 0.0
+        assert points.trimmed[0]
 
     def test_untrimmed_keeps_negative_values(self):
         aligned = _aligned([(1.0, 1.002)])
         points = prob_series(aligned, rho=0.73, h=90, trim=False)
-        assert points[0].p_horizon == pytest.approx(-0.002, abs=1e-9)
-        assert points[0].p_annualized_bps < 0.0
-        assert not points[0].trimmed
+        assert points.p_horizon[0] == pytest.approx(-0.002, abs=1e-9)
+        assert points.p_annualized_bps[0] < 0.0
+        assert not points.trimmed[0]
 
     def test_pointwise_map_preserves_dates(self):
         rng = np.random.default_rng(7)
@@ -298,7 +289,7 @@ class TestProbSeries:
         aligned = _aligned(pairs)
         points = prob_series(aligned, rho=0.73, h=90)
         assert len(points) == 410
-        assert [p.date for p in points] == aligned.dates()
+        assert np.array_equal(points.date, aligned.date)
 
     def test_deep_negative_raises_data_quality_warning(self):
         aligned = _aligned([(1.0, 1.06)])

@@ -223,7 +223,7 @@ class TestGenerateFixture:
     def test_bars_valid_and_paired(self):
         fixture = generate_fixture(FixtureConfig(n_days=35, seed=2))
         assert len(fixture.spot) == len(fixture.futures) == len(fixture.btc) == 35
-        assert [b.timestamp for b in fixture.spot.bars] == [b.timestamp for b in fixture.futures.bars]
+        assert np.array_equal(fixture.spot.date, fixture.futures.date)
 
     def test_minimum_length_enforced(self):
         with pytest.raises(DomainError):
