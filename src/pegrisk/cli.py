@@ -177,7 +177,7 @@ class _Stages:
     @cached_property
     def fit(self) -> tuple[float, pegmodel.Ar1Fit | None, pegmodel.RollingAr1 | None]:
         """Effective rho, plus the full-sample and rolling fits behind it."""
-        deltas = self.aligned.delta
+        days, deltas = self.aligned.date, self.aligned.delta
         self.run.stage = "fit"
         # estimation is informational when rho is fixed, so a degenerate series
         # (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
@@ -185,9 +185,9 @@ class _Stages:
         rolling = None
         fit_error: EstimationError | None = None
         try:
-            full_fit = pegmodel.fit_ar1(deltas)
+            full_fit = pegmodel.fit_ar1(days, deltas)
             if len(deltas) >= self.window:
-                rolling = pegmodel.fit_ar1_rolling(deltas, self.window)
+                rolling = pegmodel.fit_ar1_rolling(days, deltas, self.window)
         except EstimationError as exc:
             fit_error = exc
         if self.rho_request == "estimate":
@@ -359,14 +359,14 @@ def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
     run.stage = "fit"
     window = stages.window
     deltas = spot.close - 1.0
-    full_fit = pegmodel.fit_ar1(deltas)
+    full_fit = pegmodel.fit_ar1(spot.date, deltas)
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
     else:
         print("fit is not stable (rho outside (0, 1)); no half-life")
     if len(deltas) >= window:
-        rolling = pegmodel.fit_ar1_rolling(deltas, window)
+        rolling = pegmodel.fit_ar1_rolling(spot.date, deltas, window)
         print(
             f"rolling mean rho = {rolling.rho_mean:.6f} "
             f"over {len(rolling.fits)} windows of {window} days"

@@ -63,40 +63,62 @@ class RollingAr1:
 _DEGENERATE = "degenerate regressor: lagged deviations are all zero"
 
 
-def fit_ar1(deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
-    """Fit delta_{t+1} = rho * delta_t by least squares through the origin.
+def _consecutive_pairs(days, deviations) -> tuple[np.ndarray, np.ndarray, int]:
+    """(delta_t, delta_{t+1}) as two arrays, zeroed where day t+1 is not the day after t.
 
-    rho = sum(delta_t * delta_{t+1}) / sum(delta_t**2); the standard error
-    is the usual single-regressor OLS one with n-2 degrees of freedom.
+    Zeroed pairs drop out of every sum the fits take. The third value
+    counts the pairs that remain.
     """
     values = np.asarray(deviations, dtype=float)
+    days = np.asarray(days, dtype="datetime64[D]")
     if values.ndim != 1:
         raise EstimationError("deviations must be one-dimensional")
-    if values.size < 3:
-        raise EstimationError(f"need at least 3 observations, got {values.size}")
-    lagged = values[:-1]
-    lead = values[1:]
+    if days.shape != values.shape:
+        raise EstimationError(f"{days.size} dates for {values.size} deviations")
+    consecutive = np.diff(days) == np.timedelta64(1, "D")
+    lagged = np.where(consecutive, values[:-1], 0.0)
+    lead = np.where(consecutive, values[1:], 0.0)
+    return lagged, lead, int(np.count_nonzero(consecutive))
+
+
+def fit_ar1(days, deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
+    """Fit delta_{t+1} = rho * delta_t by least squares through the origin.
+
+    rho = sum(delta_t * delta_{t+1}) / sum(delta_t**2) over the pairs of
+    consecutive calendar days in ``days``; a pair that spans a missing date
+    is left out. The standard error is the usual single-regressor OLS one
+    with (pairs used - 1) degrees of freedom.
+    """
+    lagged, lead, pairs = _consecutive_pairs(days, deviations)
+    if lagged.size < 2:
+        raise EstimationError(f"need at least 3 observations, got {lagged.size + 1}")
+    if pairs < 2:
+        raise EstimationError(f"need at least 2 pairs of consecutive days, got {pairs}")
     sxx = float(np.dot(lagged, lagged))
     if sxx == 0.0:
         raise EstimationError(_DEGENERATE)
     rho = float(np.dot(lagged, lead) / sxx)
     residuals = lead - rho * lagged
-    dof = lagged.size - 1  # pairs minus the single slope parameter
-    sigma2 = float(np.dot(residuals, residuals)) / dof
-    return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=int(values.size))
+    sigma2 = float(np.dot(residuals, residuals)) / (pairs - 1)  # pairs minus the one slope
+    return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=lagged.size + 1)
 
 
-def fit_ar1_rolling(deviations: Sequence[float] | np.ndarray, window: int) -> RollingAr1:
-    """Fit every length-``window`` slice at daily step and average the rho's."""
-    values = np.asarray(deviations, dtype=float)
+def fit_ar1_rolling(days, deviations: Sequence[float] | np.ndarray, window: int) -> RollingAr1:
+    """Fit every length-``window`` slice at daily step and average the rho's.
+
+    As in :func:`fit_ar1`, only pairs of consecutive calendar days enter a
+    window's fit; the windows are still ``window`` rows each, so their count
+    does not depend on the gaps.
+    """
+    lagged, lead, _ = _consecutive_pairs(days, deviations)
     if window < 3:
         raise EstimationError(f"rolling window must be at least 3, got {window}")
-    if window > values.size:
-        raise EstimationError(f"window {window} longer than series of length {values.size}")
+    if window > lagged.size + 1:
+        raise EstimationError(f"window {window} longer than series of length {lagged.size + 1}")
     # one row per window; vecdot on these contiguous rows gives the same
     # bits as np.dot on each slice
-    lagged = sliding_window_view(values[:-1], window - 1)
-    lead = sliding_window_view(values[1:], window - 1)
+    lagged = sliding_window_view(lagged, window - 1)
+    lead = sliding_window_view(lead, window - 1)
     sxx = np.vecdot(lagged, lagged)
     if (sxx == 0.0).any():
         raise EstimationError(_DEGENERATE)

@@ -101,22 +101,22 @@ GOLDEN = {
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
             "prob.csv": "1ab98f87e31cb7956edea91bf88f084c7f38f4ba6bdd676bda23bb087662676a",
-            "run_manifest.txt": "9a0f0b9d29202d30083b0d6713c3a126b54bab14abb04960ec1443e8feb9e0e9",
+            "run_manifest.txt": "301b5da0760434a0cd911f64253bae90c49696f6f7327fdf8b2689edcdd7b90e",
             "table3.csv": "c10c8a740acd6b36866da1f8698dd4c15d572e54a6c925fc3f816abe03952031",
             "table3.txt": "2789fa690f4bea8613dd27278eb5f88ab04e231d81e697d04c944aa15a18c1b1",
             "table4.csv": "9f3511b849fc3bfced4706d32b0622e7d50a190750cac046288197d835ef511d",
             "table4.txt": "97cd5a4f6ac3ca7665d120ed2ddc517413e695eaee905b8180f8d6dc1f48e930",
         },
         "pipeline-estimate": {
-            "stdout": "001133561e510fe58a11d687d5eb571f2863f6b233360163836a23ce801cdb48",
+            "stdout": "c6245e685f1eea2c54b4b4c227c18f9f189d9fa8c86d6df837ba3941849736e1",
             "aligned.csv": "089a388212b8cae43f1bd4484ec58986dad9f8b1aacbedb95be018c7c7466b0d",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
-            "prob.csv": "2e9841d57df2b298599aa265313006a49f448a98186285e3866ef77ceed5264a",
-            "run_manifest.txt": "e88df382ec5841e02382ade1ee526fd397b54ef2006dbf6753b7d9017e8715be",
-            "table3.csv": "f60339fe66c55c73a746d1e3ae9b5f3a35bacf069df34f0ce3cd457c01085b8f",
+            "prob.csv": "6c80c4a6294431ae865915bb23d0058f8db2b8b613c1d39e6f4587131845ba4b",
+            "run_manifest.txt": "fb693c7fd92b48e198e99b9a61c4a18b3bc3e9883bf179e25abfdc8c9ff33816",
+            "table3.csv": "b044b8806ba0a7b987e78a2836087b07dc13bffa2f4bad8d68be25776cbcd966",
             "table3.txt": "d1f8f0d135fcd7d37f3ce7e0d586f50800a74d3838b8944773a1dc01926a53f7",
-            "table4.csv": "e14b72391ad8a25990f0215fa74c400574df4c8627a1406b9e93a5ff8f47ab8c",
+            "table4.csv": "c11ffafbeae3ad07d8bd31b275a750ad97d4a40263fa258adcbce74aa0d1557f",
             "table4.txt": "ebebf6b356bc4a4629b0bf42389f03831bac7bf1fd05713bd08b3e69b95f45ae",
         },
         "align": {

@@ -19,6 +19,10 @@ from pegrisk.pegmodel import (
 from pegrisk.simkit import simulate_ar1_series
 
 
+def _days(n):
+    return np.datetime64("2020-01-01") + np.arange(n)
+
+
 def _aligned(pairs):
     s, f = zip(*pairs)
     return AlignedSeries(date=np.datetime64("2020-01-01") + np.arange(len(pairs)), s=s, f=f)
@@ -26,7 +30,7 @@ def _aligned(pairs):
 
 class TestFitAr1:
     def test_geometric_decay_exact(self):
-        fit = fit_ar1([1.0, 0.5, 0.25, 0.125])
+        fit = fit_ar1(_days(4), [1.0, 0.5, 0.25, 0.125])
         assert fit.rho == pytest.approx(0.5, abs=1e-15)
         assert fit.stderr == pytest.approx(0.0, abs=1e-12)
         assert fit.n == 4
@@ -40,16 +44,16 @@ class TestFitAr1:
         values = [scale]
         for _ in range(19):
             values.append(values[-1] * rho0)
-        fit = fit_ar1(values)
+        fit = fit_ar1(_days(20), values)
         assert fit.rho == pytest.approx(rho0, rel=1e-13)
 
     def test_all_zero_series_degenerate(self):
         with pytest.raises(EstimationError, match="degenerate"):
-            fit_ar1([0.0] * 10)
+            fit_ar1(_days(10), [0.0] * 10)
 
     def test_too_short(self):
         with pytest.raises(EstimationError):
-            fit_ar1([1.0, 0.5])
+            fit_ar1(_days(2), [1.0, 0.5])
 
     def test_coverage_against_simulated_truth(self):
         # independent oracle: simulate the autoregression, fit, and demand
@@ -58,14 +62,14 @@ class TestFitAr1:
         hits = 0
         for seed in range(100):
             deviations = simulate_ar1_series(rho0, 5e-4, 400, seed=seed)
-            fit = fit_ar1(deviations)
+            fit = fit_ar1(_days(400), deviations)
             if abs(fit.rho - rho0) <= 2.0 * fit.stderr:
                 hits += 1
         assert hits >= 90
 
     def test_rolling_windows_and_mean(self):
         values = [1.0 * 0.5**t for t in range(10)]
-        rolling = fit_ar1_rolling(values, window=5)
+        rolling = fit_ar1_rolling(_days(10), values, window=5)
         assert len(rolling.fits) == 6
         for rho in rolling.fits:
             assert rho == pytest.approx(0.5, rel=1e-12)
@@ -73,11 +77,50 @@ class TestFitAr1:
 
     def test_window_longer_than_series(self):
         with pytest.raises(EstimationError, match="window"):
-            fit_ar1_rolling([1.0, 0.5, 0.25], window=4)
+            fit_ar1_rolling(_days(3), [1.0, 0.5, 0.25], window=4)
 
     def test_window_below_minimum(self):
         with pytest.raises(EstimationError):
-            fit_ar1_rolling([1.0, 0.5, 0.25, 0.1], window=2)
+            fit_ar1_rolling(_days(4), [1.0, 0.5, 0.25, 0.1], window=2)
+
+    # two runs of halving deviations, a week apart: the pair across the gap
+    # (0.125 -> 8.0) is not a one-day step and must not enter the fit
+    GAP_DAYS = np.concatenate((_days(4), _days(4) + 10))
+    GAP_VALUES = [1.0, 0.5, 0.25, 0.125, 8.0, 4.0, 2.0, 1.0]
+
+    def test_pair_across_calendar_gap_left_out(self):
+        fit = fit_ar1(self.GAP_DAYS, self.GAP_VALUES)
+        assert fit.rho == 0.5
+        assert fit.stderr == 0.0
+        assert fit.n == 8
+        # read as one-day steps, the jump across the gap is a large residual
+        assert fit_ar1(_days(8), self.GAP_VALUES).stderr > 0.1
+
+    def test_stderr_degrees_of_freedom_count_pairs_used(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=12)
+        days = np.concatenate((_days(5), _days(7) + 9))
+        lagged = np.concatenate((values[0:4], values[5:11]))
+        lead = np.concatenate((values[1:5], values[6:12]))
+        rho = lagged @ lead / (lagged @ lagged)
+        residuals = lead - rho * lagged
+        stderr = np.sqrt(residuals @ residuals / (10 - 1) / (lagged @ lagged))
+        fit = fit_ar1(days, values)
+        assert fit.rho == pytest.approx(rho, rel=1e-12)
+        assert fit.stderr == pytest.approx(stderr, rel=1e-12)
+
+    def test_rolling_windows_mask_gaps_without_shortening(self):
+        rolling = fit_ar1_rolling(self.GAP_DAYS, self.GAP_VALUES, window=4)
+        assert len(rolling.fits) == 5
+        assert np.all(rolling.fits == 0.5)
+
+    def test_needs_two_consecutive_pairs(self):
+        with pytest.raises(EstimationError, match="2 pairs of consecutive days, got 1"):
+            fit_ar1(np.array(["2020-01-01", "2020-01-02", "2020-01-04"], dtype="datetime64[D]"), [1.0, 0.5, 0.2])
+
+    def test_dates_must_match_deviations(self):
+        with pytest.raises(EstimationError, match="3 dates for 4 deviations"):
+            fit_ar1(_days(3), [1.0, 0.5, 0.25, 0.125])
 
 
 class TestHalfLife:

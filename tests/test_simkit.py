@@ -157,7 +157,7 @@ class TestSimulateAr1Series:
 
     def test_fit_recovers_coefficient(self):
         series = simulate_ar1_series(0.6, 1e-3, 2000, seed=1)
-        fit = fit_ar1(series)
+        fit = fit_ar1(np.datetime64("2020-01-01") + np.arange(series.size), series)
         assert abs(fit.rho - 0.6) < 3.0 * fit.stderr
 
 
