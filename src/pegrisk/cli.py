@@ -179,23 +179,19 @@ class _Stages:
         """Effective rho, plus the full-sample and rolling fits behind it."""
         days, deltas = self.aligned.date, self.aligned.delta
         self.run.stage = "fit"
-        # estimation is informational when rho is fixed, so a degenerate series
-        # (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
-        full_fit = None
-        rolling = None
-        fit_error: EstimationError | None = None
+        estimate = self.rho_request == "estimate"
+        full_fit = rolling = None
         try:
             full_fit = pegmodel.fit_ar1(days, deltas)
             if len(deltas) >= self.window:
                 rolling = pegmodel.fit_ar1_rolling(days, deltas, self.window)
-        except EstimationError as exc:
-            fit_error = exc
-        if self.rho_request == "estimate":
-            if rolling is not None:
-                return rolling.rho_mean, full_fit, rolling
-            if full_fit is not None:
-                return full_fit.rho, full_fit, rolling
-            raise fit_error
+        except EstimationError:
+            # estimation is informational when rho is fixed, so a degenerate
+            # series (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
+            if estimate:
+                raise
+        if estimate:
+            return (full_fit.rho if rolling is None else rolling.rho_mean), full_fit, rolling
         try:
             rho = float(self.rho_request)
         except ValueError:

@@ -108,7 +108,8 @@ def fit_ar1_rolling(days, deviations: Sequence[float] | np.ndarray, window: int)
 
     As in :func:`fit_ar1`, only pairs of consecutive calendar days enter a
     window's fit; the windows are still ``window`` rows each, so their count
-    does not depend on the gaps.
+    does not depend on the gaps. A window with no usable variation raises
+    :class:`EstimationError` naming its first date.
     """
     lagged, lead, _ = _consecutive_pairs(days, deviations)
     if window < 3:
@@ -121,7 +122,8 @@ def fit_ar1_rolling(days, deviations: Sequence[float] | np.ndarray, window: int)
     lead = sliding_window_view(lead, window - 1)
     sxx = np.vecdot(lagged, lagged)
     if (sxx == 0.0).any():
-        raise EstimationError(_DEGENERATE)
+        first_day = np.asarray(days, dtype="datetime64[D]")[np.argmax(sxx == 0.0)]
+        raise EstimationError(f"rolling window starting {first_day}: {_DEGENERATE}")
     rhos = np.vecdot(lagged, lead) / sxx
     return RollingAr1(fits=rhos, rho_mean=float(np.mean(rhos)))
 

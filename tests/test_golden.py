@@ -276,3 +276,27 @@ def test_degenerate_estimate_fails_at_fit(pegged_data, command, tmp_path, capsys
         args += ["--rho", "estimate"]
     code, _, err = _run(args, capsys)
     _assert_failed(code, err, "fit", "EstimationError", out)
+
+
+@pytest.fixture(scope="module")
+def flat_stretch_data(tmp_path_factory):
+    """60 fittable days whose spot sits exactly at the peg on days 20-29, plus that stretch's first date."""
+    data = tmp_path_factory.mktemp("flat")
+    assert main(["fixture", "--out", str(data), "--n-days", "60", "--seed", "5"]) == 0
+    header, *rows = (data / "spot.csv").read_text().splitlines()
+    for i in range(20, 30):
+        rows[i] = rows[i].split(",")[0] + ",1,1.001,0.999,1,1000000"
+    (data / "spot.csv").write_text("\n".join([header, *rows]) + "\n")
+    return data, rows[20].split(",")[0]
+
+
+@pytest.mark.parametrize("command", ("pipeline", "prob", "features", "regress", "stats"))
+def test_degenerate_rolling_window_fails_estimate_at_fit(flat_stretch_data, command, tmp_path, capsys):
+    data, first_flat_day = flat_stretch_data
+    out = tmp_path / "out"
+    args = _command_args(command, data, out) + ["--window", "10"]
+    code, _, err = _run(args + ["--rho", "estimate"], capsys)
+    _assert_failed(code, err, "fit", "EstimationError", out)
+    assert f"rolling window starting {first_flat_day}: degenerate regressor" in err
+    # with rho fixed the fits are informational and the run goes on
+    assert _run(args, capsys)[0] == 0
