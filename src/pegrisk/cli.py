@@ -337,7 +337,7 @@ def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
     print(f"{_join_summary(stages.aligned)}; rho = {stages.fit[0]:.4f}")
     untrimmed = stages.untrimmed
     mean_p = sum(untrimmed.p_annualized_bps.tolist()) / len(untrimmed)
-    print(f"mean annualized default probability: {mean_p:.2f} bps over {len(untrimmed)} dates")
+    print(f"mean annualized default probability (untrimmed): {mean_p:.2f} bps over {len(untrimmed)} dates")
     return 0
 
 
@@ -377,7 +377,8 @@ def cmd_prob(args: argparse.Namespace, run: _Run) -> int:
     stages.write(("prob.csv",))
     published = stages.published
     mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
-    print(f"wrote {len(published)} points (rho {stages.fit[0]:.4f}); mean {mean_p:.2f} bps annualized")
+    series = "trimmed" if stages.trim else "untrimmed"
+    print(f"wrote {len(published)} points (rho {stages.fit[0]:.4f}); mean {mean_p:.2f} bps annualized ({series})")
     return 0
 
 

@@ -41,7 +41,7 @@ INVOCATIONS = {
 GOLDEN = {
     "full": {
         "pipeline": {
-            "stdout": "4b8a7b1d77110aaacbe11573598de42d067bb0c42125e5221acd8d4800ae3175",
+            "stdout": "39dbe3cc680a7353f8ac23f29ebdd5716843a1122cec07fbc117f97c66542ac1",
             "aligned.csv": "8e940781e7dbb63fcc0373e5ea685d78ee07271c322072e7b2212729e9f61707",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
@@ -53,7 +53,7 @@ GOLDEN = {
             "table4.txt": "e436ab191b27bbb03882840350418fc5ec85a91e567310aceda5531aa89b533b",
         },
         "pipeline-estimate": {
-            "stdout": "ce3b46a7f0b33d17ff9bd491956f36a71b6664842994cf95a9a25d17b22540fc",
+            "stdout": "9c9499245808e15701981473ebacf251849072e91dd0d18501d7bbbda244fd05",
             "aligned.csv": "8e940781e7dbb63fcc0373e5ea685d78ee07271c322072e7b2212729e9f61707",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
@@ -69,11 +69,11 @@ GOLDEN = {
             "aligned.csv": "8e940781e7dbb63fcc0373e5ea685d78ee07271c322072e7b2212729e9f61707",
         },
         "prob": {
-            "stdout": "951f3b42d3291b0fb51506b479245defbc7e2cc81058f45e69d6c4cb28f680a2",
+            "stdout": "a2c1dd3994a98cdd4dc390b81ac85182165a4d37eb534b128133ffb25a24cca0",
             "prob.csv": "be13b1583cf3f63d9e8a3576f27b1170584183ca0fdf557a11cb369c21064558",
         },
         "prob-trimmed": {
-            "stdout": "c1ccb693d487b65f8160c2977aacc893e466603cd5a21dc58936d6f7c9ae9666",
+            "stdout": "08499c38ad3a0931ea037a0d4d525b42a874d02cfc9c68f2e8de1b1e84169938",
             "prob.csv": "c4ba09d0cc942e6640ec279201c634e5fa31b337b3c8cba1446d8dff107152a2",
         },
         "features": {
@@ -96,7 +96,7 @@ GOLDEN = {
     },
     "gaps": {
         "pipeline": {
-            "stdout": "542a0471abff312ffeeae1f904232501f0b52f0c0277cbe13b244a8887a4a345",
+            "stdout": "c411353d7f9eeeba6dcee39a6a8b8f3bd9d09addd2c796b52fd8c0e1f08eac46",
             "aligned.csv": "089a388212b8cae43f1bd4484ec58986dad9f8b1aacbedb95be018c7c7466b0d",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
@@ -108,7 +108,7 @@ GOLDEN = {
             "table4.txt": "97cd5a4f6ac3ca7665d120ed2ddc517413e695eaee905b8180f8d6dc1f48e930",
         },
         "pipeline-estimate": {
-            "stdout": "c6245e685f1eea2c54b4b4c227c18f9f189d9fa8c86d6df837ba3941849736e1",
+            "stdout": "0dd42e8bff21876d6444780c0a5b64577fb87b01ff74b52dafa8e56c28bdac24",
             "aligned.csv": "089a388212b8cae43f1bd4484ec58986dad9f8b1aacbedb95be018c7c7466b0d",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
@@ -124,11 +124,11 @@ GOLDEN = {
             "aligned.csv": "089a388212b8cae43f1bd4484ec58986dad9f8b1aacbedb95be018c7c7466b0d",
         },
         "prob": {
-            "stdout": "bb421e574b853fd056f6692189bba50b1480db931581eadcb61890f3b3561d4f",
+            "stdout": "29c33b3e2a34e729917fb9c7a5629cf3bce38272b4164dfba60e125300b1adad",
             "prob.csv": "1ab98f87e31cb7956edea91bf88f084c7f38f4ba6bdd676bda23bb087662676a",
         },
         "prob-trimmed": {
-            "stdout": "8f59b47b68247c6f59bb33ccc2dc0d0ec8d66c32cc27acb02d3199a6783736e2",
+            "stdout": "777ea76a6d629578f3fae3df04b3a41b7d74a7d5f9826ca071af9d136671ad08",
             "prob.csv": "ff41880260489e3aa705b7610c61b73b61906c54948e749dd62d56cc06132d3b",
         },
         "features": {
