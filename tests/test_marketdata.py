@@ -245,3 +245,49 @@ def test_align_order_insensitive():
             _series(_bars_csv(shuffled_rows)), _series(_bars_csv(shuffled_fut))
         )
         assert list(again) == list(base)
+
+
+@st.composite
+def bar_rows(draw):
+    """CSV rows of valid bars on distinct dates, in no particular order."""
+    offsets = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=25, unique=True))
+    rows = []
+    for offset in offsets:
+        day = datetime.date(2015, 1, 1) + datetime.timedelta(days=offset)
+        open_, close = draw(price), draw(price)
+        high = max(open_, close) * (1.0 + draw(st.floats(0.0, 0.05)))
+        low = min(open_, close) * (1.0 - draw(st.floats(0.0, 0.05)))
+        volume = draw(st.floats(0.0, 1e9))
+        rows.append(",".join([day.isoformat(), *map(repr, (open_, high, low, close, volume))]))
+    return rows
+
+
+def _columns(series):
+    return [getattr(series, name) for name in BarSeries.COLUMNS]
+
+
+@given(bar_rows(), st.data())
+def test_parse_invariant_to_row_order(rows, data):
+    permuted = data.draw(st.permutations(rows))
+    base, again = _series(_bars_csv(rows)), _series(_bars_csv(permuted))
+    assert all(np.array_equal(a, b) for a, b in zip(_columns(base), _columns(again)))
+
+
+INVALID_ROWS = (
+    "2030-01-01,1.0,1.1,0.9,inf,1e6",
+    "2030-01-01,1.0,1.1,-0.9,1.0,1e6",
+    "2030-01-01,1.0,0.9,1.1,1.0,1e6",
+    "2030-01-01,1.0,1.05,0.9,1.1,1e6",
+    "2030-01-01,1.0,1.1,0.9,1.0,-5",
+    "2030-01-01,1.0,1.1,0.9,oops,1e6",
+    "2030-02-30,1.0,1.1,0.9,1.0,1e6",
+    "2030-01-01,1.0,1.1",
+)
+
+
+@given(bar_rows(), st.sampled_from(INVALID_ROWS), st.data())
+def test_invalid_row_named_by_file_line(rows, bad, data):
+    position = data.draw(st.integers(0, len(rows)))
+    text = _bars_csv(rows[:position] + [bad] + rows[position:])
+    with pytest.raises(ValidationError, match=f"^line {position + 2}: "):
+        _series(text)
