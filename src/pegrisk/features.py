@@ -20,7 +20,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import AlignmentError, DomainError, EstimationError
-from .marketdata import BarSeries, Table, fmt_column, fmt_float, iso_dates, write_csv
+from .marketdata import BarSeries, Table, write_csv
 from .pegmodel import ProbSeries
 
 PARKINSON_FACTOR = 2.0 * math.sqrt(math.log(2.0))
@@ -111,6 +111,4 @@ def build_feature_panel(
 
 def write_panel_csv(panel: Panel, stream: TextIO) -> None:
     """Write the joined panel; undefined returns become empty cells."""
-    returns = ["" if math.isnan(r) else fmt_float(r) for r in panel.r_btc_bps.tolist()]
-    columns = (panel.p_bps, panel.sigma_btc_bps, panel.sigma_usdt_bps)
-    write_csv(stream, PANEL_HEADER, iso_dates(panel.date), *map(fmt_column, columns), returns)
+    write_csv(stream, PANEL_HEADER, *panel.columns())

@@ -15,7 +15,7 @@ import csv
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Callable, ClassVar, Iterable, Mapping, TextIO
+from typing import ClassVar, Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -26,29 +26,27 @@ DEFAULT_SCHEMA: dict[str, str] = {role: role for role in ROLES}
 
 ALIGNED_HEADER = ("date", "s", "f", "delta", "basis_bps")
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
 def fmt_float(x: float) -> str:
     """Format a float with 17 significant digits (round-trip exact)."""
     return format(x, ".17g")
 
 
-def fmt_column(values: np.ndarray) -> list[str]:
-    return list(map(fmt_float, values.tolist()))
+def _cells(column: np.ndarray) -> list[str]:
+    """ISO dates, true/false flags, or 17-digit floats with NaN as an empty cell."""
+    if column.dtype.kind == "M":
+        return np.datetime_as_string(column, unit="D").tolist()
+    if column.dtype.kind == "b":
+        return np.where(column, "true", "false").tolist()
+    return [fmt_float(x) if x == x else "" for x in column.tolist()]
 
 
-def iso_dates(days: np.ndarray) -> list[str]:
-    return np.datetime_as_string(days, unit="D").tolist()
+def write_csv(stream: TextIO, header: Iterable[str], *columns: np.ndarray) -> None:
+    """A header row, then one row per position of the equal-length columns.
 
-
-def write_csv(stream: TextIO, header: Iterable[str], *columns: Iterable[str]) -> None:
-    """A header row, then one row per position of the equal-length text columns.
-
-    Cells are dates, numbers, flags or empty, none of which CSV quotes, so
-    rows are joined directly: csv.writer takes six times as long.
+    No cell needs CSV quoting, so rows are joined directly: csv.writer
+    takes six times as long.
     """
-    stream.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
+    stream.write("\n".join([",".join(header), *map(",".join, zip(*map(_cells, columns)))]) + "\n")
 
 
 def _parse_day(text: str) -> date:
@@ -59,17 +57,13 @@ def _parse_day(text: str) -> date:
         return datetime.fromisoformat(text.replace("Z", "+00:00")).date()
 
 
-def _day_column(ordinals: Iterable[int]) -> np.ndarray:
-    # from ordinals: numpy converts date objects about 20x slower
-    return (np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
-
-
 class Table:
     """Equal-length 1-D numpy columns; iterating yields one namedtuple per row.
 
     Subclasses are frozen dataclasses that name their column fields and
-    dtypes in ``COLUMNS``; any other field is metadata. Columns are stored
-    as contiguous arrays of the declared dtype.
+    dtypes in ``COLUMNS``, the first being ``date``; any other field is
+    metadata. Columns are stored as contiguous arrays of the declared
+    dtype, and dates must be strictly increasing.
     """
 
     COLUMNS: ClassVar[dict[str, str]] = {}
@@ -89,29 +83,23 @@ class Table:
         if len(lengths) > 1:
             raise ValidationError(f"columns of {type(self).__name__} differ in length: {sorted(lengths)}")
 
+        steps = np.flatnonzero(self.date[1:] <= self.date[:-1])
+        if steps.size:
+            prev, day = self.date[steps[0] : steps[0] + 2]
+            raise ValidationError(f"{'duplicate date' if day == prev else 'dates out of order at'} {day}")
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.COLUMNS]
+
     def __len__(self) -> int:
-        return getattr(self, next(iter(self.COLUMNS))).size
+        return self.date.size
 
     def __iter__(self):
-        return map(self.Row._make, zip(*(getattr(self, name).tolist() for name in self.COLUMNS)))
-
-
-def _first_unordered(days: np.ndarray) -> int | None:
-    steps = np.flatnonzero(days[1:] <= days[:-1])
-    return int(steps[0]) + 1 if steps.size else None
-
-
-def _first_fault(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> tuple[int, str] | None:
-    """Row index and message of the earliest failing row mask; a tie goes to the earlier check."""
-    found = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
-    if not found:
-        return None
-    i, k = min(found)
-    return i, checks[k][1](i)
+        return map(self.Row._make, zip(*(column.tolist() for column in self.columns())))
 
 
 def _first_bad_bar(open_, high, low, close, volume) -> tuple[int, str] | None:
-    """Index of the first bar that breaks an invariant, and which one."""
+    """Index of the first bar that breaks an invariant, and why; a bar breaking several reports the first listed."""
     prices = {"open": open_, "high": high, "low": low, "close": close}
     checks = [
         (~np.isfinite(v), lambda i, n=name, v=v: f"{n} must be finite, got {float(v[i])!r}")
@@ -127,7 +115,11 @@ def _first_bad_bar(open_, high, low, close, volume) -> tuple[int, str] | None:
         (high < np.maximum(open_, close), lambda i: f"high {float(high[i])} below open/close"),
         (~(volume >= 0.0), lambda i: f"volume must be non-negative, got {float(volume[i])!r}"),
     ]
-    return _first_fault(checks)
+    found = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if not found:
+        return None
+    i, k = min(found)
+    return i, checks[k][1](i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +145,12 @@ class BarSeries(Table):
     venue: str
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if not self.instrument or not self.venue:
             raise ValidationError("instrument and venue must be non-empty")
+        super().__post_init__()
         bad = _first_bad_bar(self.open, self.high, self.low, self.close, self.volume)
         if bad is not None:
             raise ValidationError(f"{self.date[bad[0]]}: {bad[1]}")
-        i = _first_unordered(self.date)
-        if i is not None:
-            fault = "duplicate date" if self.date[i] == self.date[i - 1] else "dates out of order at"
-            raise ValidationError(f"{fault} {self.date[i]}")
 
 
 def _read_body(reader, convert) -> tuple[list[int], list[tuple], ValidationError | None]:
@@ -184,8 +172,11 @@ def _read_body(reader, convert) -> tuple[list[int], list[tuple], ValidationError
 
 
 def _columns(rows: list[tuple], width: int) -> list[np.ndarray]:
-    transposed = list(zip(*rows)) or [()] * width
-    return [_day_column(transposed[0])] + [np.array(column, dtype=float) for column in transposed[1:]]
+    """Rows of (day ordinal, floats...) as a datetime64[D] column and float columns."""
+    ordinals, *values = list(zip(*rows)) or [()] * width
+    # via ordinals: numpy converts date objects twenty times slower
+    days = (np.array(ordinals, dtype=np.int64) - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+    return [days] + [np.array(column, dtype=float) for column in values]
 
 
 def _read_header(reader) -> list[str]:
@@ -241,8 +232,7 @@ def parse_bars(
 
 def write_bars_csv(series: BarSeries, stream: TextIO) -> None:
     """Write a bar series in the canonical input schema."""
-    values = (series.open, series.high, series.low, series.close, series.volume)
-    write_csv(stream, ROLES, iso_dates(series.date), *map(fmt_column, values))
+    write_csv(stream, ROLES, *series.columns())
 
 
 @dataclass(frozen=True)
@@ -270,12 +260,6 @@ class AlignedSeries(Table):
     spot_venue: str = "unspecified"
     futures_venue: str = "unspecified"
     join_report: JoinReport = JoinReport(0, 0, 0)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        i = _first_unordered(self.date)
-        if i is not None:
-            raise ValidationError(f"aligned dates must be strictly increasing at {self.date[i]}")
 
     @property
     def delta(self) -> np.ndarray:
@@ -318,8 +302,7 @@ def align_daily(spot: BarSeries, futures: BarSeries) -> AlignedSeries:
 
 
 def write_aligned_csv(series: AlignedSeries, stream: TextIO) -> None:
-    columns = (series.s, series.f, series.delta, series.basis_bps)
-    write_csv(stream, ALIGNED_HEADER, iso_dates(series.date), *map(fmt_column, columns))
+    write_csv(stream, ALIGNED_HEADER, series.date, series.s, series.f, series.delta, series.basis_bps)
 
 
 def read_aligned_csv(stream: TextIO | Iterable[str]) -> AlignedSeries:
@@ -338,17 +321,13 @@ def read_aligned_csv(stream: TextIO | Iterable[str]) -> AlignedSeries:
 
     lines, rows, error = _read_body(reader, convert)
     days, s, f, delta, basis = _columns(rows, len(ALIGNED_HEADER))
-    fault = _first_fault(
-        [
-            (delta != s - 1.0, lambda i: f"delta {float(delta[i])!r} != s - 1 = {float(s[i] - 1.0)!r}"),
-            (
-                basis != (f - s) * 1e4,
-                lambda i: f"basis_bps {float(basis[i])!r} != (f - s) * 1e4 = {float((f[i] - s[i]) * 1e4)!r}",
-            ),
-        ]
-    )
-    if fault is not None:
-        raise ValidationError(f"line {lines[fault[0]]}: {days[fault[0]]}: {fault[1]}")
+    mismatch = np.flatnonzero((delta != s - 1.0) | (basis != (f - s) * 1e4))
+    if mismatch.size:
+        i = mismatch[0]
+        raise ValidationError(
+            f"line {lines[i]}: {days[i]}: stored delta {float(delta[i])!r} and basis_bps {float(basis[i])!r}"
+            f" differ from s - 1 = {float(s[i] - 1.0)!r} and (f - s) * 1e4 = {float((f[i] - s[i]) * 1e4)!r}"
+        )
     if error is not None:
         raise error
     return AlignedSeries(date=days, s=s, f=f)

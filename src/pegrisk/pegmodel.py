@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataQualityWarning, DomainError, EstimationError, InversionError
-from .marketdata import AlignedSeries, Table, fmt_column, iso_dates, write_csv
+from .marketdata import AlignedSeries, Table, write_csv
 
 DAYS_PER_YEAR = 365.0
 
@@ -73,6 +73,8 @@ def _consecutive_pairs(days, deviations) -> tuple[np.ndarray, np.ndarray, int]:
     days = np.asarray(days, dtype="datetime64[D]")
     if values.ndim != 1:
         raise EstimationError("deviations must be one-dimensional")
+    if values.size < 3:
+        raise EstimationError(f"need at least 3 observations, got {values.size}")
     if days.shape != values.shape:
         raise EstimationError(f"{days.size} dates for {values.size} deviations")
     consecutive = np.diff(days) == np.timedelta64(1, "D")
@@ -90,8 +92,6 @@ def fit_ar1(days, deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
     with (pairs used - 1) degrees of freedom.
     """
     lagged, lead, pairs = _consecutive_pairs(days, deviations)
-    if lagged.size < 2:
-        raise EstimationError(f"need at least 3 observations, got {lagged.size + 1}")
     if pairs < 2:
         raise EstimationError(f"need at least 2 pairs of consecutive days, got {pairs}")
     sxx = float(np.dot(lagged, lagged))
@@ -287,12 +287,4 @@ def trim_negative(series: ProbSeries) -> ProbSeries:
 
 
 def write_prob_csv(series: ProbSeries, stream: TextIO) -> None:
-    trimmed = np.where(series.trimmed, "true", "false").tolist()
-    write_csv(
-        stream,
-        PROB_HEADER,
-        iso_dates(series.date),
-        fmt_column(series.p_horizon),
-        fmt_column(series.p_annualized_bps),
-        trimmed,
-    )
+    write_csv(stream, PROB_HEADER, *series.columns())

@@ -227,7 +227,7 @@ def test_basis_matches_delta_identity(prices):
 
 def test_read_aligned_csv_rejects_inconsistent_delta():
     text = "date,s,f,delta,basis_bps\n2020-01-01,1.5,1.5,0.5,0\n2020-01-02,1.5,1.5,0.25,0\n"
-    with pytest.raises(ValidationError, match="line 3: 2020-01-02: delta 0.25 != s - 1 = 0.5"):
+    with pytest.raises(ValidationError, match="line 3: 2020-01-02: stored delta 0.25 and basis_bps 0.0 differ"):
         read_aligned_csv(io.StringIO(text))
 
 
