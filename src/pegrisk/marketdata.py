@@ -26,6 +26,7 @@ DEFAULT_SCHEMA: dict[str, str] = {role: role for role in ROLES}
 
 ALIGNED_HEADER = ("date", "s", "f", "delta", "basis_bps")
 
+
 def fmt_float(x: float) -> str:
     """Format a float with 17 significant digits (round-trip exact)."""
     return format(x, ".17g")
@@ -82,7 +83,6 @@ class Table:
             lengths.add(column.size)
         if len(lengths) > 1:
             raise ValidationError(f"columns of {type(self).__name__} differ in length: {sorted(lengths)}")
-
         steps = np.flatnonzero(self.date[1:] <= self.date[:-1])
         if steps.size:
             prev, day = self.date[steps[0] : steps[0] + 2]

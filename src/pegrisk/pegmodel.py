@@ -63,7 +63,7 @@ class RollingAr1:
 _DEGENERATE = "degenerate regressor: lagged deviations are all zero"
 
 
-def _consecutive_pairs(days, deviations) -> tuple[np.ndarray, np.ndarray, int]:
+def _consecutive_pairs(days: np.ndarray, deviations) -> tuple[np.ndarray, np.ndarray, int]:
     """(delta_t, delta_{t+1}) as two arrays, zeroed where day t+1 is not the day after t.
 
     Zeroed pairs drop out of every sum the fits take. The third value
@@ -83,7 +83,7 @@ def _consecutive_pairs(days, deviations) -> tuple[np.ndarray, np.ndarray, int]:
     return lagged, lead, int(np.count_nonzero(consecutive))
 
 
-def fit_ar1(days, deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
+def fit_ar1(days: np.ndarray, deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
     """Fit delta_{t+1} = rho * delta_t by least squares through the origin.
 
     rho = sum(delta_t * delta_{t+1}) / sum(delta_t**2) over the pairs of
@@ -103,7 +103,7 @@ def fit_ar1(days, deviations: Sequence[float] | np.ndarray) -> Ar1Fit:
     return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=lagged.size + 1)
 
 
-def fit_ar1_rolling(days, deviations: Sequence[float] | np.ndarray, window: int) -> RollingAr1:
+def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, window: int) -> RollingAr1:
     """Fit every length-``window`` slice at daily step and average the rho's.
 
     As in :func:`fit_ar1`, only pairs of consecutive calendar days enter a
