@@ -2,7 +2,9 @@
 
 Every file a data subcommand writes, and what it prints, is pinned by
 SHA-256 for the criterion-9 fixture (410 days, seed 17) and for a copy
-whose futures file lacks every 37th row, so the join drops dates. Inputs
+whose futures file lacks every 37th row, so the join drops dates. A
+20,000-day fixture (about 2 MB per input file) pins ``pipeline --rho
+estimate`` on inputs larger than one block of the CSV reader. Inputs
 are passed as paths relative to the dataset directory, which keeps the
 paths recorded in the run manifest the same on every run. A deliberate
 change to any of these bytes updates ``GOLDEN`` and says why in
@@ -149,6 +151,20 @@ GOLDEN = {
             "stdout": "1225854ce925f636fb533d9550c0603054b65ec8dd8b1860781ad6345463655c",
         },
     },
+    "long": {
+        "pipeline-estimate": {
+            "stdout": "0a146d320db4856eab08388248745a6eb33fa32053ee0c7e5a0cb2fb88e336ba",
+            "aligned.csv": "c6a2d204bffc17bf6c0287a736bfd8dc820a3fa4e10973ee7a2268b27e9fa07b",
+            "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
+            "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
+            "prob.csv": "4dca61ce3ae279274a97712cb422831c4334c1b04beea06ccc19c4f9430a795e",
+            "run_manifest.txt": "5378a92298f448ce357ed97a85eb3b90568fd0e69aedddb59546b3432c972a36",
+            "table3.csv": "1228652c8d010fdd9b7867615a5fd0d627da993f7cfe74d695cd84c92c4e2fc3",
+            "table3.txt": "e723b5af95cb8342b07fd38a4486726ccae8d6faf4ecdbcb56cd821d15106ef7",
+            "table4.csv": "81429fbdcf9501bb0649653053ab7511111410d33c4d9a8d042bcacbd70db491",
+            "table4.txt": "5696d5a9178dc9f1a3e1f2980d3d3e5ac94ec202eac9c29d2b516d082661fd50",
+        },
+    },
 }
 
 
@@ -156,9 +172,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _fixture(data: Path, *extra: str) -> None:
-    args = ["fixture", "--out", str(data), "--n-days", "410", "--seed", "17"]
-    assert main(args + ["--p-default", repr(P_DEFAULT), *extra]) == 0
+def _fixture(data: Path, n_days: int) -> None:
+    args = ["fixture", "--out", str(data), "--n-days", str(n_days), "--seed", "17"]
+    assert main(args + ["--p-default", repr(P_DEFAULT)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +182,15 @@ def datasets(tmp_path_factory):
     """Dataset name -> directory holding ``data/{spot,futures,btc}.csv``."""
     root = tmp_path_factory.mktemp("golden")
     full = root / "full"
-    _fixture(full / "data")
+    _fixture(full / "data", 410)
     gaps = root / "gaps"
     shutil.copytree(full / "data", gaps / "data")
     header, *rows = (full / "data" / "futures.csv").read_text().splitlines(keepends=True)
     kept = [row for i, row in enumerate(rows, start=1) if i % 37]
     (gaps / "data" / "futures.csv").write_text(header + "".join(kept))
-    return {"full": full, "gaps": gaps}
+    long = root / "long"
+    _fixture(long / "data", 20_000)
+    return {"full": full, "gaps": gaps, "long": long}
 
 
 def _run(argv, capsys) -> tuple[int, str, str]:
@@ -181,8 +199,7 @@ def _run(argv, capsys) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("name", INVOCATIONS)
-@pytest.mark.parametrize("dataset", ("full", "gaps"))
+@pytest.mark.parametrize("dataset, name", [(dataset, name) for dataset in GOLDEN for name in GOLDEN[dataset]])
 def test_outputs_match_pinned_hashes(datasets, dataset, name, monkeypatch, capsys):
     monkeypatch.chdir(datasets[dataset])
     argv = INVOCATIONS[name]
