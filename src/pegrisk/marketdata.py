@@ -6,16 +6,21 @@ role -> column). Alignment inner-joins spot and futures closes on calendar
 date; the peg deviation (close - 1) and the futures-spot basis in basis
 points are derived from the joined closes. Every series is a table of
 equal-length numpy columns: ``datetime64[D]`` dates and float64 values.
-CSV output uses 17 significant digits so a write/read cycle is lossless.
+CSV input is read a block of text at a time; the few inputs the block
+reader does not take (see ``_read_blocks``) are read row by row, with the
+same columns as the result. CSV output uses 17 significant digits so a
+write/read cycle is lossless.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import ClassVar, Iterable, Mapping, TextIO
+from itertools import repeat
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -25,6 +30,11 @@ ROLES = ("timestamp", "open", "high", "low", "close", "volume")
 DEFAULT_SCHEMA: dict[str, str] = {role: role for role in ROLES}
 
 ALIGNED_HEADER = ("date", "s", "f", "delta", "basis_bps")
+
+# characters of CSV text parsed at a time; a block always ends at a line end
+BLOCK_CHARS = 1 << 20
+# the dates date.fromisoformat can return
+_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 
 
 def fmt_float(x: float) -> str:
@@ -186,6 +196,78 @@ def _read_header(reader) -> list[str]:
         raise SchemaError("empty input: no header row") from None
 
 
+def _read_blocks(stream: TextIO, width: int, picked: Sequence[int]) -> list[np.ndarray] | None:
+    """The body's date column ``picked[0]`` and float columns ``picked[1:]``, or None.
+
+    The text is split on commas and line feeds a block at a time, so data
+    row i sits on file line i + 2. None means the body holds something
+    only the row-by-row csv reader handles as it should: a quote, a
+    carriage return not ending a line, a row of another width (blank rows
+    included), a cell longer than the csv field limit, a date other than
+    ``YYYY-MM-DD`` in years 1-9999, or a cell float() rejects.
+    """
+    t, floats = picked[0], picked[1:]
+    parts = [[np.array([], dtype="datetime64[D]")]] + [[np.array([])] for _ in floats]
+    while block := stream.read(BLOCK_CHARS):
+        if not block.endswith("\n"):
+            block += stream.readline()
+        text = block.replace("\r\n", "\n").removesuffix("\n")
+        if '"' in text or "\r" in text:
+            return None
+        lines = text.split("\n")
+        if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
+            return None
+        cells = text.replace("\n", ",").split(",")
+        stamps = list(map(str.strip, cells[t::width]))
+        try:
+            with warnings.catch_warnings():
+                # numpy warns on a time zone ("...T00:00:00Z"); such dates take the row path
+                warnings.simplefilter("ignore", UserWarning)
+                days = np.array(stamps, dtype="datetime64[D]")
+            values = [np.fromiter(map(float, cells[k::width]), float, len(lines)) for k in floats]
+        except ValueError:
+            return None
+        # numpy also reads "2020" and "" (NaT), which date.fromisoformat rejects
+        in_range = (days >= _FIRST_DAY) & (days <= _LAST_DAY)
+        if not in_range.all() or np.datetime_as_string(days, unit="D").tolist() != stamps:
+            return None
+        for part, column in zip(parts, [days, *values]):
+            part.append(column)
+    return [np.concatenate(part) for part in parts]
+
+
+def _read_csv(
+    stream: TextIO | Iterable[str], pick: Callable[[list[str]], Sequence[int]]
+) -> tuple[Sequence[int], list[np.ndarray], ValidationError | None]:
+    """Read a header row, then the date and float columns ``pick(header)`` names.
+
+    Returns the 1-based file line of every row read, the datetime64[D]
+    column and the float columns, and the error of the first row that
+    failed to convert (None if all converted). A seekable stream is read
+    in blocks (``_read_blocks``); where that reader declines, and for any
+    other iterable of lines, rows are read one at a time by ``csv.reader``,
+    which alone reports bad rows.
+    """
+    seekable = getattr(stream, "seekable", None)
+    if seekable is not None and seekable():
+        start = stream.tell()
+        text = stream.readline().removesuffix("\n").removesuffix("\r")
+        if text and '"' not in text and "\r" not in text:
+            picked = pick([cell.strip() for cell in text.split(",")])
+            columns = _read_blocks(stream, text.count(",") + 1, picked)
+            if columns is not None:
+                return range(2, columns[0].size + 2), columns, None
+        stream.seek(start)
+    reader = csv.reader(stream)
+    t, *floats = pick(_read_header(reader))
+
+    def convert(row: list[str]) -> tuple:
+        return _parse_day(row[t].strip()).toordinal(), *(float(row[k]) for k in floats)
+
+    lines, rows, error = _read_body(reader, convert)
+    return lines, _columns(rows, 1 + len(floats)), error
+
+
 def parse_bars(
     stream: TextIO | Iterable[str],
     schema: Mapping[str, str] | None = None,
@@ -208,19 +290,13 @@ def parse_bars(
             raise SchemaError(f"unknown schema roles {sorted(unknown)}; expected subset of {ROLES}")
         mapping.update(schema)
 
-    reader = csv.reader(stream)
-    header = _read_header(reader)
-    missing = [mapping[role] for role in ROLES if mapping[role] not in header]
-    if missing:
-        raise SchemaError(f"missing columns {missing} in header {header}")
-    t, o, h, lo, c, v = (header.index(mapping[role]) for role in ROLES)
+    def pick(header: list[str]) -> list[int]:
+        missing = [mapping[role] for role in ROLES if mapping[role] not in header]
+        if missing:
+            raise SchemaError(f"missing columns {missing} in header {header}")
+        return [header.index(mapping[role]) for role in ROLES]
 
-    def convert(row: list[str]) -> tuple:
-        day = _parse_day(row[t].strip()).toordinal()
-        return day, float(row[o]), float(row[h]), float(row[lo]), float(row[c]), float(row[v])
-
-    lines, rows, error = _read_body(reader, convert)
-    days, *values = _columns(rows, len(ROLES))
+    lines, (days, *values), error = _read_csv(stream, pick)
     bad = _first_bad_bar(*values)
     if bad is not None:
         raise ValidationError(f"line {lines[bad[0]]}: {bad[1]}")
@@ -311,16 +387,12 @@ def read_aligned_csv(stream: TextIO | Iterable[str]) -> AlignedSeries:
     The stored delta and basis must equal the values derived from the
     prices bit for bit; the first row where they differ is rejected.
     """
-    reader = csv.reader(stream)
-    header = _read_header(reader)
-    if tuple(header) != ALIGNED_HEADER:
-        raise SchemaError(f"expected header {ALIGNED_HEADER}, got {tuple(header)}")
+    def pick(header: list[str]) -> range:
+        if tuple(header) != ALIGNED_HEADER:
+            raise SchemaError(f"expected header {ALIGNED_HEADER}, got {tuple(header)}")
+        return range(len(ALIGNED_HEADER))
 
-    def convert(row: list[str]) -> tuple:
-        return _parse_day(row[0].strip()).toordinal(), float(row[1]), float(row[2]), float(row[3]), float(row[4])
-
-    lines, rows, error = _read_body(reader, convert)
-    days, s, f, delta, basis = _columns(rows, len(ALIGNED_HEADER))
+    lines, (days, s, f, delta, basis), error = _read_csv(stream, pick)
     mismatch = np.flatnonzero((delta != s - 1.0) | (basis != (f - s) * 1e4))
     if mismatch.size:
         i = mismatch[0]
