@@ -14,10 +14,10 @@ partially written artifacts are removed.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable, TextIO
 
 from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
@@ -74,11 +74,15 @@ class _Run:
         self.stage = "init"
         self.written: list[Path] = []
 
-    def write_text(self, path: Path, text: str) -> Path:
+    def write(self, path: Path, content: str | Callable[[TextIO], None]) -> None:
+        """Write a text, or let a function write to the file; the file counts as written once created."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        self.written.append(path)
-        return path
+        with path.open("w", encoding="utf-8") as stream:
+            self.written.append(path)
+            if callable(content):
+                content(stream)
+            else:
+                stream.write(content)
 
     def discard_written(self) -> None:
         for path in self.written:
@@ -237,21 +241,19 @@ class _Stages:
             econometrics.summary_stats("p_annualized_bps", untrimmed.p_annualized_bps),
         ]
 
-    def write(self, names: tuple[str, ...], default_out: str | None = "out") -> dict[str, str]:
-        """Build the named artifacts, then write them if an output directory is set."""
-        texts = {name: ARTIFACTS[name](self) for name in names}
+    def write(self, names: tuple[str, ...], default_out: str | None = "out") -> dict[str, str | Callable]:
+        """Run every stage the named artifacts need, then write them if an output directory is set.
+
+        Returns each artifact's content: its text, or for a CSV the
+        function that writes it straight to its file.
+        """
+        contents = {name: ARTIFACTS[name](self) for name in names}
         out = self.settings.get("out", default_out)
         if out is not None:
             self.run.stage = "write"
-            for name, text in texts.items():
-                self.run.write_text(Path(out) / name, text)
-        return texts
-
-
-def _csv(write, rows) -> str:
-    buf = io.StringIO()
-    write(rows, buf)
-    return buf.getvalue()
+            for name, content in contents.items():
+                self.run.write(Path(out) / name, content)
+        return contents
 
 
 PIPELINE_ARTIFACTS = (
@@ -315,11 +317,11 @@ def _manifest(stages: _Stages) -> str:
     return cfgmod.format_kv(entries, comments)
 
 
-# artifact name -> its text, built from the stages it needs
+# artifact name -> its text, or the function writing it to a stream, built from the stages it needs
 ARTIFACTS = {
-    "aligned.csv": lambda st: _csv(marketdata.write_aligned_csv, st.aligned),
-    "prob.csv": lambda st: _csv(pegmodel.write_prob_csv, st.published),
-    "features.csv": lambda st: _csv(features.write_panel_csv, st.panel),
+    "aligned.csv": lambda st: partial(marketdata.write_aligned_csv, st.aligned),
+    "prob.csv": lambda st: partial(pegmodel.write_prob_csv, st.published),
+    "features.csv": lambda st: partial(features.write_panel_csv, st.panel),
     "table3.txt": lambda st: econometrics.format_summary_table(st.table3),
     "table3.csv": lambda st: econometrics.summary_table_csv(st.table3),
     "table4.txt": lambda st: econometrics.format_regression_table(st.regressions),
@@ -332,8 +334,8 @@ ARTIFACTS = {
 
 def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
     stages = _Stages(args, run, PANEL_INPUTS)
-    texts = stages.write(PIPELINE_ARTIFACTS + ("run_manifest.txt",))
-    print(f"wrote {len(texts)} artifacts to {Path(stages.settings.get('out', 'out'))}")
+    written = stages.write(PIPELINE_ARTIFACTS + ("run_manifest.txt",))
+    print(f"wrote {len(written)} artifacts to {Path(stages.settings.get('out', 'out'))}")
     print(f"{_join_summary(stages.aligned)}; rho = {stages.fit[0]:.4f}")
     untrimmed = stages.untrimmed
     mean_p = sum(untrimmed.p_annualized_bps.tolist()) / len(untrimmed)
@@ -456,11 +458,8 @@ def cmd_fixture(args: argparse.Namespace, run: _Run) -> int:
     fixture = simkit.generate_fixture(config)
 
     run.stage = "write"
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, series in (("spot", fixture.spot), ("futures", fixture.futures), ("btc", fixture.btc)):
-        buf = io.StringIO()
-        marketdata.write_bars_csv(series, buf)
-        run.write_text(outdir / f"{name}.csv", buf.getvalue())
+        run.write(outdir / f"{name}.csv", partial(marketdata.write_bars_csv, series))
     annualized = pegmodel.annualize(config.p_default, config.horizon_days)
     print(
         f"wrote spot.csv futures.csv btc.csv ({config.n_days} days, seed {config.seed}); "

@@ -33,6 +33,8 @@ ALIGNED_HEADER = ("date", "s", "f", "delta", "basis_bps")
 
 # characters of CSV text parsed at a time; a block always ends at a line end
 BLOCK_CHARS = 1 << 20
+# rows of CSV text formatted at a time
+WRITE_ROWS = 1 << 14
 # the dates date.fromisoformat can return
 _FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 
@@ -55,9 +57,13 @@ def write_csv(stream: TextIO, header: Iterable[str], *columns: np.ndarray) -> No
     """A header row, then one row per position of the equal-length columns.
 
     No cell needs CSV quoting, so rows are joined directly: csv.writer
-    takes six times as long.
+    takes six times as long. Rows are formatted and written ``WRITE_ROWS``
+    at a time, so the text of a long table is never held whole.
     """
-    stream.write("\n".join([",".join(header), *map(",".join, zip(*map(_cells, columns)))]) + "\n")
+    stream.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), WRITE_ROWS):
+        chunk = (column[start : start + WRITE_ROWS] for column in columns)
+        stream.write("\n".join([*map(",".join, zip(*map(_cells, chunk))), ""]))
 
 
 def _parse_day(text: str) -> date:

@@ -99,6 +99,15 @@ class TestPipelineCommand:
         assert err.startswith("error stage=parse")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_failed_write_removes_written_artifacts(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        # aligned.csv and prob.csv are written before table3.txt
+        (out / "table3.txt").mkdir(parents=True)
+        assert main(_pipeline_args(fixture_dir, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error stage=write type=IsADirectoryError")
+        assert [path.name for path in out.iterdir()] == ["table3.txt"]
+
     def test_flag_overrides_config(self, fixture_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
