@@ -166,7 +166,7 @@ class _Stages:
         if role not in self._bars:
             self.run.stage = "parse"
             venue = self.settings.get(f"{role}_venue", "unspecified")
-            with open(self.paths[role], newline="", encoding="utf-8") as stream:
+            with open(self.paths[role], newline="", encoding="utf-8-sig") as stream:
                 self._bars[role] = marketdata.parse_bars(
                     stream, schema=self.settings.column_schema(), instrument=role, venue=venue
                 )

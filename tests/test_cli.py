@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line driver."""
 
+import codecs
+
 import pytest
 
 from pegrisk.cli import main
@@ -107,6 +109,19 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert err.startswith("error stage=write type=IsADirectoryError")
         assert [path.name for path in out.iterdir()] == ["table3.txt"]
+
+    # a trailing blank row sends the file to the row reader, which re-reads it from the start
+    @pytest.mark.parametrize("tail", ["", "\n"], ids=["block", "row"])
+    def test_inputs_with_byte_order_mark(self, fixture_dir, tmp_path, tail):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("spot.csv", "futures.csv", "btc.csv"):
+            text = (fixture_dir / name).read_text(encoding="utf-8") + tail
+            (data / name).write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert main(_pipeline_args(data, tmp_path / "bom")) == 0
+        assert main(_pipeline_args(fixture_dir, tmp_path / "plain")) == 0
+        for name in ARTIFACTS[:-1]:  # the manifest records the input paths
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
     def test_flag_overrides_config(self, fixture_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
