@@ -1,16 +1,21 @@
 """Tests for CSV ingestion, bar validation, and spot/futures alignment."""
 
+import csv
 import datetime
 import io
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pegrisk import marketdata
 from pegrisk.errors import AlignmentError, SchemaError, ValidationError
 from pegrisk.marketdata import (
+    ROLES,
     AlignedSeries,
     BarSeries,
     align_daily,
@@ -205,14 +210,15 @@ class TestAlignDaily:
 price = st.floats(min_value=0.9, max_value=1.1, allow_nan=False, allow_infinity=False)
 
 
-@given(st.lists(st.tuples(price, price), min_size=1, max_size=20))
-def test_aligned_csv_roundtrip_bit_exact(prices):
+@given(st.lists(st.tuples(price, price), min_size=1, max_size=20), st.integers(1, 64))
+def test_aligned_csv_roundtrip_bit_exact(prices, block_chars):
     s, f = zip(*prices)
     days = np.datetime64("2020-01-01") + np.arange(len(prices))
     series = AlignedSeries(date=days, s=s, f=f)
     buf = io.StringIO()
     write_aligned_csv(series, buf)
-    reread = read_aligned_csv(io.StringIO(buf.getvalue()))
+    with _small_blocks(block_chars):
+        reread = read_aligned_csv(io.StringIO(buf.getvalue()))
     assert len(reread) == len(series)
     for column in ("date", "s", "f", "delta", "basis_bps"):
         assert np.array_equal(getattr(series, column), getattr(reread, column))
@@ -273,21 +279,144 @@ def test_parse_invariant_to_row_order(rows, data):
     assert all(np.array_equal(a, b) for a, b in zip(_columns(base), _columns(again)))
 
 
-INVALID_ROWS = (
-    "2030-01-01,1.0,1.1,0.9,inf,1e6",
-    "2030-01-01,1.0,1.1,-0.9,1.0,1e6",
-    "2030-01-01,1.0,0.9,1.1,1.0,1e6",
-    "2030-01-01,1.0,1.05,0.9,1.1,1e6",
-    "2030-01-01,1.0,1.1,0.9,1.0,-5",
-    "2030-01-01,1.0,1.1,0.9,oops,1e6",
-    "2030-02-30,1.0,1.1,0.9,1.0,1e6",
-    "2030-01-01,1.0,1.1",
-)
+# a bad row -> the message it raises after "line N: "
+INVALID_ROWS = {
+    "2030-01-01,1.0,1.1,0.9,inf,1e6": "close must be finite, got inf",
+    "2030-01-01,1.0,1.1,-0.9,1.0,1e6": "low must be strictly positive, got -0.9",
+    "2030-01-01,1.0,0.9,1.1,1.0,1e6": "high 0.9 below low 1.1",
+    "2030-01-01,1.0,1.05,0.9,1.1,1e6": "high 1.05 below open/close",
+    "2030-01-01,1.0,1.1,0.9,1.0,-5": "volume must be non-negative, got -5.0",
+    "2030-01-01,1.0,1.1,0.9,oops,1e6": "could not convert string to float: 'oops'",
+    "2030-02-30,1.0,1.1,0.9,1.0,1e6": "day is out of range for month",
+    "2030-01-01,1.0,1.1": "list index out of range",
+    # dates numpy reads but date.fromisoformat rejects
+    "0000-01-01,1.0,1.1,0.9,1.0,1e6": "year 0 is out of range",
+    "10000-01-01,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: '10000-01-01'",
+    "NaT,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: 'NaT'",
+    "2030,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: '2030'",
+}
 
 
-@given(bar_rows(), st.sampled_from(INVALID_ROWS), st.data())
-def test_invalid_row_named_by_file_line(rows, bad, data):
+def _small_blocks(chars):
+    """Read CSV text ``chars`` characters at a time, so rows straddle block ends."""
+    return mock.patch.object(marketdata, "BLOCK_CHARS", chars)
+
+
+@given(bar_rows(), st.sampled_from(sorted(INVALID_ROWS)), st.integers(1, 64), st.data())
+def test_invalid_row_named_by_file_line(rows, bad, block_chars, data):
     position = data.draw(st.integers(0, len(rows)))
     text = _bars_csv(rows[:position] + [bad] + rows[position:])
-    with pytest.raises(ValidationError, match=f"^line {position + 2}: "):
+    message = f"line {position + 2}: {INVALID_ROWS[bad]}"
+    with _small_blocks(block_chars), pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         _series(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a quoted cell spans two lines, each as wide as the header
+        ('timestamp,open,high,low,close,volume,note\n2020-01-01,1,1,1,1,1,"a\n2020-01-02,1,1,1,1,1,b"\n', 1),
+        # a long row and a short one that together hold two rows' cells
+        (_bars_csv(["2020-01-01,1,1,1,1,1,2020-01-02", "1,1,1,1,1"]), "line 3: Invalid isoformat string: '1'"),
+        # a carriage return inside a row ends it
+        (_bars_csv(["2020-01-01,1.0,1.1,0.9\r,1.0,1e6"]), "line 2: list index out of range"),
+        ('"timestamp",open,high,low,close,volume\n2020-01-01,1,1,1,1,1\n', 1),
+    ],
+    ids=["quoted-line-feed", "realigned-cells", "carriage-return", "quoted-header"],
+)
+def test_rows_only_the_row_reader_reads(text, expected):
+    stream = io.StringIO(text, newline="")  # as the CLI opens files
+    if isinstance(expected, int):
+        assert len(parse_bars(stream)) == expected
+    else:
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            parse_bars(stream)
+
+
+def test_blank_header_row_names_no_columns():
+    with pytest.raises(SchemaError, match=r"in header \[\]$"):
+        _series("\n2020-01-01,1,1,1,1,1\n")
+
+
+def test_cell_over_csv_field_limit_fails_as_csv_reader_does():
+    limit = csv.field_size_limit(8)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            _series(_bars_csv(["2020-01-01,1.0,1.1,0.9,1.0000001,1e6"]))
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _reference_columns(text, schema, newline):
+    """parse_bars' columns as csv.reader and float() give them, one row at a time."""
+    names = {role: schema.get(role, role) for role in ROLES}
+    reader = csv.reader(io.StringIO(text, newline=newline))
+    header = [cell.strip() for cell in next(reader)]
+    t, *floats = (header.index(names[role]) for role in ROLES)
+    rows = []
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        stamp = row[t].strip()
+        try:
+            day = datetime.date.fromisoformat(stamp)
+        except ValueError:
+            day = datetime.datetime.fromisoformat(stamp.replace("Z", "+00:00")).date()
+        rows.append((day, *(float(row[k]) for k in floats)))
+    rows.sort(key=lambda row: row[0])
+    days, *values = zip(*rows)
+    return [np.array(days, dtype="datetime64[D]"), *(np.array(column, dtype=float) for column in values)]
+
+
+# one extra cell: anything but a separator, a quote or a line end
+extra_cell = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def csv_layouts(draw, clean=False):
+    """Valid bars as CSV text in varied layouts, with the schema and newline mode to read it with.
+
+    ``clean`` leaves out what only the row reader takes: quoted cells,
+    time-stamped dates, blank or whitespace-only rows.
+    """
+    rows = [row.split(",") for row in draw(bar_rows())]
+    schema = {role: f"{role.upper()}_" for role in ROLES} if draw(st.booleans()) else {}
+    n_extra = draw(st.integers(0, 2))
+    names = [schema.get(role, role) for role in ROLES] + [f"x{i}" for i in range(n_extra)]
+    order = draw(st.permutations(range(len(names))))
+    lines = [[names[k] for k in order]]
+    for cells in rows:
+        cells = cells + [draw(extra_cell) for _ in range(n_extra)]
+        style = draw(st.sampled_from(["plain", "padded"] if clean else ["plain", "padded", "quoted", "stamped"]))
+        if style == "stamped":
+            cells[0] += "T00:00:00Z"
+        elif style == "padded":
+            cells = [f" {cell} " for cell in cells]
+        lines.append([f'"{cells[k]}"' if style == "quoted" else cells[k] for k in order])
+    text_lines = [",".join(line) for line in lines]
+    if not clean:
+        for junk in draw(st.lists(st.sampled_from(["", "  ", " , ,", ",,,,,", "\t"]), max_size=3)):
+            text_lines.insert(draw(st.integers(1, len(text_lines))), junk)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(text_lines) + (end if draw(st.booleans()) else "")
+    return text, schema, draw(st.sampled_from(["", None, "\n"]))
+
+
+def _bits(columns):
+    return [(column.dtype, column.tobytes()) for column in columns]
+
+
+@given(csv_layouts(), st.integers(1, 64))
+def test_block_reader_matches_row_reference(layout, block_chars):
+    text, schema, newline = layout
+    with _small_blocks(block_chars):
+        series = parse_bars(io.StringIO(text, newline=newline), schema=schema)
+    assert _bits(series.columns()) == _bits(_reference_columns(text, schema, newline))
+
+
+@given(csv_layouts(clean=True), st.integers(1, 64))
+def test_clean_layouts_take_the_block_path(layout, block_chars):
+    text, schema, newline = layout
+    with _small_blocks(block_chars), mock.patch.object(marketdata, "_read_body", side_effect=AssertionError):
+        series = parse_bars(io.StringIO(text, newline=newline), schema=schema)
+    assert _bits(series.columns()) == _bits(_reference_columns(text, schema, newline))
