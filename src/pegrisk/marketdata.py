@@ -233,13 +233,22 @@ def _read_blocks(stream: TextIO, width: int, picked: Sequence[int]) -> list[np.n
             values = [np.fromiter(map(float, cells[k::width]), float, len(lines)) for k in floats]
         except ValueError:
             return None
-        # numpy also reads "2020" and "" (NaT), which date.fromisoformat rejects
+        # numpy also reads "2020" and "2020-01-01T00", which do not print back, and
+        # "" (NaT), "NaT", "0000-01-01" and "10000-01-01", which date.fromisoformat rejects
         in_range = (days >= _FIRST_DAY) & (days <= _LAST_DAY)
         if not in_range.all() or np.datetime_as_string(days, unit="D").tolist() != stamps:
             return None
         for part, column in zip(parts, [days, *values]):
             part.append(column)
     return [np.concatenate(part) for part in parts]
+
+
+def _tell(stream: TextIO | Iterable[str]) -> int | None:
+    """The position to seek back to in a seekable stream, or None for another iterable."""
+    try:
+        return stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError):  # a list of lines; a text file already advanced by next()
+        return None
 
 
 def _read_csv(
@@ -254,9 +263,8 @@ def _read_csv(
     other iterable of lines, rows are read one at a time by ``csv.reader``,
     which alone reports bad rows.
     """
-    seekable = getattr(stream, "seekable", None)
-    if seekable is not None and seekable():
-        start = stream.tell()
+    start = _tell(stream)
+    if start is not None:
         text = stream.readline().removesuffix("\n").removesuffix("\r")
         if text and '"' not in text and "\r" not in text:
             picked = pick([cell.strip() for cell in text.split(",")])

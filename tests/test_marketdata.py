@@ -122,6 +122,15 @@ class TestParseBars:
                 "2020-03-14",
             ]
 
+    def test_lines_that_cannot_be_read_twice(self, tmp_path):
+        text = _bars_csv(["2020-03-12,1.0,1.1,0.9,1.0,1e6"])
+        path = tmp_path / "bars.csv"
+        path.write_text("# preamble\n" + text)
+        with path.open() as stream:
+            next(stream)  # a text file advanced by next() cannot tell its position
+            assert len(parse_bars(stream)) == 1
+        assert len(parse_bars(text.splitlines())) == 1
+
     def test_timestamp_with_time_component(self):
         series = _series(_bars_csv(["2020-03-12T00:00:00Z,1.0,1.1,0.9,1.0,1e6"]))
         assert next(iter(series)).date.isoformat() == "2020-03-12"
