@@ -2,13 +2,13 @@
 
 The coefficient covariance is the sandwich
 
-    (X'X)^-1 X' diag(e^2) X (X'X)^-1
+    (X'X)^-1 X' diag(e^2) X (X'X)^-1 = R^-1 U'U R^-T,  U = diag(e) Q,
 
-computed through the QR factorization of X; X'X is never inverted
-explicitly. Quartiles use linear interpolation between order statistics
-and the sample standard deviation uses the n-1 denominator, matching
-standard statistical-package output. Significance stars use two-sided
-normal critical values.
+with X = QR the thin QR factorization of X: only the k x k triangle R
+is inverted, and X'X is never formed. Quartiles use linear interpolation
+between order statistics and the sample standard deviation uses the n-1
+denominator, matching standard statistical-package output. Significance
+stars use two-sided normal critical values.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ def ols_hc0(
 
     ``X`` must already contain the intercept column if one is wanted.
     """
-    # imported here: scipy.linalg costs about 0.35 s to import, which
-    # commands that never regress should not pay
-    from scipy.linalg import solve_triangular
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.ndim != 2:
@@ -123,14 +119,14 @@ def ols_hc0(
         raise EstimationError(f"{len(names)} names for {k} columns")
 
     q, r = np.linalg.qr(X)
-    beta = solve_triangular(r, q.T @ y)
+    # partial pivoting swaps no rows of a triangular matrix: a back substitution
+    beta = np.linalg.solve(r, q.T @ y)
     residuals = y - X @ beta
 
-    # sandwich: B' B with B = diag(e) X (X'X)^-1, via (R'R) B' = (diag(e) X)'
-    scores = X * residuals[:, None]
-    half = solve_triangular(r, scores.T, trans="T")
-    bt = solve_triangular(r, half)
-    cov = bt @ bt.T
+    # X = QR turns the sandwich into R^-1 U'U R^-T with U = diag(e) Q
+    u = q * residuals[:, None]
+    r_inv = np.linalg.inv(r)
+    cov = r_inv @ (u.T @ u) @ r_inv.T
     stderr = np.sqrt(np.diag(cov))
 
     with np.errstate(divide="ignore", invalid="ignore"):

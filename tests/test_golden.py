@@ -51,7 +51,7 @@ GOLDEN = {
             "run_manifest.txt": "f57ff95a31f6d578e01c686d700de5f2247051b6ae99f92736b8a009202168c6",
             "table3.csv": "0a90085bb374ebae18cc42633643c0d7fabbf46632465dd62d94fe356ddda7d6",
             "table3.txt": "49523ec0eb9326fd77a88a9ffcc1260ecb95cd2755a7a00b127c6885ec3065ba",
-            "table4.csv": "6768ad53054af31cb9fff0b35ced21a8bc8d99ac5f6e106dd9a7d7bc0bacd1c6",
+            "table4.csv": "1c3e22e80990aa7e588a554c5a233653f58f7f3d222d35454af07bd6a41fed92",
             "table4.txt": "e436ab191b27bbb03882840350418fc5ec85a91e567310aceda5531aa89b533b",
         },
         "pipeline-estimate": {
@@ -63,7 +63,7 @@ GOLDEN = {
             "run_manifest.txt": "3b98b647e5a3270610ec1ff07873c5c695ee3d97abfb7e6fbef5eb901a0f229a",
             "table3.csv": "9a4c3a091674804ccc36d1fd1944df91b78df4027f40bcbec4621efc0bc80594",
             "table3.txt": "0ddf9de5b9916c49f35594faf89a4ee484cf0ee570d57d42f0c6fd73afd65e31",
-            "table4.csv": "587c6f6327a04ba4beadd078c993f44a8271b3f59083cacbbbce2318b8820e78",
+            "table4.csv": "84d7439db37db3e6e7914aa55f4b7c6c3c89f44560df1b5dbb769ca5408affd4",
             "table4.txt": "b85a7f15caabc90c3567febfbae32c98e4ca190c11e8edc8989f9647f8000572",
         },
         "align": {
@@ -84,7 +84,7 @@ GOLDEN = {
         },
         "regress": {
             "stdout": "e436ab191b27bbb03882840350418fc5ec85a91e567310aceda5531aa89b533b",
-            "table4.csv": "6768ad53054af31cb9fff0b35ced21a8bc8d99ac5f6e106dd9a7d7bc0bacd1c6",
+            "table4.csv": "1c3e22e80990aa7e588a554c5a233653f58f7f3d222d35454af07bd6a41fed92",
             "table4.txt": "e436ab191b27bbb03882840350418fc5ec85a91e567310aceda5531aa89b533b",
         },
         "stats": {
@@ -106,7 +106,7 @@ GOLDEN = {
             "run_manifest.txt": "301b5da0760434a0cd911f64253bae90c49696f6f7327fdf8b2689edcdd7b90e",
             "table3.csv": "c10c8a740acd6b36866da1f8698dd4c15d572e54a6c925fc3f816abe03952031",
             "table3.txt": "2789fa690f4bea8613dd27278eb5f88ab04e231d81e697d04c944aa15a18c1b1",
-            "table4.csv": "9f3511b849fc3bfced4706d32b0622e7d50a190750cac046288197d835ef511d",
+            "table4.csv": "b773f95b7219e5eec8635cc6df5d2832bd5b0bff7e0b44665e88b8ca26c396d2",
             "table4.txt": "97cd5a4f6ac3ca7665d120ed2ddc517413e695eaee905b8180f8d6dc1f48e930",
         },
         "pipeline-estimate": {
@@ -118,7 +118,7 @@ GOLDEN = {
             "run_manifest.txt": "fb693c7fd92b48e198e99b9a61c4a18b3bc3e9883bf179e25abfdc8c9ff33816",
             "table3.csv": "b044b8806ba0a7b987e78a2836087b07dc13bffa2f4bad8d68be25776cbcd966",
             "table3.txt": "d1f8f0d135fcd7d37f3ce7e0d586f50800a74d3838b8944773a1dc01926a53f7",
-            "table4.csv": "c11ffafbeae3ad07d8bd31b275a750ad97d4a40263fa258adcbce74aa0d1557f",
+            "table4.csv": "66dc76bc3836461d081036be6729d1d21118590888e71f99edaf2b7b4fafc3bc",
             "table4.txt": "ebebf6b356bc4a4629b0bf42389f03831bac7bf1fd05713bd08b3e69b95f45ae",
         },
         "align": {
@@ -139,7 +139,7 @@ GOLDEN = {
         },
         "regress": {
             "stdout": "97cd5a4f6ac3ca7665d120ed2ddc517413e695eaee905b8180f8d6dc1f48e930",
-            "table4.csv": "9f3511b849fc3bfced4706d32b0622e7d50a190750cac046288197d835ef511d",
+            "table4.csv": "b773f95b7219e5eec8635cc6df5d2832bd5b0bff7e0b44665e88b8ca26c396d2",
             "table4.txt": "97cd5a4f6ac3ca7665d120ed2ddc517413e695eaee905b8180f8d6dc1f48e930",
         },
         "stats": {
@@ -161,7 +161,7 @@ GOLDEN = {
             "run_manifest.txt": "5378a92298f448ce357ed97a85eb3b90568fd0e69aedddb59546b3432c972a36",
             "table3.csv": "1228652c8d010fdd9b7867615a5fd0d627da993f7cfe74d695cd84c92c4e2fc3",
             "table3.txt": "e723b5af95cb8342b07fd38a4486726ccae8d6faf4ecdbcb56cd821d15106ef7",
-            "table4.csv": "81429fbdcf9501bb0649653053ab7511111410d33c4d9a8d042bcacbd70db491",
+            "table4.csv": "31bc5dd831a7a582e61f807091ea56271b45f4e85f8d5d0d6645c0c98e5f5e82",
             "table4.txt": "5696d5a9178dc9f1a3e1f2980d3d3e5ac94ec202eac9c29d2b516d082661fd50",
         },
     },
