@@ -13,8 +13,6 @@ stars use two-sided normal critical values.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -170,42 +168,36 @@ def run_panel_regressions(panel: Panel) -> dict[str, RegressionResult]:
     return results
 
 
-def format_summary_table(rows: Iterable[SummaryRow]) -> str:
-    """Render summary rows as aligned plain text."""
-    header = ("", "count", "mean", "std", "min", "25%", "50%", "75%", "max")
-    body = [
-        (
-            row.name,
-            f"{row.count}",
-            f"{row.mean:.4f}",
-            f"{row.std:.4f}",
-            f"{row.min:.4f}",
-            f"{row.q25:.4f}",
-            f"{row.q50:.4f}",
-            f"{row.q75:.4f}",
-            f"{row.max:.4f}",
-        )
-        for row in rows
-    ]
-    widths = [max(len(line[i]) for line in [header, *body]) for i in range(len(header))]
+def _text_table(rows: Sequence[Sequence[str]]) -> str:
+    """Rows as aligned plain text: the first column left-aligned, the others right-aligned."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
     lines = []
-    for line in [header, *body]:
-        first, rest = line[0], line[1:]
+    for first, *rest in rows:
         cells = [first.ljust(widths[0])] + [cell.rjust(w) for cell, w in zip(rest, widths[1:])]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """Rows joined by commas: no cell holds a comma, quote or line break, so none needs quoting."""
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _statistics(row: SummaryRow) -> tuple[float, ...]:
+    return row.mean, row.std, row.min, row.q25, row.q50, row.q75, row.max
+
+
+def format_summary_table(rows: Iterable[SummaryRow]) -> str:
+    """Render summary rows as aligned plain text."""
+    header = ("", "count", "mean", "std", "min", "25%", "50%", "75%", "max")
+    body = ((row.name, f"{row.count}", *(f"{v:.4f}" for v in _statistics(row))) for row in rows)
+    return _text_table([header, *body])
+
+
 def summary_table_csv(rows: Iterable[SummaryRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("name", "count", "mean", "std", "min", "q25", "q50", "q75", "max"))
-    for row in rows:
-        writer.writerow(
-            [row.name, row.count]
-            + [repr(v) for v in (row.mean, row.std, row.min, row.q25, row.q50, row.q75, row.max)]
-        )
-    return buf.getvalue()
+    header = ("name", "count", "mean", "std", "min", "q25", "q50", "q75", "max")
+    body = ((row.name, f"{row.count}", *map(repr, _statistics(row))) for row in rows)
+    return _csv_text([header, *body])
 
 
 def _cell(value: float, stars: str) -> str:
@@ -246,22 +238,16 @@ def format_regression_table(results: Mapping[str, RegressionResult]) -> str:
         rows.append(("", *(c[1] for c in cells)))
     rows.append(("r_squared", *(f"{results[l].r_squared:.2f}" for l in labels)))
     rows.append(("n_obs", *(f"{results[l].n}" for l in labels)))
-
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])] + [cell.rjust(w) for cell, w in zip(row[1:], widths[1:])]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+    return _text_table(rows)
 
 
 def regression_table_csv(results: Mapping[str, RegressionResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("column", "regressor", "coefficient", "hc0_stderr", "t_stat", "stars", "r_squared", "n_obs"))
-    for label, result in results.items():
+    header = ("column", "regressor", "coefficient", "hc0_stderr", "t_stat", "stars", "r_squared", "n_obs")
+    body = (
+        (label, name, repr(coef), repr(se), repr(t), stars, repr(result.r_squared), f"{result.n}")
+        for label, result in results.items()
         for name, coef, se, t, stars in zip(
             result.names, result.coefficients, result.hc0_stderr, result.t_stats, result.stars
-        ):
-            writer.writerow([label, name, repr(coef), repr(se), repr(t), stars, repr(result.r_squared), result.n])
-    return buf.getvalue()
+        )
+    )
+    return _csv_text([header, *body])
