@@ -174,16 +174,22 @@ def _read_body(reader, convert) -> tuple[list[int], list[tuple], ValidationError
 
     Returns the 1-based file line of every converted row, the converted
     rows, and the error of the row that failed (None if all converted).
+    A row the csv reader cannot split, such as one with a cell over the
+    csv field limit, fails the same way.
     """
     lines, rows = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not any(map(str.strip, row)):
-            continue
-        try:
-            rows.append(convert(row))
-        except (ValueError, IndexError) as exc:
-            return lines, rows, ValidationError(f"line {lineno}: {exc}")
-        lines.append(lineno)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            try:
+                rows.append(convert(row))
+            except (ValueError, IndexError) as exc:
+                return lines, rows, ValidationError(f"line {lineno}: {exc}")
+            lines.append(lineno)
+    except csv.Error as exc:  # raised while reading the row after line ``lineno``
+        return lines, rows, ValidationError(f"line {lineno + 1}: {exc}")
     return lines, rows, None
 
 
@@ -200,6 +206,8 @@ def _read_header(reader) -> list[str]:
         return [cell.strip() for cell in next(reader)]
     except StopIteration:
         raise SchemaError("empty input: no header row") from None
+    except csv.Error as exc:
+        raise ValidationError(f"line 1: {exc}") from None
 
 
 def _read_blocks(stream: TextIO, width: int, picked: Sequence[int]) -> list[np.ndarray] | None:

@@ -246,6 +246,13 @@ class TestSingleStageCommands:
         assert code == 0
         assert (out / "features.csv").exists()
 
+    def test_fit_reports_cell_over_csv_field_limit(self, tmp_path, capsys):
+        spot = tmp_path / "spot.csv"
+        spot.write_text("timestamp,open,high,low,close,volume\n2020-01-01,1,1,1,1," + "1" * 200_000 + "\n")
+        assert main(["fit", "--spot", str(spot)]) == 1
+        err = capsys.readouterr().err
+        assert err == 'error stage=parse type=ValidationError msg="line 2: field larger than field limit (131072)"\n'
+
     def test_stats_prints_table(self, fixture_dir, capsys):
         code = main(
             [

@@ -348,10 +348,15 @@ def test_blank_header_row_names_no_columns():
 
 
 def test_cell_over_csv_field_limit_fails_as_csv_reader_does():
-    limit = csv.field_size_limit(8)
+    limit = csv.field_size_limit(16)
     try:
-        with pytest.raises(csv.Error, match="field larger than field limit"):
-            _series(_bars_csv(["2020-01-01,1.0,1.1,0.9,1.0000001,1e6"]))
+        long_cell = ["2020-01-01,1,1,1,1,1", "2020-01-02,1.0,1.1,0.9,1.00000010000000001,1e6"]
+        with pytest.raises(ValidationError, match=r"^line 3: field larger than field limit \(16\)$"):
+            _series(_bars_csv(long_cell))
+        # a blank row sends the file to the row reader, which reads the header again
+        long_name = HEADER + ",x" + "x" * 16 + "\n2020-01-01,1,1,1,1,1,1\n\n"
+        with pytest.raises(ValidationError, match=r"^line 1: field larger than field limit \(16\)$"):
+            _series(long_name)
     finally:
         csv.field_size_limit(limit)
 
