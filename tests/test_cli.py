@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line driver."""
 
 import codecs
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pegrisk
 from pegrisk.cli import main
 
 ARTIFACTS = (
@@ -44,6 +50,24 @@ def _pipeline_args(fixture_dir, out):
 
 def _read_artifacts(out):
     return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
+def _column(path, name):
+    with open(path, newline="") as stream:
+        return [row[name] for row in csv.DictReader(stream)]
+
+
+def _market_config(fixture_dir, path, *lines):
+    """A config file naming the three fixture inputs, then ``lines``."""
+    inputs = [f"{role} = {fixture_dir / f'{role}.csv'}" for role in ("spot", "futures", "btc")]
+    path.write_text("\n".join([*inputs, *lines]) + "\n")
+    return path
+
+
+def _single_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
 
 
 class TestFixtureCommand:
@@ -175,6 +199,49 @@ class TestPipelineCommand:
         bad = main(_pipeline_args(data, tmp_path / "run2") + ["--rho", "estimate"])
         assert bad == 1
 
+    def test_column_names_from_config(self, fixture_dir, tmp_path):
+        renamed = {"timestamp": "Date", "open": "Open", "high": "High", "low": "Low", "close": "Close", "volume": "Vol"}
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("spot.csv", "futures.csv", "btc.csv"):
+            header, body = (fixture_dir / name).read_text().split("\n", 1)
+            assert header == ",".join(renamed)
+            (data / name).write_text(",".join(renamed.values()) + "\n" + body)
+        columns = [f"col_{role} = {column}" for role, column in renamed.items()]
+        cfg = _market_config(data, tmp_path / "cfg.txt", *columns)
+        out = tmp_path / "renamed"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(_pipeline_args(fixture_dir, tmp_path / "plain")) == 0
+        for name in ARTIFACTS[:-1]:  # the manifest records the input paths
+            assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+        manifest = (out / "run_manifest.txt").read_text().splitlines()
+        assert all(line in manifest for line in columns)
+
+    def test_non_boolean_trim_in_config(self, fixture_dir, tmp_path, capsys):
+        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", "trim = maybe")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        err = _single_error(capsys)
+        assert err == "error stage=config type=SchemaError msg=\"expected a boolean for 'trim', got 'maybe'\"\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("rho 0.5", "config line 4: expected key=value, got 'rho 0.5'"), ("= 0.5", "config line 4: empty key")],
+        ids=["no-equals", "empty-key"],
+    )
+    def test_malformed_config_line(self, fixture_dir, tmp_path, capsys, line, message):
+        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", line)
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert _single_error(capsys) == f'error stage=config type=SchemaError msg="{message}"\n'
+
+    def test_non_numeric_rho_fails_at_fit(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(_pipeline_args(fixture_dir, out) + ["--rho", "high"]) == 1
+        err = _single_error(capsys)
+        assert err == "error stage=fit type=SchemaError msg=\"rho must be a number or 'estimate', got 'high'\"\n"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_trimmed_prob_csv_has_no_negatives(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         assert main(_pipeline_args(fixture_dir, out)) == 0
@@ -245,6 +312,16 @@ class TestSingleStageCommands:
         )
         assert code == 0
         assert (out / "features.csv").exists()
+
+    def test_features_takes_usdt_volatility_from_alternative_file(self, fixture_dir, tmp_path):
+        args = ["features", "--spot", str(fixture_dir / "spot.csv"), "--futures", str(fixture_dir / "futures.csv")]
+        args += ["--btc", str(fixture_dir / "btc.csv")]
+        assert main(args + ["--out", str(tmp_path / "spot")]) == 0
+        # the BTC file as the alternative: its volatility must fill both columns
+        assert main(args + ["--usdt-alt", str(fixture_dir / "btc.csv"), "--out", str(tmp_path / "alt")]) == 0
+        alt = tmp_path / "alt" / "features.csv"
+        assert _column(alt, "sigma_usdt_bps") == _column(alt, "sigma_btc_bps")
+        assert _column(alt, "sigma_usdt_bps") != _column(tmp_path / "spot" / "features.csv", "sigma_usdt_bps")
 
     def test_fit_reports_cell_over_csv_field_limit(self, tmp_path, capsys):
         spot = tmp_path / "spot.csv"
@@ -354,3 +431,19 @@ def test_flag_the_command_ignores_is_rejected(argv, capsys):
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out
+
+
+def test_pipeline_and_regress_run_without_scipy(fixture_dir, tmp_path):
+    """numpy is the only runtime dependency: blocking scipy changes no byte."""
+    src = str(Path(pegrisk.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    block = "import sys; sys.modules['scipy'] = None; from pegrisk.cli import main; sys.exit(main(sys.argv[1:]))"
+    inputs = _pipeline_args(fixture_dir, tmp_path)[1:-2]
+    for command, names in (("pipeline", ARTIFACTS), ("regress", ("table4.txt", "table4.csv"))):
+        plain, blocked = tmp_path / f"{command}-plain", tmp_path / f"{command}-blocked"
+        assert main([command, *inputs, "--out", str(plain)]) == 0
+        argv = [sys.executable, "-c", block, command, *inputs, "--out", str(blocked)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for name in names:
+            assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
