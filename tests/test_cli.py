@@ -64,12 +64,6 @@ def _market_config(fixture_dir, path, *lines):
     return path
 
 
-def _single_error(capsys):
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    return err
-
-
 class TestFixtureCommand:
     def test_writes_three_series(self, fixture_dir):
         for name in ("spot.csv", "futures.csv", "btc.csv"):
@@ -221,7 +215,7 @@ class TestPipelineCommand:
         cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", "trim = maybe")
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
-        err = _single_error(capsys)
+        err = capsys.readouterr().err
         assert err == "error stage=config type=SchemaError msg=\"expected a boolean for 'trim', got 'maybe'\"\n"
         assert not out.exists()
 
@@ -233,12 +227,12 @@ class TestPipelineCommand:
     def test_malformed_config_line(self, fixture_dir, tmp_path, capsys, line, message):
         cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", line)
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-        assert _single_error(capsys) == f'error stage=config type=SchemaError msg="{message}"\n'
+        assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
 
     def test_non_numeric_rho_fails_at_fit(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(_pipeline_args(fixture_dir, out) + ["--rho", "high"]) == 1
-        err = _single_error(capsys)
+        err = capsys.readouterr().err
         assert err == "error stage=fit type=SchemaError msg=\"rho must be a number or 'estimate', got 'high'\"\n"
         assert not out.exists() or not any(out.iterdir())
 
