@@ -8,15 +8,24 @@ futures price, which can be inverted back to the planted default
 probability — an end-to-end check of the pricing identity that never
 touches the closed form.
 
-Everything is driven by one seeded generator with a fixed draw order, so a
-given config always produces bit-identical output. Innovations are drawn
-for every path regardless of its default flag to keep the draw count
-invariant.
+The paths are simulated in blocks of ``PATH_BLOCK`` paths; the last block
+may be partial. Block i covers paths [i * PATH_BLOCK, (i + 1) * PATH_BLOCK)
+and draws from its own generator, the i-th child that
+``SeedSequence(seed).spawn`` gives. Within a block the draw order is fixed:
+one uniform per path for the default flags, then, day by day, one
+standard normal per path. Innovations are drawn for every path regardless
+of its default flag to keep the draw count invariant. The blocks run on as
+many threads as the process has CPUs, but which thread runs which block
+does not touch the draws, so a given config produces bit-identical output
+on any machine. This block stream replaced an earlier single-generator
+stream, so the same seed gives other draws than before it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from datetime import date
 
@@ -65,15 +74,80 @@ class SimResult:
     default_count: int
 
 
+PATH_BLOCK = 65_536  # paths per block; part of the draw stream, not a setting
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _simulate_block(
+    config: SimConfig, stream: np.random.SeedSequence, deviation: np.ndarray, defaulted: np.ndarray
+) -> None:
+    """Fill one block's terminal values (in ``deviation``) and default flags in place."""
+    rng = np.random.default_rng(stream)
+    z = np.empty(deviation.size)
+    rng.random(out=z)
+    np.less(z, config.p_default, out=defaulted)
+    deviation.fill(config.delta0)
+    for _ in range(config.horizon_days):
+        rng.standard_normal(out=z)
+        z *= config.innovation_sd
+        deviation *= config.rho
+        deviation += z
+    deviation += 1.0
+    deviation[defaulted] = config.recovery
+
+
+def _run_blocks(n_blocks: int, run_block) -> None:
+    """Call ``run_block(i)`` for every block, on at most one thread per CPU.
+
+    The calling thread is one of the workers, so a single block starts no
+    thread. Every thread is joined before this returns, and the first
+    error any block raised is re-raised here.
+    """
+    pending = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            while not errors:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                run_block(i)
+        except BaseException as exc:  # handed to the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(n_blocks, _cpu_count()) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def simulate_paths(config: SimConfig) -> SimResult:
     """Simulate terminal spot prices under the jump-to-default dynamics."""
-    rng = np.random.default_rng(config.seed)
     n = config.n_paths
-    defaulted = rng.random(n) < config.p_default
-    deviation = np.full(n, config.delta0, dtype=float)
-    for _ in range(config.horizon_days):
-        deviation = config.rho * deviation + rng.normal(0.0, config.innovation_sd, n)
-    terminal = np.where(defaulted, config.recovery, 1.0 + deviation)
+    n_blocks = -(-n // PATH_BLOCK)
+    streams = np.random.SeedSequence(config.seed).spawn(n_blocks)
+    terminal = np.empty(n)
+    defaulted = np.empty(n, dtype=bool)
+
+    def run_block(i: int) -> None:
+        paths = slice(i * PATH_BLOCK, (i + 1) * PATH_BLOCK)
+        _simulate_block(config, streams[i], terminal[paths], defaulted[paths])
+
+    _run_blocks(n_blocks, run_block)
     mc_futures = float(np.mean(terminal))
     mc_stderr = float(np.std(terminal, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SimResult(

@@ -4,11 +4,12 @@ Every file a data subcommand writes, and what it prints, is pinned by
 SHA-256 for the criterion-9 fixture (410 days, seed 17) and for a copy
 whose futures file lacks every 37th row, so the join drops dates. A
 20,000-day fixture (about 2 MB per input file) pins ``pipeline --rho
-estimate`` on inputs larger than one block of the CSV reader. Inputs
+estimate`` on inputs larger than one block of the CSV reader, and the
+stdout of one ``simulate`` run pins the Monte Carlo draw stream. Inputs
 are passed as paths relative to the dataset directory, which keeps the
 paths recorded in the run manifest the same on every run. A deliberate
-change to any of these bytes updates ``GOLDEN`` and says why in
-CHANGES.md.
+change to any of these bytes updates ``GOLDEN`` or ``SIMULATE_STDOUT``
+and says why in CHANGES.md.
 """
 
 import hashlib
@@ -167,6 +168,10 @@ GOLDEN = {
     },
 }
 
+# 200,000 paths are 4 blocks of the Monte Carlo stream, the last one partial
+SIMULATE = ["simulate", "--n-paths", "200000", "--seed", "5"]
+SIMULATE_STDOUT = "fa69b13181cc622e1d1d8f2979326ac60837c0d8a3982a8a685615e8c48359eb"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -210,6 +215,12 @@ def test_outputs_match_pinned_hashes(datasets, dataset, name, monkeypatch, capsy
         for path in sorted(Path(argv[-1]).iterdir()):
             digests[path.name] = _sha(path.read_bytes())
     assert digests == GOLDEN[dataset][name]
+
+
+def test_simulate_stdout_matches_pinned_hash(capsys):
+    code, out, err = _run(SIMULATE, capsys)
+    assert code == 0, err
+    assert _sha(out.encode()) == SIMULATE_STDOUT
 
 
 @pytest.mark.parametrize("model", ([], ESTIMATE, SHORT), ids=("fixed", "estimate", "trimmed"))
