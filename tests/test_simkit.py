@@ -2,14 +2,17 @@
 
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from pegrisk.errors import DomainError
 from pegrisk.marketdata import align_daily, write_bars_csv
+from pegrisk import simkit
 from pegrisk.pegmodel import fit_ar1, prob_series, theoretical_futures
 from pegrisk.simkit import (
+    PATH_BLOCK,
     FixtureConfig,
     SimConfig,
     generate_fixture,
@@ -112,6 +115,82 @@ class TestSimulatePaths:
             SimConfig(p_default=-0.1)
         with pytest.raises(DomainError):
             SimConfig(n_paths=0)
+
+
+class TestPathBlocks:
+    CONFIG = dict(rho=0.73, horizon_days=5, delta0=0.001, innovation_sd=5e-4, p_default=0.02, seed=7)
+
+    def test_matches_stepwise_reference(self):
+        config = SimConfig(n_paths=PATH_BLOCK + 5, **self.CONFIG)
+        streams = np.random.SeedSequence(config.seed).spawn(2)
+        blocks = []
+        for stream, m in zip(streams, (PATH_BLOCK, 5)):
+            rng = np.random.default_rng(stream)
+            defaulted = rng.random(m) < config.p_default
+            deviation = np.full(m, config.delta0)
+            for _ in range(config.horizon_days):
+                deviation = config.rho * deviation + config.innovation_sd * rng.standard_normal(m)
+            blocks.append(np.where(defaulted, config.recovery, 1.0 + deviation))
+        assert np.array_equal(simulate_paths(config).terminal_spots, np.concatenate(blocks))
+
+    def test_draws_do_not_depend_on_cpu_count(self, monkeypatch):
+        config = SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG)
+        results = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(simkit, "_cpu_count", lambda: cpus)
+            results.append(simulate_paths(config))
+        one, three = results
+        assert np.array_equal(one.terminal_spots, three.terminal_spots)
+        assert (one.mc_futures, one.mc_stderr, one.default_count) == (
+            three.mc_futures,
+            three.mc_stderr,
+            three.default_count,
+        )
+
+    def test_first_block_does_not_depend_on_path_count(self):
+        short = simulate_paths(SimConfig(n_paths=2 * PATH_BLOCK, **self.CONFIG))
+        long = simulate_paths(SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG))
+        assert long.terminal_spots.size == 3 * PATH_BLOCK + 7
+        assert np.array_equal(short.terminal_spots[:PATH_BLOCK], long.terminal_spots[:PATH_BLOCK])
+
+    def test_default_count_matches_recovery_paths(self):
+        result = simulate_paths(SimConfig(n_paths=2 * PATH_BLOCK + 3, recovery=0.0, **self.CONFIG))
+        assert result.default_count > 0
+        assert result.default_count == np.count_nonzero(result.terminal_spots == 0.0)
+
+    def test_single_block_runs_in_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
+        threads_seen = set()
+        block = simkit._simulate_block
+
+        def recording(*args):
+            threads_seen.add(threading.get_ident())
+            block(*args)
+
+        monkeypatch.setattr(simkit, "_simulate_block", recording)
+        simulate_paths(SimConfig(n_paths=PATH_BLOCK, **self.CONFIG))
+        assert threads_seen == {threading.get_ident()}
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        simulate_paths(SimConfig(n_paths=4 * PATH_BLOCK, **self.CONFIG))
+        assert threading.active_count() == before
+
+    def test_block_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
+        block = simkit._simulate_block
+
+        def failing(config, stream, *args):
+            if stream.spawn_key == (1,):
+                raise RuntimeError("block 1 failed")
+            block(config, stream, *args)
+
+        monkeypatch.setattr(simkit, "_simulate_block", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            simulate_paths(SimConfig(n_paths=4 * PATH_BLOCK, **self.CONFIG))
+        assert threading.active_count() == before
 
 
 class TestRoundtripInvert:
