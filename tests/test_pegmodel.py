@@ -67,6 +67,22 @@ class TestFitAr1:
                 hits += 1
         assert hits >= 90
 
+    def test_long_series_oracle_and_rolling_bias(self):
+        # 10 seeds of a 20,000-day series: every full-sample fit lies within
+        # 3 of its own SEs of the planted rho, while the mean of the window-60
+        # fits, which --rho estimate uses, sits at the first-order bias of a
+        # fit through the origin over 59 pairs: rho - 2 rho / 59 = 0.7053
+        rho0, window, seeds = 0.73, 60, range(10)
+        rolling_means = []
+        for seed in seeds:
+            deviations = simulate_ar1_series(rho0, 5e-4, 20_000, seed=seed)
+            fit = fit_ar1(_days(20_000), deviations)
+            assert abs(fit.rho - rho0) < 3.0 * fit.stderr, seed
+            rolling_means.append(fit_ar1_rolling(_days(20_000), deviations, window).rho_mean)
+        biased = rho0 - 2.0 * rho0 / (window - 1)
+        across_seeds_se = np.std(rolling_means, ddof=1) / np.sqrt(len(seeds))
+        assert abs(np.mean(rolling_means) - biased) < 3.0 * across_seeds_se
+
     def test_rolling_windows_and_mean(self):
         values = [1.0 * 0.5**t for t in range(10)]
         rolling = fit_ar1_rolling(_days(10), values, window=5)
