@@ -125,12 +125,16 @@ def _run_blocks(n_blocks: int, run_block) -> None:
         except BaseException as exc:  # handed to the caller below
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(min(n_blocks, _cpu_count()) - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(min(n_blocks, _cpu_count()) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
 
