@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from datetime import date
 
@@ -103,42 +102,6 @@ def _simulate_block(
     deviation[defaulted] = config.recovery
 
 
-def _run_blocks(n_blocks: int, run_block) -> None:
-    """Call ``run_block(i)`` for every block, on at most one thread per CPU.
-
-    The calling thread is one of the workers, so a single block starts no
-    thread. Every thread is joined before this returns, and the first
-    error any block raised is re-raised here.
-    """
-    pending = iter(range(n_blocks))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        try:
-            while not errors:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                run_block(i)
-        except BaseException as exc:  # handed to the caller below
-            errors.append(exc)
-
-    threads: list[threading.Thread] = []
-    try:
-        for _ in range(min(n_blocks, _cpu_count()) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def simulate_paths(config: SimConfig) -> SimResult:
     """Simulate terminal spot prices under the jump-to-default dynamics."""
     n = config.n_paths
@@ -151,7 +114,18 @@ def simulate_paths(config: SimConfig) -> SimResult:
         paths = slice(i * PATH_BLOCK, (i + 1) * PATH_BLOCK)
         _simulate_block(config, streams[i], terminal[paths], defaulted[paths])
 
-    _run_blocks(n_blocks, run_block)
+    workers = min(n_blocks, _cpu_count())
+    if workers == 1:
+        for i in range(n_blocks):
+            run_block(i)
+    else:
+        # imported here, not at the top: concurrent.futures loads logging,
+        # which would add to the start-up of every pegrisk command
+        from concurrent.futures import ThreadPoolExecutor
+
+        # leaving the pool joins its threads; iterating map re-raises a block's error
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run_block, range(n_blocks)))
     mc_futures = float(np.mean(terminal))
     mc_stderr = float(np.std(terminal, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SimResult(
