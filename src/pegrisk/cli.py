@@ -14,6 +14,7 @@ partially written artifacts are removed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from functools import cached_property, partial
 from pathlib import Path
@@ -65,6 +66,17 @@ FIGURE2_STUB = """\
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
+
+# model setting of the data commands -> its default, whose type is the setting's cast
+MODEL_DEFAULTS = {
+    "rho": "0.73",  # a number, or "estimate"
+    "horizon": 90,
+    "recovery": 0.0,
+    "window": 60,
+    "estimator": "parkinson",
+    "annualization": "linear",
+    "trim": True,
+}
 
 
 class _Run:
@@ -125,6 +137,15 @@ class _Settings:
             raise SchemaError(f"missing required input {key!r} (flag --{key.replace('_', '-')} or config)")
         return value
 
+    def build(self, cls, **defaults):
+        """``cls`` with each field read from the setting of its name, defaulting to and cast as its default."""
+        values = {}
+        for field in dataclasses.fields(cls):
+            default = defaults.get(field.name, field.default)
+            key = "horizon" if field.name == "horizon_days" else field.name
+            values[field.name] = self.get(key, default, type(default))
+        return cls(**values)
+
     def column_schema(self) -> dict[str, str]:
         schema = {}
         for role in marketdata.ROLES:
@@ -150,13 +171,7 @@ class _Stages:
         self.run = run
         self.settings = settings = _Settings(args)
         if model:
-            self.rho_request = str(settings.get("rho", "0.73"))
-            self.horizon = settings.get("horizon", 90, int)
-            self.recovery = settings.get("recovery", 0.0, float)
-            self.window = settings.get("window", 60, int)
-            self.estimator = settings.get("estimator", "parkinson")
-            self.annualization = settings.get("annualization", "linear")
-            self.trim = settings.get("trim", True, bool)
+            self.model = {key: settings.get(key, value, type(value)) for key, value in MODEL_DEFAULTS.items()}
         self.paths = {role: settings.require(role) for role in inputs}
         if "btc" in inputs and settings.get("usdt_alt"):
             self.paths["usdt_alt"] = settings.get("usdt_alt")
@@ -183,12 +198,12 @@ class _Stages:
         """Effective rho, plus the full-sample and rolling fits behind it."""
         days, deltas = self.aligned.date, self.aligned.delta
         self.run.stage = "fit"
-        estimate = self.rho_request == "estimate"
+        estimate = self.model["rho"] == "estimate"
         full_fit = rolling = None
         try:
             full_fit = pegmodel.fit_ar1(days, deltas)
-            if len(deltas) >= self.window:
-                rolling = pegmodel.fit_ar1_rolling(days, deltas, self.window)
+            if len(deltas) >= self.model["window"]:
+                rolling = pegmodel.fit_ar1_rolling(days, deltas, self.model["window"])
         except EstimationError:
             # estimation is informational when rho is fixed, so a degenerate
             # series (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
@@ -197,24 +212,24 @@ class _Stages:
         if estimate:
             return (full_fit.rho if rolling is None else rolling.rho_mean), full_fit, rolling
         try:
-            rho = float(self.rho_request)
+            rho = float(self.model["rho"])
         except ValueError:
-            raise SchemaError(f"rho must be a number or 'estimate', got {self.rho_request!r}") from None
+            raise SchemaError(f"rho must be a number or 'estimate', got {self.model['rho']!r}") from None
         return rho, full_fit, rolling
 
     @cached_property
     def untrimmed(self) -> pegmodel.ProbSeries:
         """Raw inversions: they feed the statistics and the regressions."""
-        rho = self.fit[0]
+        rho, model = self.fit[0], self.model
         self.run.stage = "prob"
         return pegmodel.prob_series(
-            self.aligned, rho, self.horizon, self.recovery, trim=False, method=self.annualization
+            self.aligned, rho, model["horizon"], model["recovery"], trim=False, method=model["annualization"]
         )
 
     @cached_property
     def published(self) -> pegmodel.ProbSeries:
         untrimmed = self.untrimmed
-        return pegmodel.trim_negative(untrimmed) if self.trim else untrimmed
+        return pegmodel.trim_negative(untrimmed) if self.model["trim"] else untrimmed
 
     @cached_property
     def panel(self) -> features.Panel:
@@ -222,7 +237,7 @@ class _Stages:
         # without an alternative USDT series, spot supplies its volatility
         usdt = self.bars("usdt_alt" if "usdt_alt" in self.paths else "spot")
         self.run.stage = "features"
-        return features.build_feature_panel(untrimmed, btc, usdt, self.estimator)
+        return features.build_feature_panel(untrimmed, btc, usdt, self.model["estimator"])
 
     @cached_property
     def regressions(self) -> dict[str, econometrics.RegressionResult]:
@@ -285,17 +300,10 @@ def _manifest(stages: _Stages) -> str:
         value = stages.settings.get(key)
         if value is not None:
             entries[key] = value
-    entries.update(
-        {
-            "rho": stages.rho_request,
-            "horizon": str(stages.horizon),
-            "recovery": marketdata.fmt_float(stages.recovery),
-            "window": str(stages.window),
-            "estimator": stages.estimator,
-            "annualization": stages.annualization,
-            "trim": "true" if stages.trim else "false",
-        }
-    )
+    for key, value in stages.model.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        entries[key] = marketdata.fmt_float(value) if isinstance(value, float) else str(value)
     report = stages.aligned.join_report
     comments = [
         "pegrisk run manifest; feed back via --config to reproduce",
@@ -308,7 +316,7 @@ def _manifest(stages: _Stages) -> str:
         (
             f"rho_rolling_mean = {marketdata.fmt_float(rolling.rho_mean)} over {len(rolling.fits)} windows"
             if rolling is not None
-            else f"rolling fit unavailable (series shorter than window {stages.window} or degenerate)"
+            else f"rolling fit unavailable (series shorter than window {stages.model['window']} or degenerate)"
         ),
         f"join: matched {report.matched}, "
         f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
@@ -355,7 +363,7 @@ def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
     spot = stages.bars("spot")
 
     run.stage = "fit"
-    window = stages.window
+    window = stages.model["window"]
     deltas = spot.close - 1.0
     full_fit = pegmodel.fit_ar1(spot.date, deltas)
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
@@ -379,7 +387,7 @@ def cmd_prob(args: argparse.Namespace, run: _Run) -> int:
     stages.write(("prob.csv",))
     published = stages.published
     mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
-    series = "trimmed" if stages.trim else "untrimmed"
+    series = "trimmed" if stages.model["trim"] else "untrimmed"
     print(f"wrote {len(published)} points (rho {stages.fit[0]:.4f}); mean {mean_p:.2f} bps annualized ({series})")
     return 0
 
@@ -405,17 +413,8 @@ def cmd_stats(args: argparse.Namespace, run: _Run) -> int:
 
 def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
     run.stage = "config"
-    settings = _Settings(args)
-    config = simkit.SimConfig(
-        rho=settings.get("rho", 0.73, float),
-        innovation_sd=settings.get("innovation_sd", 5e-4, float),
-        delta0=settings.get("delta0", 0.0, float),
-        horizon_days=settings.get("horizon", 90, int),
-        p_default=settings.get("p_default", 0.005, float),
-        recovery=settings.get("recovery", 0.0, float),
-        n_paths=settings.get("n_paths", 100_000, int),
-        seed=settings.get("seed", 0, int),
-    )
+    # unlike SimConfig's 0, a default that is planted can be recovered
+    config = _Settings(args).build(simkit.SimConfig, p_default=0.005)
 
     run.stage = "simulate"
     recovered = simkit.roundtrip_invert(config)
@@ -438,20 +437,7 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
 def cmd_fixture(args: argparse.Namespace, run: _Run) -> int:
     run.stage = "config"
     settings = _Settings(args)
-    config = simkit.FixtureConfig(
-        n_days=settings.get("n_days", 410, int),
-        rho=settings.get("rho", 0.73, float),
-        innovation_sd=settings.get("innovation_sd", 5e-4, float),
-        delta0=settings.get("delta0", 0.0, float),
-        horizon_days=settings.get("horizon", 90, int),
-        p_default=settings.get("p_default", 7.4e-4, float),
-        p_amplitude=settings.get("p_amplitude", 0.0, float),
-        p_period_days=settings.get("p_period_days", 120, int),
-        recovery=settings.get("recovery", 0.0, float),
-        futures_noise_sd=settings.get("futures_noise_sd", 2e-4, float),
-        intraday_range_sd=settings.get("intraday_range_sd", 5e-4, float),
-        seed=settings.get("seed", 0, int),
-    )
+    config = settings.build(simkit.FixtureConfig)
     outdir = Path(settings.get("out", "out"))
 
     run.stage = "fixture"
@@ -480,9 +466,9 @@ FLAGS: dict[str, dict] = {
     "usdt-alt": {"help": "alternative USDT series for its volatility"},
     "usdt-alt-venue": {},
     "rho": {"help": "mean-reversion coefficient, or 'estimate'"},
-    "horizon": {"type": int, "help": "futures horizon in days (default 90)"},
-    "recovery": {"type": float, "help": "recovery rate in [0, 1) (default 0)"},
-    "window": {"type": int, "help": "rolling estimation window (default 60)"},
+    "horizon": {"type": int, "help": f"futures horizon in days (default {MODEL_DEFAULTS['horizon']})"},
+    "recovery": {"type": float, "help": f"recovery rate in [0, 1) (default {MODEL_DEFAULTS['recovery']:g})"},
+    "window": {"type": int, "help": f"rolling estimation window (default {MODEL_DEFAULTS['window']})"},
     "annualization": {"choices": ("linear", "compounded")},
     "estimator": {"choices": features.ESTIMATORS, "help": "intraday volatility estimator"},
     "out": {"help": "output directory"},

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -185,6 +184,14 @@ def simulate_ar1_series(
     return out
 
 
+# the same in every fixture: its first date, BTC's path and range, and the volume scale
+_FIXTURE_START = np.datetime64("2020-02-28")
+_BTC_START = 20_000.0
+_BTC_DAILY_VOL = 0.04
+_BTC_RANGE_SD = 0.02
+_VOLUME_SCALE = 5e6
+
+
 @dataclass(frozen=True)
 class FixtureConfig:
     """Synthetic-market settings for :func:`generate_fixture`.
@@ -192,11 +199,10 @@ class FixtureConfig:
     The planted per-horizon default probability follows a slow sinusoid
     around ``p_default`` (amplitude 0 plants a constant). ``futures_noise_sd``
     adds market noise to the futures close on top of the model price.
-    Range and volume settings only shape the synthesized OHLC fields.
+    ``intraday_range_sd`` only shapes the synthesized OHLC fields.
     """
 
     n_days: int = 410
-    start: date = date(2020, 2, 28)
     rho: float = 0.73
     innovation_sd: float = 5e-4
     delta0: float = 0.0
@@ -207,10 +213,6 @@ class FixtureConfig:
     recovery: float = 0.0
     futures_noise_sd: float = 2e-4
     intraday_range_sd: float = 5e-4
-    btc_start: float = 20_000.0
-    btc_daily_vol: float = 0.04
-    btc_range_sd: float = 0.02
-    volume_scale: float = 5e6
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -224,7 +226,7 @@ class FixtureConfig:
             raise DomainError(f"recovery must lie in [0, 1), got {self.recovery}")
         if self.p_period_days < 1:
             raise DomainError(f"p_period_days must be at least 1, got {self.p_period_days}")
-        for name in ("innovation_sd", "futures_noise_sd", "intraday_range_sd", "btc_range_sd"):
+        for name in ("innovation_sd", "futures_noise_sd", "intraday_range_sd"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be non-negative, got {getattr(self, name)}")
 
@@ -282,7 +284,7 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
     right-hand side. Deterministic: one seed, one fixed draw order.
     """
     rng = np.random.default_rng(config.seed)
-    days = np.datetime64(config.start, "D") + np.arange(config.n_days)
+    days = _FIXTURE_START + np.arange(config.n_days)
 
     deviations = simulate_ar1_series(
         config.rho, config.innovation_sd, config.n_days, config.delta0, rng=rng
@@ -294,11 +296,11 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
     futures_closes = theoretical_futures(deviations, config.rho, config.horizon_days, p_path, config.recovery)
     futures_closes = np.maximum(futures_closes + futures_noise, 1e-6)
 
-    range_sd, volume_scale = config.intraday_range_sd, config.volume_scale
-    spot = _bars_from_closes(spot_closes, days, rng, range_sd, volume_scale, "USDT_USD")
-    futures = _bars_from_closes(futures_closes, days, rng, range_sd, volume_scale, "USDT_USD_FUT")
+    range_sd = config.intraday_range_sd
+    spot = _bars_from_closes(spot_closes, days, rng, range_sd, _VOLUME_SCALE, "USDT_USD")
+    futures = _bars_from_closes(futures_closes, days, rng, range_sd, _VOLUME_SCALE, "USDT_USD_FUT")
 
-    btc_steps = rng.normal(0.0, config.btc_daily_vol, config.n_days)
-    btc_closes = config.btc_start * np.exp(np.cumsum(btc_steps))
-    btc = _bars_from_closes(btc_closes, days, rng, config.btc_range_sd, volume_scale / 100.0, "BTC_USDT")
+    btc_steps = rng.normal(0.0, _BTC_DAILY_VOL, config.n_days)
+    btc_closes = _BTC_START * np.exp(np.cumsum(btc_steps))
+    btc = _bars_from_closes(btc_closes, days, rng, _BTC_RANGE_SD, _VOLUME_SCALE / 100.0, "BTC_USDT")
     return FixtureSet(spot=spot, futures=futures, btc=btc)

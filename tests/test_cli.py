@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 import pegrisk
 from pegrisk.cli import main
+from pegrisk.marketdata import write_bars_csv
+from pegrisk.simkit import FixtureConfig, generate_fixture
 
 ARTIFACTS = (
     "aligned.csv",
@@ -64,6 +67,15 @@ def _market_config(fixture_dir, path, *lines):
     return path
 
 
+def _fixture_csv_bytes(config):
+    """The spot, futures and BTC files of ``config``'s fixture, concatenated."""
+    fixture = generate_fixture(config)
+    buf = io.StringIO()
+    for series in (fixture.spot, fixture.futures, fixture.btc):
+        write_bars_csv(series, buf)
+    return buf.getvalue()
+
+
 class TestFixtureCommand:
     def test_writes_three_series(self, fixture_dir):
         for name in ("spot.csv", "futures.csv", "btc.csv"):
@@ -83,6 +95,21 @@ class TestFixtureCommand:
         err = capsys.readouterr().err
         assert err.startswith("error stage=")
         assert err.count("\n") == 1
+
+    def test_config_file_matches_flags(self, tmp_path):
+        settings = {"n_days": "60", "seed": "4", "p_amplitude": "0.5", "futures_noise_sd": "3e-4"}
+        config = tmp_path / "fixture.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        flags = [arg for key, value in settings.items() for arg in (f"--{key.replace('_', '-')}", value)]
+        assert main(["fixture", "--out", str(tmp_path / "flags"), *flags]) == 0
+        assert main(["fixture", "--out", str(tmp_path / "config"), "--config", str(config)]) == 0
+        for name in ("spot.csv", "futures.csv", "btc.csv"):
+            assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    def test_defaults_are_the_fixture_config_defaults(self, tmp_path):
+        assert main(["fixture", "--out", str(tmp_path)]) == 0
+        written = b"".join((tmp_path / f"{name}.csv").read_bytes() for name in ("spot", "futures", "btc"))
+        assert written == _fixture_csv_bytes(FixtureConfig()).encode("utf-8")
 
 
 class TestPipelineCommand:
@@ -400,6 +427,24 @@ class TestSimulateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "DomainError" in err
+
+    def test_config_file_matches_flags(self, tmp_path, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_text("n_paths = 2000\nseed = 11\np_default = 0.02\n")
+        assert main(["simulate", "--n-paths", "2000", "--seed", "11", "--p-default", "0.02"]) == 0
+        from_flags = capsys.readouterr().out
+        assert main(["simulate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == from_flags
+        assert "planted 0.02" in from_flags
+
+    def test_non_integer_count_in_config_fails_at_config(self, tmp_path, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_text("n_paths = 1e5\n")
+        assert main(["simulate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error stage=config type=SchemaError")
+        assert "bad value for 'n_paths'" in err
+
 
 
 @pytest.mark.parametrize(
