@@ -156,8 +156,9 @@ def theoretical_futures(delta, rho: float, h: int, p, recovery: float = 0.0):
     may be floats or equal-length arrays.
     """
     _check_shared_domain(rho, h)
-    if not np.all((0.0 <= p) & (p <= 1.0)):
-        raise DomainError(f"default probability must lie in [0, 1], got {p}")
+    in_range = (0.0 <= p) & (p <= 1.0)
+    if not np.all(in_range):
+        raise DomainError(f"default probability must lie in [0, 1], got {np.ravel(p)[np.argmin(in_range)]}")
     if not 0.0 <= recovery <= 1.0:
         raise DomainError(f"recovery must lie in [0, 1], got {recovery}")
     return (1.0 - p) * (1.0 + rho**h * delta) + p * recovery

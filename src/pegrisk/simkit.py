@@ -34,6 +34,13 @@ from .marketdata import BarSeries
 from .pegmodel import implied_default_prob, theoretical_futures
 
 
+def _require_finite(**values) -> None:
+    """Reject a float that is NaN or infinite, naming it."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one Monte Carlo run."""
@@ -60,6 +67,7 @@ class SimConfig:
             raise DomainError(f"recovery must lie in [0, 1], got {self.recovery}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be at least 1, got {self.n_paths}")
+        _require_finite(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,7 @@ def simulate_ar1_series(
         raise DomainError(f"innovation_sd must be non-negative, got {innovation_sd}")
     if n < 1:
         raise DomainError(f"series length must be at least 1, got {n}")
+    _require_finite(innovation_sd=innovation_sd, delta0=delta0)
     if rng is None:
         rng = np.random.default_rng(seed)
     innovations = rng.normal(0.0, innovation_sd, n)
@@ -229,6 +238,7 @@ class FixtureConfig:
         for name in ("innovation_sd", "futures_noise_sd", "intraday_range_sd"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be non-negative, got {getattr(self, name)}")
+        _require_finite(**vars(self))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,18 @@ class TestFixtureCommand:
         written = b"".join((tmp_path / f"{name}.csv").read_bytes() for name in ("spot", "futures", "btc"))
         assert written == _fixture_csv_bytes(FixtureConfig()).encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--p-amplitude", "nan", "p_amplitude"), ("--delta0", "inf", "delta0")],
+    )
+    def test_non_finite_setting_fails_at_config(self, tmp_path, capsys, flag, value, field):
+        assert main(["fixture", "--out", str(tmp_path), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error stage=config type=DomainError")
+        assert f"{field} must be finite" in err
+        assert err.count("nan") + err.count("inf") == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestPipelineCommand:
     def test_produces_all_artifacts(self, fixture_dir, tmp_path):
@@ -445,6 +457,20 @@ class TestSimulateCommand:
         assert err.startswith("error stage=config type=SchemaError")
         assert "bad value for 'n_paths'" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--innovation-sd", "nan", "innovation_sd"),
+            ("--innovation-sd", "inf", "innovation_sd"),
+            ("--delta0", "nan", "delta0"),
+            ("--delta0", "inf", "delta0"),
+        ],
+    )
+    def test_non_finite_setting_fails_at_config(self, capsys, flag, value, field):
+        assert main(["simulate", "--n-paths", "100", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error stage=config type=DomainError")
+        assert f"{field} must be finite" in err
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,14 @@ class TestTheoreticalFutures:
         with pytest.raises(DomainError):
             theoretical_futures(0.0, 0.5, 30, 0.1, recovery=-0.1)
 
+    def test_bad_probability_array_names_its_first_bad_value(self):
+        p = np.full(410, np.nan)
+        p[:3] = 0.1
+        p[5] = 1.5
+        with pytest.raises(DomainError) as exc:
+            theoretical_futures(np.zeros(410), 0.5, 30, p)
+        assert str(exc.value) == "default probability must lie in [0, 1], got nan"
+
 
 class TestImpliedDefaultProb:
     def test_typical_discount(self):

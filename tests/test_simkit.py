@@ -307,3 +307,27 @@ class TestGenerateFixture:
     def test_minimum_length_enforced(self):
         with pytest.raises(DomainError):
             FixtureConfig(n_days=10)
+
+
+def ar1_series(**setting):
+    return simulate_ar1_series(**{"rho": 0.5, "innovation_sd": 1e-3, "n": 10, **setting})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (SimConfig, "innovation_sd"),
+        (SimConfig, "delta0"),
+        (FixtureConfig, "innovation_sd"),
+        (FixtureConfig, "delta0"),
+        (FixtureConfig, "p_amplitude"),
+        (FixtureConfig, "futures_noise_sd"),
+        (ar1_series, "innovation_sd"),
+        (ar1_series, "delta0"),
+    ],
+    ids=lambda arg: getattr(arg, "__name__", arg),
+)
+def test_non_finite_setting_is_rejected(make, field, value):
+    with pytest.raises(DomainError, match=field):
+        make(**{field: value})
