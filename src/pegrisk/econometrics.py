@@ -109,14 +109,15 @@ def ols_hc0(
         raise EstimationError(f"response length {y.size} does not match {n} design rows")
     if n <= k:
         raise EstimationError(f"need more observations ({n}) than coefficients ({k})")
-    if np.linalg.matrix_rank(X) < k:
+    q, r = np.linalg.qr(X)
+    # a column that adds (almost) nothing to those before it, relative to its own norm
+    if np.any(np.abs(np.diag(r)) <= n * np.finfo(float).eps * np.linalg.norm(X, axis=0)):
         raise EstimationError("singular design: regressors are collinear")
     if names is None:
         names = tuple(f"x{i}" for i in range(k))
     elif len(names) != k:
         raise EstimationError(f"{len(names)} names for {k} columns")
 
-    q, r = np.linalg.qr(X)
     # partial pivoting swaps no rows of a triangular matrix: a back substitution
     beta = np.linalg.solve(r, q.T @ y)
     residuals = y - X @ beta

@@ -146,6 +146,27 @@ class TestOlsHc0:
         with pytest.raises(EstimationError, match="singular"):
             ols_hc0(np.arange(10.0), X)
 
+    @pytest.mark.parametrize(
+        "copy",
+        [lambda x: x, lambda x: 3.0 - 2.0 * x, lambda x: 1e14 * (3.0 - 2.0 * x), lambda x: 0.0 * x],
+        ids=["duplicate", "affine", "affine-rescaled", "zero"],
+    )
+    def test_regressor_copying_another_is_singular(self, copy):
+        x = np.random.default_rng(4).normal(size=200)
+        with pytest.raises(EstimationError, match="singular"):
+            ols_hc0(x + 1.0, np.column_stack([np.ones(200), x, copy(x)]))
+
+    @pytest.mark.parametrize("scale", [1e14, 1e16, 1e100])
+    def test_regressor_units_do_not_make_the_design_singular(self, scale):
+        # one SVD tolerance for the whole matrix called this design rank-deficient
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=1000)
+        y = 2.0 + 0.5 * x + rng.normal(size=1000)
+        base = ols_hc0(y, np.column_stack([np.ones(1000), x]))
+        scaled = ols_hc0(y, np.column_stack([np.ones(1000), scale * x]))
+        assert scaled.t_stats == pytest.approx(base.t_stats, rel=1e-12)
+        assert scaled.coefficients[1] * scale == pytest.approx(base.coefficients[1], rel=1e-12)
+
     def test_insufficient_rows_rejected(self):
         with pytest.raises(EstimationError):
             ols_hc0([1.0, 2.0], np.ones((2, 2)))
