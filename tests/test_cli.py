@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pegrisk
-from pegrisk.cli import main
+from pegrisk.cli import FLAGS, MODEL_DEFAULTS, main
 from pegrisk.marketdata import write_bars_csv
 from pegrisk.simkit import FixtureConfig, generate_fixture
 
@@ -491,6 +491,13 @@ def test_flag_the_command_ignores_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = next(text for text in readme.split("\n\n") if text.startswith("Every flag can instead be given"))
+    keys = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(MODEL_DEFAULTS)
+    assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []
 
 
 def test_no_subcommand_prints_help(capsys):
