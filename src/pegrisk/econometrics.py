@@ -110,9 +110,9 @@ def ols_hc0(
     if n <= k:
         raise EstimationError(f"need more observations ({n}) than coefficients ({k})")
     q, r = np.linalg.qr(X)
-    # a column that adds (almost) nothing to those before it, relative to its own norm
-    if np.any(np.abs(np.diag(r)) <= n * np.finfo(float).eps * np.linalg.norm(X, axis=0)):
-        raise EstimationError("singular design: regressors are collinear")
+    # each column must add to those before it, relative to its own norm; NaN fails too
+    if not np.all(np.abs(np.diag(r)) > n * np.finfo(float).eps * np.linalg.norm(X, axis=0)):
+        raise EstimationError("singular design: regressors are collinear or not finite")
     if names is None:
         names = tuple(f"x{i}" for i in range(k))
     elif len(names) != k:

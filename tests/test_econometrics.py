@@ -147,14 +147,21 @@ class TestOlsHc0:
             ols_hc0(np.arange(10.0), X)
 
     @pytest.mark.parametrize(
-        "copy",
-        [lambda x: x, lambda x: 3.0 - 2.0 * x, lambda x: 1e14 * (3.0 - 2.0 * x), lambda x: 0.0 * x],
-        ids=["duplicate", "affine", "affine-rescaled", "zero"],
+        "column",
+        [
+            lambda x: x,
+            lambda x: 3.0 - 2.0 * x,
+            lambda x: 1e14 * (3.0 - 2.0 * x),
+            lambda x: 0.0 * x,
+            lambda x: np.where(x > 1.0, np.nan, x),
+            lambda x: np.where(x > 1.0, np.inf, x),
+        ],
+        ids=["duplicate", "affine", "affine-rescaled", "zero", "nan", "inf"],
     )
-    def test_regressor_copying_another_is_singular(self, copy):
+    def test_degenerate_regressor_is_singular(self, column):
         x = np.random.default_rng(4).normal(size=200)
         with pytest.raises(EstimationError, match="singular"):
-            ols_hc0(x + 1.0, np.column_stack([np.ones(200), x, copy(x)]))
+            ols_hc0(x + 1.0, np.column_stack([np.ones(200), x, column(x)]))
 
     @pytest.mark.parametrize("scale", [1e14, 1e16, 1e100])
     def test_regressor_units_do_not_make_the_design_singular(self, scale):
