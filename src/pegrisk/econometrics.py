@@ -107,6 +107,8 @@ def ols_hc0(
     n, k = X.shape
     if y.size != n:
         raise EstimationError(f"response length {y.size} does not match {n} design rows")
+    if not np.isfinite(y).all():
+        raise EstimationError(f"response is not finite at row {np.flatnonzero(~np.isfinite(y))[0]}")
     if n <= k:
         raise EstimationError(f"need more observations ({n}) than coefficients ({k})")
     q, r = np.linalg.qr(X)

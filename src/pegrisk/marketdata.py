@@ -6,9 +6,9 @@ role -> column). Alignment inner-joins spot and futures closes on calendar
 date; the peg deviation (close - 1) and the futures-spot basis in basis
 points are derived from the joined closes. Every series is a table of
 equal-length numpy columns: ``datetime64[D]`` dates and float64 values.
-CSV input is read a block of text at a time; the few inputs the block
-reader does not take (see ``_read_blocks``) are read row by row, with the
-same columns as the result. CSV output uses 17 significant digits so a
+CSV input is read a block of text at a time, its floats by ``np.loadtxt``;
+inputs the block reader does not take (see ``_read_blocks``) are read row
+by row, with the same columns. CSV output uses 17 significant digits so a
 write/read cycle is lossless.
 """
 
@@ -44,26 +44,27 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """ISO dates, true/false flags, or 17-digit floats with NaN as an empty cell."""
+def _cells(column: np.ndarray) -> list:
+    """ISO dates or true/false flags as text; floats as they are."""
     if column.dtype.kind == "M":
         return np.datetime_as_string(column, unit="D").tolist()
     if column.dtype.kind == "b":
         return np.where(column, "true", "false").tolist()
-    return [fmt_float(x) if x == x else "" for x in column.tolist()]
+    return column.tolist()
 
 
 def write_csv(stream: TextIO, header: Iterable[str], *columns: np.ndarray) -> None:
     """A header row, then one row per position of the equal-length columns.
 
-    No cell needs CSV quoting, so rows are joined directly: csv.writer
-    takes six times as long. Rows are formatted and written ``WRITE_ROWS``
-    at a time, so the text of a long table is never held whole.
+    No cell needs CSV quoting, so each row is one ``%`` template: ``%.17g``
+    for a float, whose NaN prints as ``nan``, a text no other cell holds,
+    cut to an empty cell. ``WRITE_ROWS`` rows are formatted at a time.
     """
     stream.write(",".join(header) + "\n")
+    row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
     for start in range(0, len(columns[0]), WRITE_ROWS):
-        chunk = (column[start : start + WRITE_ROWS] for column in columns)
-        stream.write("\n".join([*map(",".join, zip(*map(_cells, chunk))), ""]))
+        cells = [_cells(column[start : start + WRITE_ROWS]) for column in columns]
+        stream.write("".join(map(row.__mod__, zip(*cells))).replace("nan", ""))
 
 
 def _parse_day(text: str) -> date:
@@ -210,35 +211,35 @@ def _read_header(reader) -> list[str]:
         raise ValidationError(f"line 1: {exc}") from None
 
 
-def _read_blocks(stream: TextIO, width: int, picked: Sequence[int]) -> list[np.ndarray] | None:
-    """The body's date column ``picked[0]`` and float columns ``picked[1:]``, or None.
+def _read_blocks(stream: TextIO, width: int, t: int, *floats: int) -> list[np.ndarray] | None:
+    """The body's date column ``t`` and float columns ``floats``, or None.
 
-    The text is split on commas and line feeds a block at a time, so data
-    row i sits on file line i + 2. None means the body holds something
-    only the row-by-row csv reader handles as it should: a quote, a
-    carriage return not ending a line, a row of another width (blank rows
-    included), a cell longer than the csv field limit, a date other than
-    ``YYYY-MM-DD`` in years 1-9999, or a cell float() rejects.
+    The text is read a block at a time; ``np.loadtxt`` converts the floats.
+    None means the body holds what only the row-by-row csv reader handles
+    as it should: a quote, a carriage return not ending a line, a row of
+    another width (blank rows included, which loadtxt would skip), a cell
+    over the csv field limit, a date other than ``YYYY-MM-DD`` in years
+    1-9999, or a cell loadtxt rejects, as it does ``1_000``, which float() reads.
     """
-    t, floats = picked[0], picked[1:]
-    parts = [[np.array([], dtype="datetime64[D]")]] + [[np.array([])] for _ in floats]
+    days_read, values_read = [np.array([], dtype="datetime64[D]")], [np.empty((0, len(floats)))]
     while block := stream.read(BLOCK_CHARS):
         if not block.endswith("\n"):
             block += stream.readline()
         text = block.replace("\r\n", "\n").removesuffix("\n")
         if '"' in text or "\r" in text:
             return None
+        if any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):  # loadtxt strips them, float() does not
+            text = text.translate(str.maketrans("\x1c\x1d\x1e\x1f", "\0\0\0\0"))  # NUL fails both
         lines = text.split("\n")
         if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
             return None
-        cells = text.replace("\n", ",").split(",")
-        stamps = list(map(str.strip, cells[t::width]))
+        stamps = [line.split(",", t + 1)[t].strip() for line in lines]
         try:
             with warnings.catch_warnings():
                 # numpy warns on a time zone ("...T00:00:00Z"); such dates take the row path
                 warnings.simplefilter("ignore", UserWarning)
                 days = np.array(stamps, dtype="datetime64[D]")
-            values = [np.fromiter(map(float, cells[k::width]), float, len(lines)) for k in floats]
+            values = np.loadtxt(lines, delimiter=",", usecols=floats, comments=None, ndmin=2)
         except ValueError:
             return None
         # numpy also reads "2020" and "2020-01-01T00", which do not print back, and
@@ -246,9 +247,9 @@ def _read_blocks(stream: TextIO, width: int, picked: Sequence[int]) -> list[np.n
         in_range = (days >= _FIRST_DAY) & (days <= _LAST_DAY)
         if not in_range.all() or np.datetime_as_string(days, unit="D").tolist() != stamps:
             return None
-        for part, column in zip(parts, [days, *values]):
-            part.append(column)
-    return [np.concatenate(part) for part in parts]
+        days_read.append(days)
+        values_read.append(values)
+    return [np.concatenate(days_read), *np.concatenate(values_read).T]
 
 
 def _tell(stream: TextIO | Iterable[str]) -> int | None:
@@ -275,8 +276,7 @@ def _read_csv(
     if start is not None:
         text = stream.readline().removesuffix("\n").removesuffix("\r")
         if text and '"' not in text and "\r" not in text:
-            picked = pick([cell.strip() for cell in text.split(",")])
-            columns = _read_blocks(stream, text.count(",") + 1, picked)
+            columns = _read_blocks(stream, text.count(",") + 1, *pick([cell.strip() for cell in text.split(",")]))
             if columns is not None:
                 return range(2, columns[0].size + 2), columns, None
         stream.seek(start)

@@ -180,6 +180,13 @@ class TestPipelineCommand:
         for name in ARTIFACTS[:-1]:  # the manifest records the input paths
             assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
+    def test_summary_names_the_configured_output_directory(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = _market_config(fixture_dir, tmp_path / "cfg.txt", "out = elsewhere")
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("wrote 9 artifacts to elsewhere\n")
+        assert sorted(path.name for path in (tmp_path / "elsewhere").iterdir()) == sorted(ARTIFACTS)
+
     def test_flag_overrides_config(self, fixture_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -519,3 +526,14 @@ def test_pipeline_and_regress_run_without_scipy(fixture_dir, tmp_path):
         assert done.returncode == 0, done.stderr
         for name in names:
             assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_cli_import_starts_no_process_machinery():
+    """Worker processes and their modules load only when a command parses large inputs."""
+    src = str(Path(pegrisk.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    modules = ("multiprocessing", "concurrent.futures", "logging")
+    probe = f"import sys, pegrisk.cli; print([m for m in {modules!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

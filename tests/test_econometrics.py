@@ -163,6 +163,15 @@ class TestOlsHc0:
         with pytest.raises(EstimationError, match="singular"):
             ols_hc0(x + 1.0, np.column_stack([np.ones(200), x, column(x)]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_response_is_rejected(self, value):
+        rng = np.random.default_rng(8)
+        X = np.column_stack([np.ones(20), rng.normal(size=20)])
+        y = rng.normal(size=20)
+        y[4] = y[9] = value
+        with pytest.raises(EstimationError, match="^response is not finite at row 4$"):
+            ols_hc0(y, X)
+
     @pytest.mark.parametrize("scale", [1e14, 1e16, 1e100])
     def test_regressor_units_do_not_make_the_design_singular(self, scale):
         # one SVD tolerance for the whole matrix called this design rank-deficient

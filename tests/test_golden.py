@@ -13,11 +13,15 @@ and says why in CHANGES.md.
 """
 
 import hashlib
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from pegrisk import cli, marketdata, simkit
 from pegrisk.cli import main
 
 P_DEFAULT = 30.0 * 90.0 / (365.0 * 1e4)
@@ -328,3 +332,60 @@ def test_degenerate_rolling_window_fails_estimate_at_fit(flat_stretch_data, comm
     assert f"rolling window starting {first_flat_day}: degenerate regressor" in err
     # with rho fixed the fits are informational and the run goes on
     assert _run(args, capsys)[0] == 0
+
+
+@pytest.fixture
+def parse_at_once(monkeypatch):
+    """Inputs of any size are parsed side by side, in two worker processes; yields a spy on that path."""
+    monkeypatch.setattr(cli, "PARALLEL_PARSE_BYTES", 0)
+    monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+    spy = mock.Mock(wraps=cli._parse_at_once)
+    monkeypatch.setattr(cli, "_parse_at_once", spy)
+    return spy
+
+
+@pytest.mark.parametrize("dataset, name", [("long", "pipeline-estimate"), ("full", "pipeline")])
+def test_parallel_parse_writes_the_pinned_bytes(datasets, dataset, name, parse_at_once, monkeypatch, capsys):
+    test_outputs_match_pinned_hashes(datasets, dataset, name, monkeypatch, capsys)
+    assert parse_at_once.call_count == 1
+    assert multiprocessing.active_children() == []
+
+
+def _with_bad_row(path: Path, index: int) -> None:
+    """Insert a bar whose high lies below its low as data row ``index`` (file line ``index + 2``)."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    rows.insert(index, "2030-01-01,1.0,0.9,1.1,1.0,1e6\n")
+    path.write_text(header + "".join(rows))
+
+
+@pytest.mark.parametrize("bad", [{"spot": 100}, {"btc": 300}, {"spot": 100, "btc": 300}], ids=["spot", "btc", "both"])
+def test_parallel_parse_fails_as_the_serial_parse(datasets, bad, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(datasets["full"] / "data", data)
+    for role, index in bad.items():
+        _with_bad_row(data / f"{role}.csv", index)
+    serial = _run(_command_args("pipeline", data, tmp_path / "serial"), capsys)
+    monkeypatch.setattr(cli, "PARALLEL_PARSE_BYTES", 0)
+    monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+    parallel = _run(_command_args("pipeline", data, tmp_path / "parallel"), capsys)
+    first = min(bad, key=("spot", "btc").index)  # the spot file is parsed first
+    expected = f'error stage=parse type=ValidationError msg="line {bad[first] + 2}: high 0.9 below low 1.1"\n'
+    assert serial == parallel == (1, "", expected)
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_worker_that_dies_fails_at_parse(datasets, parse_at_once, tmp_path, monkeypatch, capsys):
+    parent, parse_bars = os.getpid(), marketdata.parse_bars
+
+    def die_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return parse_bars(*args, **kwargs)
+
+    monkeypatch.setattr(marketdata, "parse_bars", die_in_a_worker)
+    out = tmp_path / "out"
+    code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
+    _assert_failed(code, err, "parse", "ChildProcessError", out)
+    assert "spot.csv ended without a result" in err
+    assert parse_at_once.call_count == 1
+    assert multiprocessing.active_children() == []

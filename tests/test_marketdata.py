@@ -303,6 +303,8 @@ INVALID_ROWS = {
     "10000-01-01,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: '10000-01-01'",
     "NaT,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: 'NaT'",
     "2030,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: '2030'",
+    # a date a fixed-width text field would cut to ten characters
+    "2030-01-011,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: '2030-01-011'",
 }
 
 
@@ -320,6 +322,14 @@ def test_invalid_row_named_by_file_line(rows, bad, block_chars, data):
         _series(text)
 
 
+@pytest.mark.parametrize("bad", sorted(INVALID_ROWS))
+def test_every_invalid_row_named_by_file_line(bad):
+    # each bad row on every run, where the property above samples them
+    message = f"line 3: {INVALID_ROWS[bad]}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _series(_bars_csv(["2015-01-01,1.0,1.1,0.9,1.0,1e6", bad, "2015-01-02,1.0,1.1,0.9,1.0,1e6"]))
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -330,8 +340,10 @@ def test_invalid_row_named_by_file_line(rows, bad, block_chars, data):
         # a carriage return inside a row ends it
         (_bars_csv(["2020-01-01,1.0,1.1,0.9\r,1.0,1e6"]), "line 2: list index out of range"),
         ('"timestamp",open,high,low,close,volume\n2020-01-01,1,1,1,1,1\n', 1),
+        # a blank row, which loadtxt would skip, before a date that is not the first cell
+        ("open,timestamp,high,low,close,volume\n\n1,2020-01-01,1,1,1,1\n", 1),
     ],
-    ids=["quoted-line-feed", "realigned-cells", "carriage-return", "quoted-header"],
+    ids=["quoted-line-feed", "realigned-cells", "carriage-return", "quoted-header", "blank-row"],
 )
 def test_rows_only_the_row_reader_reads(text, expected):
     stream = io.StringIO(text, newline="")  # as the CLI opens files
@@ -340,6 +352,23 @@ def test_rows_only_the_row_reader_reads(text, expected):
     else:
         with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
             parse_bars(stream)
+
+
+def test_cell_only_float_reads_takes_the_row_path():
+    body = mock.patch.object(marketdata, "_read_body", wraps=marketdata._read_body)
+    with body as read_body:
+        series = _series(_bars_csv(["2020-01-01,1.0,1.1,0.9,1.0,1_000"]))
+    assert read_body.called
+    assert series.volume.tolist() == [float("1_000")]
+
+
+@pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_cell_padded_with_an_ascii_separator_fails_as_float_does(pad):
+    # str.isspace() holds for these, but float() does not strip them
+    text = _bars_csv(["2020-01-01,1.0,1.1,0.9,1.0,1e6", f"2020-01-02,1.0,1.1,0.9,1.0,{pad}1e6"])
+    message = f"line 3: could not convert string to float: {pad + '1e6'!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _series(text)
 
 
 def test_blank_header_row_names_no_columns():
@@ -385,13 +414,20 @@ def _reference_columns(text, schema, newline):
 # one extra cell: anything but a separator, a quote or a line end
 extra_cell = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)), max_size=6)
 
+# a float cell as float() reads it -> the same cell in another spelling float() reads the same
+FLOAT_SPELLINGS = {
+    "underscored": lambda cell: re.sub(r"(\d)(\d)", r"\1_\2", cell, count=1),
+    "arabic-indic": lambda cell: cell.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+
 
 @st.composite
 def csv_layouts(draw, clean=False):
     """Valid bars as CSV text in varied layouts, with the schema and newline mode to read it with.
 
     ``clean`` leaves out what only the row reader takes: quoted cells,
-    time-stamped dates, blank or whitespace-only rows.
+    time-stamped dates, float cells spelled with ``_`` or Arabic-Indic
+    digits, blank or whitespace-only rows.
     """
     rows = [row.split(",") for row in draw(bar_rows())]
     schema = {role: f"{role.upper()}_" for role in ROLES} if draw(st.booleans()) else {}
@@ -401,11 +437,15 @@ def csv_layouts(draw, clean=False):
     lines = [[names[k] for k in order]]
     for cells in rows:
         cells = cells + [draw(extra_cell) for _ in range(n_extra)]
-        style = draw(st.sampled_from(["plain", "padded"] if clean else ["plain", "padded", "quoted", "stamped"]))
+        styles = ["plain", "padded"] + ([] if clean else ["quoted", "stamped", *FLOAT_SPELLINGS])
+        style = draw(st.sampled_from(styles))
         if style == "stamped":
             cells[0] += "T00:00:00Z"
         elif style == "padded":
-            cells = [f" {cell} " for cell in cells]
+            pad = draw(st.sampled_from([" ", "\xa0", "\x0b"]))
+            cells = [f"{pad}{cell}{pad}" for cell in cells]
+        elif style in FLOAT_SPELLINGS:
+            cells[1:6] = map(FLOAT_SPELLINGS[style], cells[1:6])
         lines.append([f'"{cells[k]}"' if style == "quoted" else cells[k] for k in order])
     text_lines = [",".join(line) for line in lines]
     if not clean:
