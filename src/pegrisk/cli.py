@@ -168,7 +168,7 @@ def _parse_file(path: str, schema: dict[str, str], role: str, venue: str) -> mar
 
 def _parse_at_once(jobs: dict[str, tuple]) -> dict[str, marketdata.BarSeries | Exception]:
     """Each role's bars, or the error its parse raised, from parses run side by side."""
-    # imported here, not at the top: they add 15-27 ms to the start-up of every command
+    # imported here, not at the top: concurrent.futures loads logging, which would slow every command's start
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
