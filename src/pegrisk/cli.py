@@ -8,9 +8,10 @@ artifacts plus a run manifest that doubles as a config file, so
 
 reproduces a run exactly. Errors exit nonzero with a single machine-
 parsable line on stderr (``error stage=... type=... msg="..."``) and any
-partially written artifacts are removed. Inputs of ``PARALLEL_PARSE_BYTES``
-or more in all are parsed in forked worker processes, one per CPU, which
-end before the parse stage does; every byte and error line stays the same.
+partially written artifacts are removed. A command parses all its inputs
+first, in role order; inputs of ``PARALLEL_PARSE_BYTES`` or more in all are
+parsed in forked worker processes, one per input, which end before the
+parse stage does, and every byte and error line stays the same.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, TextIO
 
 from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
-from .errors import EstimationError, PegRiskError, SchemaError
+from .errors import EstimationError, PegRiskError, SchemaError, ValidationError
 
 FIGURE1_STUB = """\
 {
@@ -162,25 +163,29 @@ class _Settings:
 
 def _parse_file(path: str, schema: dict[str, str], role: str, venue: str) -> marketdata.BarSeries:
     """The bars of one input file; module-level so that a worker process can be sent it."""
-    with open(path, newline="", encoding="utf-8-sig") as stream:
-        return marketdata.parse_bars(stream, schema=schema, instrument=role, venue=venue)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as stream:
+            return marketdata.parse_bars(stream, schema=schema, instrument=role, venue=venue)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})") from None
 
 
-def _parse_at_once(jobs: dict[str, tuple]) -> dict[str, marketdata.BarSeries | Exception]:
-    """Each role's bars, or the error its parse raised, from parses run side by side."""
+def _parse_at_once(jobs: list[tuple]) -> list[marketdata.BarSeries]:
+    """The bars of each job, parsed side by side; the first job that failed raises its error."""
     # imported here, not at the top: concurrent.futures loads logging, which would slow every command's start
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # forked workers keep this process's imports; leaving the pool joins them
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(jobs), simkit._cpu_count()), mp_context=fork) as pool:
-        futures = {role: pool.submit(_parse_file, *job) for role, job in jobs.items()}
-    parsed = {role: future.exception() or future.result() for role, future in futures.items()}
-    for role, bars in parsed.items():
-        if isinstance(bars, BrokenExecutor):  # its worker died, as by a signal
-            parsed[role] = ChildProcessError(f"the process parsing {jobs[role][0]} ended without a result")
-    return parsed
+    with ProcessPoolExecutor(len(jobs), mp_context=fork) as pool:
+        futures = [pool.submit(_parse_file, *job) for job in jobs]
+    bars = []
+    for (path, *_), future in zip(jobs, futures):
+        if isinstance(future.exception(), BrokenExecutor):  # its worker died, as by a signal
+            raise ChildProcessError(f"the process parsing {path} ended without a result")
+        bars.append(future.result())  # or the job's own error
+    return bars
 
 
 class _Stages:
@@ -189,7 +194,7 @@ class _Stages:
     Each stage runs at most once, the first time something reads it, and
     names itself in ``run.stage`` while it runs so an error reports where
     it happened. Required inputs and model parameters are resolved up
-    front, in the config stage.
+    front, in the config stage; the parse stage reads every input.
     """
 
     def __init__(
@@ -203,39 +208,36 @@ class _Stages:
         self.paths = {role: settings.require(role) for role in inputs}
         if "btc" in inputs and settings.get("usdt_alt"):
             self.paths["usdt_alt"] = settings.get("usdt_alt")
-        self._jobs = {
-            role: (path, settings.column_schema(), role, settings.get(f"{role}_venue", "unspecified"))
+        self._jobs = [
+            (path, settings.column_schema(), role, settings.get(f"{role}_venue", "unspecified"))
             for role, path in self.paths.items()
-        }
-        self._bars: dict[str, marketdata.BarSeries | Exception] = {}
+        ]
 
-    def bars(self, role: str) -> marketdata.BarSeries:
-        """One input's bars; the first call parses every input at once if they are large."""
+    @cached_property
+    def bars(self) -> dict[str, marketdata.BarSeries]:
+        """Each input's bars, parsed in role order, or side by side if the inputs are large."""
         self.run.stage = "parse"
-        if not self._bars and len(self._jobs) > 1 and simkit._cpu_count() > 1:
+        if len(self._jobs) > 1 and simkit._cpu_count() > 1:
             try:
                 size = sum(Path(path).stat().st_size for path in self.paths.values())
             except OSError:  # the serial parse of that file raises it
                 size = 0
             if size >= PARALLEL_PARSE_BYTES:
-                self._bars = _parse_at_once(self._jobs)
-        if role not in self._bars:
-            self._bars[role] = _parse_file(*self._jobs[role])
-        if isinstance(self._bars[role], Exception):  # raised where the serial parse would raise it
-            raise self._bars[role]
-        return self._bars[role]
+                return dict(zip(self.paths, _parse_at_once(self._jobs)))
+        return {role: _parse_file(*job) for role, job in zip(self.paths, self._jobs)}
 
     @cached_property
     def aligned(self) -> marketdata.AlignedSeries:
-        spot, futures = self.bars("spot"), self.bars("futures")
+        bars = self.bars
         self.run.stage = "align"
-        return marketdata.align_daily(spot, futures)
+        return marketdata.align_daily(bars["spot"], bars["futures"])
 
     @cached_property
     def fit(self) -> tuple[float, pegmodel.Ar1Fit | None, pegmodel.RollingAr1 | None]:
-        """Effective rho, plus the full-sample and rolling fits behind it."""
-        days, deltas = self.aligned.date, self.aligned.delta
+        """Effective rho, plus the full-sample and rolling fits behind it, of the spot deviations."""
+        spot = self.bars["spot"]
         self.run.stage = "fit"
+        days, deltas = spot.date, spot.close - 1.0
         estimate = self.model["rho"] == "estimate"
         full_fit = rolling = None
         try:
@@ -258,10 +260,10 @@ class _Stages:
     @cached_property
     def untrimmed(self) -> pegmodel.ProbSeries:
         """Raw inversions: they feed the statistics and the regressions."""
-        rho, model = self.fit[0], self.model
+        aligned, rho, model = self.aligned, self.fit[0], self.model
         self.run.stage = "prob"
         return pegmodel.prob_series(
-            self.aligned, rho, model["horizon"], model["recovery"], trim=False, method=model["annualization"]
+            aligned, rho, model["horizon"], model["recovery"], trim=False, method=model["annualization"]
         )
 
     @cached_property
@@ -271,11 +273,11 @@ class _Stages:
 
     @cached_property
     def panel(self) -> features.Panel:
-        untrimmed, btc = self.untrimmed, self.bars("btc")
-        # without an alternative USDT series, spot supplies its volatility
-        usdt = self.bars("usdt_alt" if "usdt_alt" in self.paths else "spot")
+        untrimmed, bars = self.untrimmed, self.bars
         self.run.stage = "features"
-        return features.build_feature_panel(untrimmed, btc, usdt, self.model["estimator"])
+        # without an alternative USDT series, spot supplies its volatility
+        usdt = bars.get("usdt_alt", bars["spot"])
+        return features.build_feature_panel(untrimmed, bars["btc"], usdt, self.model["estimator"])
 
     @cached_property
     def regressions(self) -> dict[str, econometrics.RegressionResult]:
@@ -398,23 +400,16 @@ def cmd_align(args: argparse.Namespace, run: _Run) -> int:
 
 def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
     stages = _Stages(args, run, ("spot",))
-    spot = stages.bars("spot")
-
-    run.stage = "fit"
+    stages.model["rho"] = "estimate"  # so that a fit that fails, fails the command
+    _, full_fit, rolling = stages.fit
     window = stages.model["window"]
-    deltas = spot.close - 1.0
-    full_fit = pegmodel.fit_ar1(spot.date, deltas)
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
     else:
         print("fit is not stable (rho outside (0, 1)); no half-life")
-    if len(deltas) >= window:
-        rolling = pegmodel.fit_ar1_rolling(spot.date, deltas, window)
-        print(
-            f"rolling mean rho = {rolling.rho_mean:.6f} "
-            f"over {len(rolling.fits)} windows of {window} days"
-        )
+    if rolling is not None:
+        print(f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days")
     else:
         print(f"series shorter than window {window}; rolling fit skipped")
     return 0

@@ -194,10 +194,10 @@ def annualize(p_horizon: float | np.ndarray, h: int, method: str = "linear") -> 
     """
     if h < 1:
         raise DomainError(f"horizon must be at least 1 day, got {h}")
-    if np.any(p_horizon > 1.0):
-        raise DomainError(f"probability above 1: {p_horizon}")
-    if np.any(p_horizon <= -1.0):
-        raise DomainError(f"probability at or below -1: {p_horizon}")
+    values = np.ravel(p_horizon)
+    for bad, what in ((values > 1.0, "above 1"), (values <= -1.0, "at or below -1")):
+        if bad.any():
+            raise DomainError(f"probability {what}: {values[bad.argmax()]}")
     periods = DAYS_PER_YEAR / h
     if method == "linear":
         return p_horizon * periods * 1e4

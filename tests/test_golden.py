@@ -15,6 +15,7 @@ and says why in CHANGES.md.
 import hashlib
 import multiprocessing
 import os
+import re
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -108,22 +109,22 @@ GOLDEN = {
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
             "prob.csv": "1ab98f87e31cb7956edea91bf88f084c7f38f4ba6bdd676bda23bb087662676a",
-            "run_manifest.txt": "301b5da0760434a0cd911f64253bae90c49696f6f7327fdf8b2689edcdd7b90e",
+            "run_manifest.txt": "419292ff7169d247ff3a044ec2192c1849a08a2df4233541823ae8fd8eb7166d",
             "table3.csv": "c10c8a740acd6b36866da1f8698dd4c15d572e54a6c925fc3f816abe03952031",
             "table3.txt": "2789fa690f4bea8613dd27278eb5f88ab04e231d81e697d04c944aa15a18c1b1",
             "table4.csv": "b773f95b7219e5eec8635cc6df5d2832bd5b0bff7e0b44665e88b8ca26c396d2",
             "table4.txt": "97cd5a4f6ac3ca7665d120ed2ddc517413e695eaee905b8180f8d6dc1f48e930",
         },
         "pipeline-estimate": {
-            "stdout": "0dd42e8bff21876d6444780c0a5b64577fb87b01ff74b52dafa8e56c28bdac24",
+            "stdout": "fdbdf2fdddb74107c242a0c6a717f8eb6e97d2064548489ad2d640600089c664",
             "aligned.csv": "089a388212b8cae43f1bd4484ec58986dad9f8b1aacbedb95be018c7c7466b0d",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
-            "prob.csv": "6c80c4a6294431ae865915bb23d0058f8db2b8b613c1d39e6f4587131845ba4b",
-            "run_manifest.txt": "fb693c7fd92b48e198e99b9a61c4a18b3bc3e9883bf179e25abfdc8c9ff33816",
-            "table3.csv": "b044b8806ba0a7b987e78a2836087b07dc13bffa2f4bad8d68be25776cbcd966",
+            "prob.csv": "5506bf9c642f2832290a3645ffe1c721dee506ae101044dbb95663146173483a",
+            "run_manifest.txt": "c729c867f38574320eb86d77fb39df7108513b47bd5c853b4f4651e58d51d3f4",
+            "table3.csv": "5ef8e0dc6687a3465cd194bc98ed27956c525bba24e93b488b4cb123401413e1",
             "table3.txt": "d1f8f0d135fcd7d37f3ce7e0d586f50800a74d3838b8944773a1dc01926a53f7",
-            "table4.csv": "66dc76bc3836461d081036be6729d1d21118590888e71f99edaf2b7b4fafc3bc",
+            "table4.csv": "98b42b3fb86231f30a3f4bdcbd99e9f501160b699a0387a37228481809efd37d",
             "table4.txt": "ebebf6b356bc4a4629b0bf42389f03831bac7bf1fd05713bd08b3e69b95f45ae",
         },
         "align": {
@@ -389,3 +390,43 @@ def test_parse_worker_that_dies_fails_at_parse(datasets, parse_at_once, tmp_path
     assert "spot.csv ended without a result" in err
     assert parse_at_once.call_count == 1
     assert multiprocessing.active_children() == []
+
+
+def test_fit_reports_the_rho_of_the_pipeline_manifest(datasets, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(datasets["gaps"])  # the join drops dates, so spot and aligned days differ
+    code, out, err = _run(INVOCATIONS["fit"], capsys)
+    assert code == 0, err
+    assert _run(["pipeline", *MARKET, *BTC, "--out", str(tmp_path)], capsys)[0] == 0
+    manifest = (tmp_path / "run_manifest.txt").read_text()
+    full, stderr = re.search(r"rho_full_sample = (\S+) \(stderr (\S+)\)", manifest).groups()
+    rolling, windows = re.search(r"rho_rolling_mean = (\S+) over (\d+) windows", manifest).groups()
+    assert f"full-sample rho = {float(full):.6f} (stderr {float(stderr):.6f}, n 410)" in out
+    assert f"rolling mean rho = {float(rolling):.6f} over {windows} windows of 60 days" in out
+
+
+@pytest.fixture(params=("serial", "forked"))
+def either_parse(request):
+    """Runs a test with its small inputs parsed in this process, then again in forked workers."""
+    spy = request.getfixturevalue("parse_at_once") if request.param == "forked" else None
+    yield
+    assert spy is None or spy.call_count == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_error_comes_before_a_fit_error(pegged_data, either_parse, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(pegged_data, data)
+    _with_bad_row(data / "btc.csv", 10)  # and the pegged spot series cannot be fitted
+    code, _, err = _run(_command_args("pipeline", data, out) + ["--rho", "estimate"], capsys)
+    _assert_failed(code, err, "parse", "ValidationError", out)
+    assert err.endswith('msg="line 12: high 0.9 below low 1.1"\n')
+
+
+def test_input_that_is_not_utf8_fails_at_parse(datasets, either_parse, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(datasets["full"] / "data", data)
+    spot = data / "spot.csv"
+    spot.write_bytes(spot.read_bytes().replace(b"\n", b"\n\xff", 1))
+    code, _, err = _run(_command_args("pipeline", data, out), capsys)
+    _assert_failed(code, err, "parse", "ValidationError", out)
+    assert err.endswith(f'msg="{spot}: not UTF-8 text (invalid start byte, byte 0xff)"\n')

@@ -311,6 +311,16 @@ class TestAnnualize:
         with pytest.raises(DomainError):
             annualize(1.2, 90)
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [([0.1, 2.0, 0.3, 5.0], "probability above 1: 2.0"), ([0.1, -1.5, -2.0], "probability at or below -1: -1.5")],
+        ids=("above", "below"),
+    )
+    def test_names_the_first_value_out_of_range(self, p, message):
+        with pytest.raises(DomainError) as caught:
+            annualize(np.array(p * 1000), 90)
+        assert str(caught.value) == message
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             annualize(0.01, 90, "weekly")

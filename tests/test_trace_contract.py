@@ -51,7 +51,8 @@ def test_trace_counts_match_artifacts(tmp_path, monkeypatch, capsys):
     assert counts["marketdata.rows_parsed"] == sum(len(_data_rows(path)) for path in inputs.values())
     assert counts["marketdata.rows_matched"] == matched == len(_data_rows(out / "aligned.csv"))
     assert counts["marketdata.rows_dropped"] == dropped_spot + dropped_futures
-    assert counts["pegmodel.rolling_windows"] == windows == matched - 20 + 1
+    # the rolling fit runs over the spot days, not the joined ones
+    assert counts["pegmodel.rolling_windows"] == windows == len(_data_rows(inputs["spot"])) - 20 + 1
     assert counts["pegmodel.points_trimmed"] == trimmed
     assert counts["features.panel_rows"] == n_obs["I"] == matched
     assert counts["econometrics.ols_hc0_calls"] == 4
