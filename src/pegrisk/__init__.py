@@ -36,7 +36,6 @@ from .marketdata import (
     JoinReport,
     align_daily,
     parse_bars,
-    read_aligned_csv,
     write_aligned_csv,
     write_bars_csv,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "PegRiskError",
     "prob_series",
     "ProbSeries",
-    "read_aligned_csv",
     "RecoveredProb",
     "RegressionResult",
     "RollingAr1",

@@ -9,19 +9,22 @@ artifacts plus a run manifest that doubles as a config file, so
 reproduces a run exactly. Errors exit nonzero with a single machine-
 parsable line on stderr (``error stage=... type=... msg="..."``) and any
 partially written artifacts are removed. A command parses all its inputs
-first, in role order; inputs of ``PARALLEL_PARSE_BYTES`` or more in all are
-parsed in forked worker processes, one per input, which end before the
-parse stage does, and every byte and error line stays the same.
+first, in role order. On two or more CPUs, inputs of ``PARALLEL_BYTES`` or
+more in all are parsed by forked workers, one per input, and a CSV artifact
+about that large (``aligned.csv``, ``prob.csv``, ``features.csv``, a
+fixture's bars) is written by one forked worker per CPU, a range of rows
+each; bytes and errors are those of the serial path.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import shutil
 import sys
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable
 
 from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
@@ -81,7 +84,7 @@ MODEL_DEFAULTS = {
     "trim": True,
 }
 
-PARALLEL_PARSE_BYTES = 8 << 20  # inputs this large in all are parsed side by side
+PARALLEL_BYTES = 8 << 20  # inputs this large in all, or a CSV artifact this large, are handled by forked workers
 DEFAULT_OUT = "out"
 
 
@@ -92,15 +95,38 @@ class _Run:
         self.stage = "init"
         self.written: list[Path] = []
 
-    def write(self, path: Path, content: str | Callable[[TextIO], None]) -> None:
-        """Write a text, or let a function write to the file; the file counts as written once created."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as stream:
-            self.written.append(path)
-            if callable(content):
-                content(stream)
-            else:
-                stream.write(content)
+    def write(self, files: dict[Path, str | marketdata.Table]) -> None:
+        """Write each file: a text, or a table as CSV.
+
+        A large table is split into one range of rows per CPU, each of which a forked worker writes to a part
+        file beside it. The parts count as written from before the fork; they are appended in order, then removed.
+        """
+        cpus = simkit._cpu_count()
+        parts, jobs = {}, []
+        for path, table in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            large = isinstance(table, marketdata.Table) and len(table) * len(table.HEADER) * 16 >= PARALLEL_BYTES
+            if large and cpus > 1:  # a CSV cell takes about 16 bytes
+                parts[path] = [path.with_name(f"{path.name}.{k}.part") for k in range(cpus)]
+                columns, bounds = table.columns(), [len(table) * k // cpus for k in range(cpus + 1)]
+                for k, part in enumerate(parts[path]):
+                    rows = slice(bounds[k], bounds[k + 1])
+                    jobs.append((part, table.HEADER if k == 0 else None, [column[rows] for column in columns]))
+        self.written += [part for paths in parts.values() for part in paths]
+        if jobs:
+            _at_once(_write_part, jobs, "writing")
+        for path, content in files.items():
+            with path.open("w", encoding="utf-8") as stream:
+                self.written.append(path)
+                if path in parts:
+                    for part in parts[path]:
+                        with part.open("rb") as rows:
+                            shutil.copyfileobj(rows, stream.buffer)
+                        part.unlink()
+                elif isinstance(content, marketdata.Table):
+                    marketdata.write_table_csv(content, stream)
+                else:
+                    stream.write(content)
 
     def discard_written(self) -> None:
         for path in self.written:
@@ -170,22 +196,35 @@ def _parse_file(path: str, schema: dict[str, str], role: str, venue: str) -> mar
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})") from None
 
 
-def _parse_at_once(jobs: list[tuple]) -> list[marketdata.BarSeries]:
-    """The bars of each job, parsed side by side; the first job that failed raises its error."""
+def _write_part(path: Path, header: tuple[str, ...] | None, columns: list) -> None:
+    """A part of a CSV file: the rows of the columns, after a header row unless it is None; run by a worker."""
+    with path.open("w", encoding="utf-8") as stream:
+        marketdata.write_csv(stream, header, *columns)
+
+
+def _at_once(func: Callable, jobs: list[tuple], doing: str) -> list:
+    """``func(*job)`` of each job, run side by side in forked workers; the first job that failed raises its error.
+
+    A job's first item is the path it reads or writes, named if its worker dies.
+    """
     # imported here, not at the top: concurrent.futures loads logging, which would slow every command's start
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # forked workers keep this process's imports; leaving the pool joins them
     fork = multiprocessing.get_context("fork")
+    futures = []
     with ProcessPoolExecutor(len(jobs), mp_context=fork) as pool:
-        futures = [pool.submit(_parse_file, *job) for job in jobs]
-    bars = []
-    for (path, *_), future in zip(jobs, futures):
-        if isinstance(future.exception(), BrokenExecutor):  # its worker died, as by a signal
-            raise ChildProcessError(f"the process parsing {path} ended without a result")
-        bars.append(future.result())  # or the job's own error
-    return bars
+        for job in jobs:
+            try:
+                futures.append(pool.submit(func, *job))
+            except BrokenExecutor:  # a worker died before this job was sent
+                break
+    for k, (path, *_) in enumerate(jobs):
+        if k == len(futures) or isinstance(futures[k].exception(), BrokenExecutor):  # its worker died, as by a signal
+            raise ChildProcessError(f"the process {doing} {path} ended without a result")
+        futures[k].result()  # raises the job's own error
+    return [future.result() for future in futures]
 
 
 class _Stages:
@@ -194,17 +233,16 @@ class _Stages:
     Each stage runs at most once, the first time something reads it, and
     names itself in ``run.stage`` while it runs so an error reports where
     it happened. Required inputs and model parameters are resolved up
-    front, in the config stage; the parse stage reads every input.
+    front, in the config stage, the model ones only if the command takes
+    their flag; the parse stage reads every input.
     """
 
-    def __init__(
-        self, args: argparse.Namespace, run: _Run, inputs: tuple[str, ...], model: bool = True
-    ) -> None:
+    def __init__(self, args: argparse.Namespace, run: _Run, inputs: tuple[str, ...]) -> None:
         run.stage = "config"
         self.run = run
         self.settings = settings = _Settings(args)
-        if model:
-            self.model = {key: settings.get(key, value, type(value)) for key, value in MODEL_DEFAULTS.items()}
+        defaults = {key: value for key, value in MODEL_DEFAULTS.items() if key in COMMANDS[args.command][1].split()}
+        self.model = {key: settings.get(key, value, type(value)) for key, value in defaults.items()}
         self.paths = {role: settings.require(role) for role in inputs}
         if "btc" in inputs and settings.get("usdt_alt"):
             self.paths["usdt_alt"] = settings.get("usdt_alt")
@@ -222,8 +260,8 @@ class _Stages:
                 size = sum(Path(path).stat().st_size for path in self.paths.values())
             except OSError:  # the serial parse of that file raises it
                 size = 0
-            if size >= PARALLEL_PARSE_BYTES:
-                return dict(zip(self.paths, _parse_at_once(self._jobs)))
+            if size >= PARALLEL_BYTES:
+                return dict(zip(self.paths, _at_once(_parse_file, self._jobs, "parsing")))
         return {role: _parse_file(*job) for role, job in zip(self.paths, self._jobs)}
 
     @cached_property
@@ -296,18 +334,17 @@ class _Stages:
             econometrics.summary_stats("p_annualized_bps", untrimmed.p_annualized_bps),
         ]
 
-    def write(self, names: tuple[str, ...], default_out: str | None = DEFAULT_OUT) -> dict[str, str | Callable]:
+    def write(self, names: tuple[str, ...], default_out: str | None = DEFAULT_OUT) -> dict:
         """Run every stage the named artifacts need, then write them if an output directory is set.
 
-        Returns each artifact's content: its text, or for a CSV the function
-        writing it to its file. ``self.out`` is the directory written, or None.
+        Returns each artifact's content: its text, or for a CSV its table.
+        ``self.out`` is the directory written, or None.
         """
         contents = {name: ARTIFACTS[name](self) for name in names}
         self.out = self.settings.get("out", default_out)
         if self.out is not None:
             self.run.stage = "write"
-            for name, content in contents.items():
-                self.run.write(Path(self.out) / name, content)
+            self.run.write({Path(self.out) / name: content for name, content in contents.items()})
         return contents
 
 
@@ -365,11 +402,11 @@ def _manifest(stages: _Stages) -> str:
     return cfgmod.format_kv(entries, comments)
 
 
-# artifact name -> its text, or the function writing it to a stream, built from the stages it needs
+# artifact name -> its text, or for a CSV its table, built from the stages it needs
 ARTIFACTS = {
-    "aligned.csv": lambda st: partial(marketdata.write_aligned_csv, st.aligned),
-    "prob.csv": lambda st: partial(pegmodel.write_prob_csv, st.published),
-    "features.csv": lambda st: partial(features.write_panel_csv, st.panel),
+    "aligned.csv": lambda st: st.aligned,
+    "prob.csv": lambda st: st.published,
+    "features.csv": lambda st: st.panel,
     "table3.txt": lambda st: econometrics.format_summary_table(st.table3),
     "table3.csv": lambda st: econometrics.summary_table_csv(st.table3),
     "table4.txt": lambda st: econometrics.format_regression_table(st.regressions),
@@ -392,7 +429,7 @@ def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
 
 
 def cmd_align(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, ("spot", "futures"), model=False)
+    stages = _Stages(args, run, ("spot", "futures"))
     stages.write(("aligned.csv",))
     print(_join_summary(stages.aligned))
     return 0
@@ -477,8 +514,7 @@ def cmd_fixture(args: argparse.Namespace, run: _Run) -> int:
     fixture = simkit.generate_fixture(config)
 
     run.stage = "write"
-    for name, series in (("spot", fixture.spot), ("futures", fixture.futures), ("btc", fixture.btc)):
-        run.write(outdir / f"{name}.csv", partial(marketdata.write_bars_csv, series))
+    run.write({outdir / f"{name}.csv": getattr(fixture, name) for name in ("spot", "futures", "btc")})
     annualized = pegmodel.annualize(config.p_default, config.horizon_days)
     print(
         f"wrote spot.csv futures.csv btc.csv ({config.n_days} days, seed {config.seed}); "

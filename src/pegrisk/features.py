@@ -15,19 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
 from .errors import AlignmentError, DomainError, EstimationError
-from .marketdata import BarSeries, Table, write_csv
+from .marketdata import BarSeries, Table, write_table_csv
 from .pegmodel import ProbSeries
 
 PARKINSON_FACTOR = 2.0 * math.sqrt(math.log(2.0))
 
 ESTIMATORS = ("parkinson", "range")
-
-PANEL_HEADER = ("date", "p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps")
 
 
 def intraday_vol(bars: BarSeries, estimator: str = "parkinson") -> np.ndarray:
@@ -66,6 +63,7 @@ class Panel(Table):
         "sigma_usdt_bps": "float64",
         "r_btc_bps": "float64",
     }
+    HEADER = ("date", "p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps")
 
     date: np.ndarray
     p_bps: np.ndarray
@@ -109,6 +107,4 @@ def build_feature_panel(
     )
 
 
-def write_panel_csv(panel: Panel, stream: TextIO) -> None:
-    """Write the joined panel; undefined returns become empty cells."""
-    write_csv(stream, PANEL_HEADER, *panel.columns())
+write_panel_csv = write_table_csv  # undefined returns become empty cells

@@ -20,7 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import repeat
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TextIO
+from typing import ClassVar, Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import AlignmentError, SchemaError, ValidationError
 
 ROLES = ("timestamp", "open", "high", "low", "close", "volume")
 DEFAULT_SCHEMA: dict[str, str] = {role: role for role in ROLES}
-
-ALIGNED_HEADER = ("date", "s", "f", "delta", "basis_bps")
 
 # characters of CSV text parsed at a time; a block always ends at a line end
 BLOCK_CHARS = 1 << 20
@@ -53,14 +51,15 @@ def _cells(column: np.ndarray) -> list:
     return column.tolist()
 
 
-def write_csv(stream: TextIO, header: Iterable[str], *columns: np.ndarray) -> None:
-    """A header row, then one row per position of the equal-length columns.
+def write_csv(stream: TextIO, header: Iterable[str] | None, *columns: np.ndarray) -> None:
+    """A header row unless ``header`` is None, then one row per position of the equal-length columns.
 
     No cell needs CSV quoting, so each row is one ``%`` template: ``%.17g``
     for a float, whose NaN prints as ``nan``, a text no other cell holds,
     cut to an empty cell. ``WRITE_ROWS`` rows are formatted at a time.
     """
-    stream.write(",".join(header) + "\n")
+    if header is not None:
+        stream.write(",".join(header) + "\n")
     row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
     for start in range(0, len(columns[0]), WRITE_ROWS):
         cells = [_cells(column[start : start + WRITE_ROWS]) for column in columns]
@@ -81,10 +80,12 @@ class Table:
     Subclasses are frozen dataclasses that name their column fields and
     dtypes in ``COLUMNS``, the first being ``date``; any other field is
     metadata. Columns are stored as contiguous arrays of the declared
-    dtype, and dates must be strictly increasing.
+    dtype, and dates must be strictly increasing. ``HEADER`` names the
+    CSV columns of ``columns()``.
     """
 
     COLUMNS: ClassVar[dict[str, str]] = {}
+    HEADER: ClassVar[tuple[str, ...]] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -106,13 +107,19 @@ class Table:
             raise ValidationError(f"{'duplicate date' if day == prev else 'dates out of order at'} {day}")
 
     def columns(self) -> list[np.ndarray]:
+        """The columns ``HEADER`` names."""
         return [getattr(self, name) for name in self.COLUMNS]
 
     def __len__(self) -> int:
         return self.date.size
 
     def __iter__(self):
-        return map(self.Row._make, zip(*(column.tolist() for column in self.columns())))
+        return map(self.Row._make, zip(*(getattr(self, name).tolist() for name in self.COLUMNS)))
+
+
+def write_table_csv(table: Table, stream: TextIO) -> None:
+    """Write a table as CSV: its ``HEADER`` row, then one row per date."""
+    write_csv(stream, table.HEADER, *table.columns())
 
 
 def _first_bad_bar(open_, high, low, close, volume) -> tuple[int, str] | None:
@@ -151,6 +158,7 @@ class BarSeries(Table):
         "close": "float64",
         "volume": "float64",
     }
+    HEADER = ROLES
 
     date: np.ndarray
     open: np.ndarray
@@ -260,36 +268,6 @@ def _tell(stream: TextIO | Iterable[str]) -> int | None:
         return None
 
 
-def _read_csv(
-    stream: TextIO | Iterable[str], pick: Callable[[list[str]], Sequence[int]]
-) -> tuple[Sequence[int], list[np.ndarray], ValidationError | None]:
-    """Read a header row, then the date and float columns ``pick(header)`` names.
-
-    Returns the 1-based file line of every row read, the datetime64[D]
-    column and the float columns, and the error of the first row that
-    failed to convert (None if all converted). A seekable stream is read
-    in blocks (``_read_blocks``); where that reader declines, and for any
-    other iterable of lines, rows are read one at a time by ``csv.reader``,
-    which alone reports bad rows.
-    """
-    start = _tell(stream)
-    if start is not None:
-        text = stream.readline().removesuffix("\n").removesuffix("\r")
-        if text and '"' not in text and "\r" not in text:
-            columns = _read_blocks(stream, text.count(",") + 1, *pick([cell.strip() for cell in text.split(",")]))
-            if columns is not None:
-                return range(2, columns[0].size + 2), columns, None
-        stream.seek(start)
-    reader = csv.reader(stream)
-    t, *floats = pick(_read_header(reader))
-
-    def convert(row: list[str]) -> tuple:
-        return _parse_day(row[t].strip()).toordinal(), *(float(row[k]) for k in floats)
-
-    lines, rows, error = _read_body(reader, convert)
-    return lines, _columns(rows, 1 + len(floats)), error
-
-
 def parse_bars(
     stream: TextIO | Iterable[str],
     schema: Mapping[str, str] | None = None,
@@ -318,7 +296,26 @@ def parse_bars(
             raise SchemaError(f"missing columns {missing} in header {header}")
         return [header.index(mapping[role]) for role in ROLES]
 
-    lines, (days, *values), error = _read_csv(stream, pick)
+    # a seekable stream is read in blocks; where that reader declines, and for
+    # any other iterable of lines, csv.reader reads one row at a time and alone reports bad rows
+    start, columns, error = _tell(stream), None, None
+    if start is not None:
+        text = stream.readline().removesuffix("\n").removesuffix("\r")
+        if text and '"' not in text and "\r" not in text:
+            columns = _read_blocks(stream, text.count(",") + 1, *pick([cell.strip() for cell in text.split(",")]))
+        if columns is None:
+            stream.seek(start)
+    if columns is not None:
+        lines, (days, *values) = range(2, columns[0].size + 2), columns
+    else:
+        reader = csv.reader(stream)
+        t, *floats = pick(_read_header(reader))
+
+        def convert(row: list[str]) -> tuple:
+            return _parse_day(row[t].strip()).toordinal(), *(float(row[k]) for k in floats)
+
+        lines, rows, error = _read_body(reader, convert)
+        days, *values = _columns(rows, 1 + len(floats))
     bad = _first_bad_bar(*values)
     if bad is not None:
         raise ValidationError(f"line {lines[bad[0]]}: {bad[1]}")
@@ -326,11 +323,6 @@ def parse_bars(
         raise error
     order = np.argsort(days, kind="stable")
     return BarSeries(days[order], *(column[order] for column in values), instrument=instrument, venue=venue)
-
-
-def write_bars_csv(series: BarSeries, stream: TextIO) -> None:
-    """Write a bar series in the canonical input schema."""
-    write_csv(stream, ROLES, *series.columns())
 
 
 @dataclass(frozen=True)
@@ -351,6 +343,7 @@ class AlignedSeries(Table):
     """
 
     COLUMNS = {"date": "datetime64[D]", "s": "float64", "f": "float64"}
+    HEADER = ("date", "s", "f", "delta", "basis_bps")
 
     date: np.ndarray
     s: np.ndarray
@@ -366,6 +359,9 @@ class AlignedSeries(Table):
     @property
     def basis_bps(self) -> np.ndarray:
         return (self.f - self.s) * 1e4
+
+    def columns(self) -> list[np.ndarray]:
+        return [*super().columns(), self.delta, self.basis_bps]
 
 
 def align_daily(spot: BarSeries, futures: BarSeries) -> AlignedSeries:
@@ -399,29 +395,4 @@ def align_daily(spot: BarSeries, futures: BarSeries) -> AlignedSeries:
     )
 
 
-def write_aligned_csv(series: AlignedSeries, stream: TextIO) -> None:
-    write_csv(stream, ALIGNED_HEADER, series.date, series.s, series.f, series.delta, series.basis_bps)
-
-
-def read_aligned_csv(stream: TextIO | Iterable[str]) -> AlignedSeries:
-    """Parse a file produced by :func:`write_aligned_csv`.
-
-    The stored delta and basis must equal the values derived from the
-    prices bit for bit; the first row where they differ is rejected.
-    """
-    def pick(header: list[str]) -> range:
-        if tuple(header) != ALIGNED_HEADER:
-            raise SchemaError(f"expected header {ALIGNED_HEADER}, got {tuple(header)}")
-        return range(len(ALIGNED_HEADER))
-
-    lines, (days, s, f, delta, basis), error = _read_csv(stream, pick)
-    mismatch = np.flatnonzero((delta != s - 1.0) | (basis != (f - s) * 1e4))
-    if mismatch.size:
-        i = mismatch[0]
-        raise ValidationError(
-            f"line {lines[i]}: {days[i]}: stored delta {float(delta[i])!r} and basis_bps {float(basis[i])!r}"
-            f" differ from s - 1 = {float(s[i] - 1.0)!r} and (f - s) * 1e4 = {float((f[i] - s[i]) * 1e4)!r}"
-        )
-    if error is not None:
-        raise error
-    return AlignedSeries(date=days, s=s, f=f)
+write_bars_csv = write_aligned_csv = write_table_csv  # bars in the canonical input schema; aligned closes

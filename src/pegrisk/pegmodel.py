@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataQualityWarning, DomainError, EstimationError, InversionError
-from .marketdata import AlignedSeries, Table, write_csv
+from .marketdata import AlignedSeries, Table, write_table_csv
 
 DAYS_PER_YEAR = 365.0
 
@@ -35,7 +35,6 @@ DAYS_PER_YEAR = 365.0
 # observed lower tail of real series sits around -0.005 per horizon.
 RAW_PROB_FLOOR = -0.05
 
-PROB_HEADER = ("date", "p_horizon", "p_annualized_bps", "trimmed")
 ANNUALIZATIONS = ("linear", "compounded")
 
 
@@ -220,6 +219,7 @@ class ProbSeries(Table):
     """
 
     COLUMNS = {"date": "datetime64[D]", "p_horizon": "float64", "p_annualized_bps": "float64", "trimmed": "bool"}
+    HEADER = tuple(COLUMNS)
 
     date: np.ndarray
     p_horizon: np.ndarray
@@ -287,5 +287,4 @@ def trim_negative(series: ProbSeries) -> ProbSeries:
     )
 
 
-def write_prob_csv(series: ProbSeries, stream: TextIO) -> None:
-    write_csv(stream, PROB_HEADER, *series.columns())
+write_prob_csv = write_table_csv

@@ -363,6 +363,21 @@ class TestSingleStageCommands:
         assert _column(alt, "sigma_usdt_bps") == _column(alt, "sigma_btc_bps")
         assert _column(alt, "sigma_usdt_bps") != _column(tmp_path / "spot" / "features.csv", "sigma_usdt_bps")
 
+    def test_command_resolves_only_the_model_keys_it_reads(self, fixture_dir, tmp_path, capsys):
+        spot = ["--spot", str(fixture_dir / "spot.csv")]
+        assert main(["fit", *spot]) == 0
+        expected = capsys.readouterr().out
+        config = tmp_path / "c.txt"
+        config.write_text("horizon = abc\nrecovery = abc\ntrim = maybe\n")  # fit reads none of these
+        assert main(["fit", "--config", str(config), *spot]) == 0
+        assert capsys.readouterr().out == expected
+        config.write_text("trim = maybe\n")  # nor does features
+        inputs = [*spot, "--futures", str(fixture_dir / "futures.csv"), "--btc", str(fixture_dir / "btc.csv")]
+        assert main(["features", "--config", str(config), *inputs, "--out", str(tmp_path / "features")]) == 0
+        config.write_text("window = abc\n")
+        assert main(["fit", "--config", str(config), *spot]) == 1
+        assert capsys.readouterr().err.startswith("error stage=config type=SchemaError msg=\"bad value for 'window'")
+
     def test_fit_reports_cell_over_csv_field_limit(self, tmp_path, capsys):
         spot = tmp_path / "spot.csv"
         spot.write_text("timestamp,open,high,low,close,volume\n2020-01-01,1,1,1,1," + "1" * 200_000 + "\n")

@@ -336,19 +336,42 @@ def test_degenerate_rolling_window_fails_estimate_at_fit(flat_stretch_data, comm
 
 
 @pytest.fixture
-def parse_at_once(monkeypatch):
-    """Inputs of any size are parsed side by side, in two worker processes; yields a spy on that path."""
-    monkeypatch.setattr(cli, "PARALLEL_PARSE_BYTES", 0)
+def at_once(monkeypatch):
+    """Inputs and CSV artifacts of any size are parsed and written by forked workers, as on two CPUs.
+
+    Yields a spy on that path; ``_forked(spy)`` lists the function each call ran.
+    """
+    monkeypatch.setattr(cli, "PARALLEL_BYTES", 0)
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
-    spy = mock.Mock(wraps=cli._parse_at_once)
-    monkeypatch.setattr(cli, "_parse_at_once", spy)
+    spy = mock.Mock(wraps=cli._at_once)
+    monkeypatch.setattr(cli, "_at_once", spy)
     return spy
 
 
-@pytest.mark.parametrize("dataset, name", [("long", "pipeline-estimate"), ("full", "pipeline")])
-def test_parallel_parse_writes_the_pinned_bytes(datasets, dataset, name, parse_at_once, monkeypatch, capsys):
+def _forked(spy: mock.Mock) -> list:
+    return [call.args[0] for call in spy.call_args_list]
+
+
+@pytest.mark.parametrize(
+    "dataset, name", [("long", "pipeline-estimate"), ("full", "pipeline"), ("full", "features")]
+)
+def test_parallel_parse_writes_the_pinned_bytes(datasets, dataset, name, at_once, monkeypatch, capsys):
     test_outputs_match_pinned_hashes(datasets, dataset, name, monkeypatch, capsys)
-    assert parse_at_once.call_count == 1
+    assert _forked(at_once) == [cli._parse_file, cli._write_part]
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_fixture_writes_the_serial_bytes(tmp_path, at_once, monkeypatch):
+    args = ["fixture", "--n-days", "300", "--seed", "3", "--out"]
+    monkeypatch.setattr(simkit, "_cpu_count", lambda: 1)  # one CPU: no worker
+    assert main(args + [str(tmp_path / "serial")]) == 0
+    assert _forked(at_once) == []
+    monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+    assert main(args + [str(tmp_path / "forked")]) == 0
+    assert _forked(at_once) == [cli._write_part]
+    for name in ("spot.csv", "futures.csv", "btc.csv"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == ["btc.csv", "futures.csv", "spot.csv"]
     assert multiprocessing.active_children() == []
 
 
@@ -366,7 +389,7 @@ def test_parallel_parse_fails_as_the_serial_parse(datasets, bad, tmp_path, monke
     for role, index in bad.items():
         _with_bad_row(data / f"{role}.csv", index)
     serial = _run(_command_args("pipeline", data, tmp_path / "serial"), capsys)
-    monkeypatch.setattr(cli, "PARALLEL_PARSE_BYTES", 0)
+    monkeypatch.setattr(cli, "PARALLEL_BYTES", 0)
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
     parallel = _run(_command_args("pipeline", data, tmp_path / "parallel"), capsys)
     first = min(bad, key=("spot", "btc").index)  # the spot file is parsed first
@@ -375,7 +398,7 @@ def test_parallel_parse_fails_as_the_serial_parse(datasets, bad, tmp_path, monke
     assert multiprocessing.active_children() == []
 
 
-def test_parse_worker_that_dies_fails_at_parse(datasets, parse_at_once, tmp_path, monkeypatch, capsys):
+def test_parse_worker_that_dies_fails_at_parse(datasets, at_once, tmp_path, monkeypatch, capsys):
     parent, parse_bars = os.getpid(), marketdata.parse_bars
 
     def die_in_a_worker(*args, **kwargs):
@@ -388,7 +411,36 @@ def test_parse_worker_that_dies_fails_at_parse(datasets, parse_at_once, tmp_path
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     _assert_failed(code, err, "parse", "ChildProcessError", out)
     assert "spot.csv ended without a result" in err
-    assert parse_at_once.call_count == 1
+    assert _forked(at_once) == [cli._parse_file]
+    assert multiprocessing.active_children() == []
+
+
+def test_write_worker_that_dies_fails_at_write(datasets, at_once, tmp_path, monkeypatch, capsys):
+    parent, write_csv = os.getpid(), marketdata.write_csv
+
+    def die_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return write_csv(*args, **kwargs)
+
+    monkeypatch.setattr(marketdata, "write_csv", die_in_a_worker)
+    out = tmp_path / "out"
+    code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
+    _assert_failed(code, err, "write", "ChildProcessError", out)
+    assert re.search(r"the process writing \S+[.]csv[.]\d[.]part ended without a result", err)
+    assert _forked(at_once) == [cli._parse_file, cli._write_part]
+    assert multiprocessing.active_children() == []
+
+
+def test_write_that_fails_after_the_workers_leaves_no_file(datasets, at_once, tmp_path, monkeypatch, capsys):
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(shutil, "copyfileobj", disk_full)  # the parent's append of the first part
+    out = tmp_path / "out"
+    code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
+    _assert_failed(code, err, "write", "OSError", out)
+    assert _forked(at_once) == [cli._parse_file, cli._write_part]
     assert multiprocessing.active_children() == []
 
 
@@ -407,9 +459,9 @@ def test_fit_reports_the_rho_of_the_pipeline_manifest(datasets, tmp_path, monkey
 @pytest.fixture(params=("serial", "forked"))
 def either_parse(request):
     """Runs a test with its small inputs parsed in this process, then again in forked workers."""
-    spy = request.getfixturevalue("parse_at_once") if request.param == "forked" else None
+    spy = request.getfixturevalue("at_once") if request.param == "forked" else None
     yield
-    assert spy is None or spy.call_count == 1
+    assert spy is None or _forked(spy) == [cli._parse_file]
     assert multiprocessing.active_children() == []
 
 
