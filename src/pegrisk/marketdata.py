@@ -395,4 +395,4 @@ def align_daily(spot: BarSeries, futures: BarSeries) -> AlignedSeries:
     )
 
 
-write_bars_csv = write_aligned_csv = write_table_csv  # bars in the canonical input schema; aligned closes
+write_bars_csv = write_aligned_csv = write_table_csv  # bars in the input schema; closes with delta and basis
