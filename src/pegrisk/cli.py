@@ -98,8 +98,8 @@ class _Run:
     def write(self, files: dict[Path, str | marketdata.Table]) -> None:
         """Write each file: a text, or a table as CSV.
 
-        A large table is split into one range of rows per CPU, each of which a forked worker writes to a part
-        file beside it. The parts count as written from before the fork; they are appended in order, then removed.
+        A large table is split into one range of rows per CPU, which forked workers, one per CPU, write to part
+        files beside it. The parts count as written from before the fork; they are appended in order, then removed.
         """
         cpus = simkit._cpu_count()
         parts, jobs = {}, []
@@ -114,7 +114,7 @@ class _Run:
                     jobs.append((part, table.HEADER if k == 0 else None, [column[rows] for column in columns]))
         self.written += [part for paths in parts.values() for part in paths]
         if jobs:
-            _at_once(_write_part, jobs, "writing")
+            _at_once(_write_part, jobs, cpus)
         for path, content in files.items():
             with path.open("w", encoding="utf-8") as stream:
                 self.written.append(path)
@@ -202,8 +202,8 @@ def _write_part(path: Path, header: tuple[str, ...] | None, columns: list) -> No
         marketdata.write_csv(stream, header, *columns)
 
 
-def _at_once(func: Callable, jobs: list[tuple], doing: str) -> list:
-    """``func(*job)`` of each job, run side by side in forked workers; the first job that failed raises its error.
+def _at_once(func: Callable, jobs: list[tuple], workers: int) -> list:
+    """``func(*job)`` of each job, run by forked worker processes; the first job that failed raises its error.
 
     A job's first item is the path it reads or writes, named if its worker dies.
     """
@@ -214,7 +214,7 @@ def _at_once(func: Callable, jobs: list[tuple], doing: str) -> list:
     # forked workers keep this process's imports; leaving the pool joins them
     fork = multiprocessing.get_context("fork")
     futures = []
-    with ProcessPoolExecutor(len(jobs), mp_context=fork) as pool:
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
         for job in jobs:
             try:
                 futures.append(pool.submit(func, *job))
@@ -222,7 +222,7 @@ def _at_once(func: Callable, jobs: list[tuple], doing: str) -> list:
                 break
     for k, (path, *_) in enumerate(jobs):
         if k == len(futures) or isinstance(futures[k].exception(), BrokenExecutor):  # its worker died, as by a signal
-            raise ChildProcessError(f"the process {doing} {path} ended without a result")
+            raise ChildProcessError(f"the worker process for {path} ended without a result")
         futures[k].result()  # raises the job's own error
     return [future.result() for future in futures]
 
@@ -261,7 +261,7 @@ class _Stages:
             except OSError:  # the serial parse of that file raises it
                 size = 0
             if size >= PARALLEL_BYTES:
-                return dict(zip(self.paths, _at_once(_parse_file, self._jobs, "parsing")))
+                return dict(zip(self.paths, _at_once(_parse_file, self._jobs, len(self._jobs))))
         return {role: _parse_file(*job) for role, job in zip(self.paths, self._jobs)}
 
     @cached_property

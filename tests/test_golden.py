@@ -427,19 +427,23 @@ def test_write_worker_that_dies_fails_at_write(datasets, at_once, tmp_path, monk
     out = tmp_path / "out"
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     _assert_failed(code, err, "write", "ChildProcessError", out)
-    assert re.search(r"the process writing \S+[.]csv[.]\d[.]part ended without a result", err)
+    assert re.search(r"the worker process for \S+[.]csv[.]\d[.]part ended without a result", err)
     assert _forked(at_once) == [cli._parse_file, cli._write_part]
     assert multiprocessing.active_children() == []
 
 
 def test_write_that_fails_after_the_workers_leaves_no_file(datasets, at_once, tmp_path, monkeypatch, capsys):
-    def disk_full(*args, **kwargs):
+    appended = []
+
+    def disk_full(source, target, *args):
+        appended.append(Path(source.name).name)
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(shutil, "copyfileobj", disk_full)  # the parent's append of the first part
     out = tmp_path / "out"
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     _assert_failed(code, err, "write", "OSError", out)
+    assert appended == ["aligned.csv.0.part"]
     assert _forked(at_once) == [cli._parse_file, cli._write_part]
     assert multiprocessing.active_children() == []
 
