@@ -12,8 +12,8 @@ partially written artifacts are removed. A command parses all its inputs
 first, in role order. On two or more CPUs, inputs of ``PARALLEL_BYTES`` or
 more in all are parsed by forked workers, one per input, and a CSV artifact
 about that large (``aligned.csv``, ``prob.csv``, ``features.csv``, a
-fixture's bars) is written by one forked worker per CPU, a range of rows
-each; bytes and errors are those of the serial path.
+fixture's bars) is split into one range of rows per CPU for forked workers,
+one per CPU, to format; bytes and errors are those of the serial path.
 """
 
 from __future__ import annotations
