@@ -15,7 +15,6 @@ write/read cycle is lossless.
 from __future__ import annotations
 
 import csv
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -33,8 +32,6 @@ DEFAULT_SCHEMA: dict[str, str] = {role: role for role in ROLES}
 BLOCK_CHARS = 1 << 20
 # rows of CSV text formatted at a time
 WRITE_ROWS = 1 << 14
-# the dates date.fromisoformat can return
-_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 
 
 def fmt_float(x: float) -> str:
@@ -202,12 +199,15 @@ def _read_body(reader, convert) -> tuple[list[int], list[tuple], ValidationError
     return lines, rows, None
 
 
+def _days(ordinals) -> np.ndarray:
+    """Day ordinals as a datetime64[D] column; numpy converts date objects twenty times slower."""
+    return (np.array(ordinals, dtype=np.int64) - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+
+
 def _columns(rows: list[tuple], width: int) -> list[np.ndarray]:
     """Rows of (day ordinal, floats...) as a datetime64[D] column and float columns."""
     ordinals, *values = list(zip(*rows)) or [()] * width
-    # via ordinals: numpy converts date objects twenty times slower
-    days = (np.array(ordinals, dtype=np.int64) - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
-    return [days] + [np.array(column, dtype=float) for column in values]
+    return [_days(ordinals)] + [np.array(column, dtype=float) for column in values]
 
 
 def _read_header(reader) -> list[str]:
@@ -222,12 +222,12 @@ def _read_header(reader) -> list[str]:
 def _read_blocks(stream: TextIO, width: int, t: int, *floats: int) -> list[np.ndarray] | None:
     """The body's date column ``t`` and float columns ``floats``, or None.
 
-    The text is read a block at a time; ``np.loadtxt`` converts the floats.
-    None means the body holds what only the row-by-row csv reader handles
-    as it should: a quote, a carriage return not ending a line, a row of
-    another width (blank rows included, which loadtxt would skip), a cell
-    over the csv field limit, a date other than ``YYYY-MM-DD`` in years
-    1-9999, or a cell loadtxt rejects, as it does ``1_000``, which float() reads.
+    The text is read a block at a time; ``_parse_day`` converts the dates,
+    as in the row reader, and ``np.loadtxt`` the floats. None means the body
+    holds what only the row-by-row csv reader handles as it should: a quote,
+    a carriage return not ending a line, a row of another width (blank rows
+    included, which loadtxt would skip), a cell over the csv field limit, or
+    a cell either converter rejects, as loadtxt does ``1_000``, which float() reads.
     """
     days_read, values_read = [np.array([], dtype="datetime64[D]")], [np.empty((0, len(floats)))]
     while block := stream.read(BLOCK_CHARS):
@@ -241,19 +241,10 @@ def _read_blocks(stream: TextIO, width: int, t: int, *floats: int) -> list[np.nd
         lines = text.split("\n")
         if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
             return None
-        stamps = [line.split(",", t + 1)[t].strip() for line in lines]
         try:
-            with warnings.catch_warnings():
-                # numpy warns on a time zone ("...T00:00:00Z"); such dates take the row path
-                warnings.simplefilter("ignore", UserWarning)
-                days = np.array(stamps, dtype="datetime64[D]")
+            days = _days([_parse_day(line.split(",", t + 1)[t].strip()).toordinal() for line in lines])
             values = np.loadtxt(lines, delimiter=",", usecols=floats, comments=None, ndmin=2)
         except ValueError:
-            return None
-        # numpy also reads "2020" and "2020-01-01T00", which do not print back, and
-        # "" (NaT), "NaT", "0000-01-01" and "10000-01-01", which date.fromisoformat rejects
-        in_range = (days >= _FIRST_DAY) & (days <= _LAST_DAY)
-        if not in_range.all() or np.datetime_as_string(days, unit="D").tolist() != stamps:
             return None
         days_read.append(days)
         values_read.append(values)

@@ -307,7 +307,7 @@ INVALID_ROWS = {
     "2030-01-01,1.0,1.1,0.9,oops,1e6": "could not convert string to float: 'oops'",
     "2030-02-30,1.0,1.1,0.9,1.0,1e6": "day is out of range for month",
     "2030-01-01,1.0,1.1": "list index out of range",
-    # dates numpy reads but date.fromisoformat rejects
+    # dates date.fromisoformat rejects: the block reader declines them, so the row reader names them
     "0000-01-01,1.0,1.1,0.9,1.0,1e6": "year 0 is out of range",
     "10000-01-01,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: '10000-01-01'",
     "NaT,1.0,1.1,0.9,1.0,1e6": "Invalid isoformat string: 'NaT'",
@@ -435,8 +435,8 @@ def csv_layouts(draw, clean=False):
     """Valid bars as CSV text in varied layouts, with the schema and newline mode to read it with.
 
     ``clean`` leaves out what only the row reader takes: quoted cells,
-    time-stamped dates, float cells spelled with ``_`` or Arabic-Indic
-    digits, blank or whitespace-only rows.
+    float cells spelled with ``_`` or Arabic-Indic digits, blank or
+    whitespace-only rows. Time-stamped dates stay: both readers take them.
     """
     rows = [row.split(",") for row in draw(bar_rows())]
     schema = {role: f"{role.upper()}_" for role in ROLES} if draw(st.booleans()) else {}
@@ -446,7 +446,7 @@ def csv_layouts(draw, clean=False):
     lines = [[names[k] for k in order]]
     for cells in rows:
         cells = cells + [draw(extra_cell) for _ in range(n_extra)]
-        styles = ["plain", "padded"] + ([] if clean else ["quoted", "stamped", *FLOAT_SPELLINGS])
+        styles = ["plain", "padded", "stamped"] + ([] if clean else ["quoted", *FLOAT_SPELLINGS])
         style = draw(st.sampled_from(styles))
         if style == "stamped":
             cells[0] += "T00:00:00Z"
