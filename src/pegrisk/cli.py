@@ -141,7 +141,10 @@ class _Settings:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.cfg = cfgmod.load_config(args.config) if getattr(args, "config", None) else {}
+        # the keys the README lists: each flag but --config, with "_" for "-", then trim and the column names
+        keys = {flag.replace("-", "_") for flag in FLAGS if flag != "config"}
+        keys |= {"trim", *(f"col_{role}" for role in marketdata.ROLES)}
+        self.cfg = cfgmod.load_config(args.config, keys) if getattr(args, "config", None) else {}
 
     def get(self, key: str, default=None, cast=str):
         flag = getattr(self.args, key, None)
@@ -179,12 +182,8 @@ class _Settings:
         return cls(**values)
 
     def column_schema(self) -> dict[str, str]:
-        schema = {}
-        for role in marketdata.ROLES:
-            value = self.get(f"col_{role}")
-            if value is not None:
-                schema[role] = value
-        return schema
+        names = {role: self.get(f"col_{role}") for role in marketdata.ROLES}
+        return {role: name for role, name in names.items() if name is not None}
 
 
 def _parse_file(path: str, schema: dict[str, str], role: str, venue: str) -> marketdata.BarSeries:
@@ -275,6 +274,8 @@ class _Stages:
         """Effective rho, plus the full-sample and rolling fits behind it, of the spot deviations."""
         spot = self.bars["spot"]
         self.run.stage = "fit"
+        if self.model["window"] < 3:  # a bad setting, not bad data, so it fails with a fixed rho too
+            raise EstimationError(f"rolling window must be at least 3, got {self.model['window']}")
         days, deltas = spot.date, spot.close - 1.0
         estimate = self.model["rho"] == "estimate"
         full_fit = rolling = None
@@ -363,10 +364,7 @@ PANEL_INPUTS = ("spot", "futures", "btc")
 
 def _join_summary(aligned: marketdata.AlignedSeries) -> str:
     report = aligned.join_report
-    return (
-        f"aligned {report.matched} dates "
-        f"(dropped {report.dropped_spot} spot, {report.dropped_futures} futures)"
-    )
+    return f"aligned {report.matched} dates (dropped {report.dropped_spot} spot, {report.dropped_futures} futures)"
 
 
 def _manifest(stages: _Stages) -> str:

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import datetime
 import io
 import os
 import subprocess
@@ -282,6 +283,21 @@ class TestPipelineCommand:
         assert err == "error stage=fit type=SchemaError msg=\"rho must be a number or 'estimate', got 'high'\"\n"
         assert not out.exists() or not any(out.iterdir())
 
+    def test_missing_btc_input_fails_at_config(self, fixture_dir, tmp_path, capsys):
+        args = _pipeline_args(fixture_dir, tmp_path / "run")
+        del args[args.index("--btc") : args.index("--btc") + 2]
+        assert main(args) == 1
+        message = "missing required input 'btc' (flag --btc or config)"
+        assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
+
+    @pytest.mark.parametrize("rho", [[], ["--rho", "estimate"]], ids=["fixed", "estimate"])
+    def test_window_below_three_fails_at_fit(self, fixture_dir, tmp_path, capsys, rho):
+        out = tmp_path / "run"
+        assert main(_pipeline_args(fixture_dir, out) + ["--window", "2", *rho]) == 1
+        err = capsys.readouterr().err
+        assert err == 'error stage=fit type=EstimationError msg="rolling window must be at least 3, got 2"\n'
+        assert not out.exists() or not any(out.iterdir())
+
     def test_trimmed_prob_csv_has_no_negatives(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         assert main(_pipeline_args(fixture_dir, out)) == 0
@@ -290,6 +306,52 @@ class TestPipelineCommand:
         for line in lines:
             p_horizon = float(line.split(",")[1])
             assert p_horizon >= 0.0
+
+
+class TestConfigFile:
+    @staticmethod
+    def _prob(fixture_dir, tmp_path, *args):
+        inputs = ["--spot", str(fixture_dir / "spot.csv"), "--futures", str(fixture_dir / "futures.csv")]
+        return main(["prob", *inputs, "--out", str(tmp_path / "prob"), *args])
+
+    def test_byte_order_mark_keeps_the_first_key(self, fixture_dir, tmp_path, capsys):
+        assert self._prob(fixture_dir, tmp_path, "--horizon", "30") == 0
+        expected = capsys.readouterr().out
+        config = tmp_path / "c.txt"
+        config.write_bytes(codecs.BOM_UTF8 + b"horizon = 30\nrho = 0.73\n")
+        assert self._prob(fixture_dir, tmp_path, "--config", str(config)) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_file_that_is_not_utf8_fails_at_config(self, fixture_dir, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_bytes(b"rho = 0.5\xff\n")
+        assert self._prob(fixture_dir, tmp_path, "--config", str(config)) == 1
+        message = f"{config}: not UTF-8 text (invalid start byte, byte 0xff)"
+        assert capsys.readouterr().err == f'error stage=config type=ValidationError msg="{message}"\n'
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rho = 0.5\n\nrho = 0.6\n", "config line 3: repeated key 'rho'"),
+            ("# horizon\nhorizn = 30\n", "config line 2: no command reads the key 'horizn'"),
+            ("config = other.txt\n", "config line 1: no command reads the key 'config'"),
+        ],
+        ids=["repeated", "misspelt", "config"],
+    )
+    def test_key_fails_at_config(self, fixture_dir, tmp_path, capsys, text, message):
+        config = tmp_path / "c.txt"
+        config.write_text(text)
+        assert self._prob(fixture_dir, tmp_path, "--config", str(config)) == 1
+        assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
+        assert not (tmp_path / "prob").exists()
+
+    def test_pipeline_manifest_configures_fit(self, fixture_dir, tmp_path, capsys):
+        assert main(_pipeline_args(fixture_dir, tmp_path / "run")) == 0
+        capsys.readouterr()
+        assert main(["fit", "--spot", str(fixture_dir / "spot.csv")]) == 0
+        expected = capsys.readouterr().out
+        assert main(["fit", "--config", str(tmp_path / "run" / "run_manifest.txt")]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestSingleStageCommands:
@@ -317,6 +379,34 @@ class TestSingleStageCommands:
         out = capsys.readouterr().out
         assert "full-sample rho" in out
         assert "rolling mean rho" in out
+
+    def test_fit_on_empty_file_fails_at_parse(self, tmp_path, capsys):
+        spot = tmp_path / "spot.csv"
+        spot.write_text("")
+        assert main(["fit", "--spot", str(spot)]) == 1
+        assert capsys.readouterr().err == 'error stage=parse type=SchemaError msg="empty input: no header row"\n'
+
+    def test_fit_skips_rolling_fit_on_short_series(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["fixture", "--out", str(data), "--n-days", "40", "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--spot", str(data / "spot.csv")]) == 0
+        assert "series shorter than window 60; rolling fit skipped" in capsys.readouterr().out.splitlines()
+
+    def test_fit_without_stable_rho_prints_no_half_life(self, tmp_path, capsys):
+        # deviations of -10 and +10 bps by turns: rho is -1
+        days = [datetime.date(2020, 1, 1) + datetime.timedelta(days=k) for k in range(20)]
+        rows = [f"{day},{close},{close},{close},{close},1" for day, close in zip(days, ["0.999", "1.001"] * 10)]
+        spot = tmp_path / "spot.csv"
+        spot.write_text("\n".join(["timestamp,open,high,low,close,volume", *rows]) + "\n")
+        assert main(["fit", "--spot", str(spot)]) == 0
+        assert "fit is not stable (rho outside (0, 1)); no half-life" in capsys.readouterr().out.splitlines()
+
+    def test_prob_window_below_three_fails_at_fit(self, fixture_dir, tmp_path, capsys):
+        inputs = ["--spot", str(fixture_dir / "spot.csv"), "--futures", str(fixture_dir / "futures.csv")]
+        assert main(["prob", *inputs, "--window", "2", "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert err == 'error stage=fit type=EstimationError msg="rolling window must be at least 3, got 2"\n'
 
     def test_prob_writes_series(self, fixture_dir, tmp_path):
         out = tmp_path / "p"
