@@ -364,7 +364,10 @@ PANEL_INPUTS = ("spot", "futures", "btc")
 
 def _join_summary(aligned: marketdata.AlignedSeries) -> str:
     report = aligned.join_report
-    return f"aligned {report.matched} dates (dropped {report.dropped_spot} spot, {report.dropped_futures} futures)"
+    return (
+        f"aligned {report.matched} dates "
+        f"(dropped {report.dropped_spot} spot, {report.dropped_futures} futures)"
+    )
 
 
 def _manifest(stages: _Stages) -> str:

@@ -2,21 +2,19 @@
 
 A file is UTF-8 text, with or without a byte-order mark. Blank lines and
 ``#`` comments are ignored; values keep everything after the first ``=``.
-Each key may appear once, and must be one of the keys the caller allows.
-The same format serves as run manifest: effective parameters as
-key=value entries, provenance as comment lines, so a manifest can be fed
-straight back in as a config file.
+Each key may appear once, and must be one the caller allows. The same
+format serves as run manifest: effective parameters as key=value entries,
+provenance as comment lines, so a manifest can be fed back as a config file.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Container
 
 from .errors import SchemaError, ValidationError
 
 
-def parse_kv_text(text: str, keys: Container[str]) -> dict[str, str]:
+def parse_kv_text(text: str, keys: set[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -36,12 +34,11 @@ def parse_kv_text(text: str, keys: Container[str]) -> dict[str, str]:
     return out
 
 
-def load_config(path: str | Path, keys: Container[str]) -> dict[str, str]:
+def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        return parse_kv_text(Path(path).read_text(encoding="utf-8-sig"), keys)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})") from None
-    return parse_kv_text(text, keys)
 
 
 def format_kv(entries: dict[str, str], comments: list[str] | None = None) -> str:

@@ -268,8 +268,14 @@ class TestPipelineCommand:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("rho 0.5", "config line 4: expected key=value, got 'rho 0.5'"), ("= 0.5", "config line 4: empty key")],
-        ids=["no-equals", "empty-key"],
+        [
+            ("rho 0.5", "config line 4: expected key=value, got 'rho 0.5'"),
+            ("= 0.5", "config line 4: empty key"),
+            ("rho = 0.5\nrho = 0.6", "config line 5: repeated key 'rho'"),
+            ("horizn = 30", "config line 4: no command reads the key 'horizn'"),
+            ("config = other.txt", "config line 4: no command reads the key 'config'"),
+        ],
+        ids=["no-equals", "empty-key", "repeated-key", "misspelt-key", "config-key"],
     )
     def test_malformed_config_line(self, fixture_dir, tmp_path, capsys, line, message):
         cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", line)
@@ -328,22 +334,6 @@ class TestConfigFile:
         assert self._prob(fixture_dir, tmp_path, "--config", str(config)) == 1
         message = f"{config}: not UTF-8 text (invalid start byte, byte 0xff)"
         assert capsys.readouterr().err == f'error stage=config type=ValidationError msg="{message}"\n'
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("rho = 0.5\n\nrho = 0.6\n", "config line 3: repeated key 'rho'"),
-            ("# horizon\nhorizn = 30\n", "config line 2: no command reads the key 'horizn'"),
-            ("config = other.txt\n", "config line 1: no command reads the key 'config'"),
-        ],
-        ids=["repeated", "misspelt", "config"],
-    )
-    def test_key_fails_at_config(self, fixture_dir, tmp_path, capsys, text, message):
-        config = tmp_path / "c.txt"
-        config.write_text(text)
-        assert self._prob(fixture_dir, tmp_path, "--config", str(config)) == 1
-        assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
-        assert not (tmp_path / "prob").exists()
 
     def test_pipeline_manifest_configures_fit(self, fixture_dir, tmp_path, capsys):
         assert main(_pipeline_args(fixture_dir, tmp_path / "run")) == 0
