@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
-from .errors import EstimationError, PegRiskError, SchemaError, ValidationError
+from .errors import EstimationError, PegRiskError, SchemaError
 
 FIGURE1_STUB = """\
 {
@@ -162,9 +162,13 @@ class _Settings:
                 return False
             raise SchemaError(f"expected a boolean for {key!r}, got {raw!r}")
         try:
-            return cast(raw)
+            value = cast(raw)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+        choices = FLAGS.get(key.replace("_", "-"), {}).get("choices", (value,))
+        if value not in choices:  # argparse checks a flag; this checks a config value
+            raise SchemaError(f"bad value for {key!r}: {raw!r} (expected one of {', '.join(choices)})")
+        return value
 
     def require(self, key: str, cast=str):
         value = self.get(key, None, cast)
@@ -192,7 +196,7 @@ def _parse_file(path: str, schema: dict[str, str], role: str, venue: str) -> mar
         with open(path, newline="", encoding="utf-8-sig") as stream:
             return marketdata.parse_bars(stream, schema=schema, instrument=role, venue=venue)
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})") from None
+        raise cfgmod.not_utf8(path, exc) from None
 
 
 def _write_part(path: Path, header: tuple[str, ...] | None, columns: list) -> None:
@@ -270,36 +274,38 @@ class _Stages:
         return marketdata.align_daily(bars["spot"], bars["futures"])
 
     @cached_property
-    def fit(self) -> tuple[float, pegmodel.Ar1Fit | None, pegmodel.RollingAr1 | None]:
-        """Effective rho, plus the full-sample and rolling fits behind it, of the spot deviations."""
+    def fit(self) -> pegmodel.Ar1Fit:
         spot = self.bars["spot"]
         self.run.stage = "fit"
-        if self.model["window"] < 3:  # a bad setting, not bad data, so it fails with a fixed rho too
-            raise EstimationError(f"rolling window must be at least 3, got {self.model['window']}")
-        days, deltas = spot.date, spot.close - 1.0
-        estimate = self.model["rho"] == "estimate"
-        full_fit = rolling = None
+        return pegmodel.fit_ar1(spot.date, spot.close - 1.0)
+
+    @cached_property
+    def rolling(self) -> pegmodel.RollingAr1 | None:
+        """The rolling fits of the spot deviations, or None if the series is shorter than the window or degenerate."""
+        spot, window = self.bars["spot"], self.model["window"]
+        self.run.stage = "fit"
         try:
-            full_fit = pegmodel.fit_ar1(days, deltas)
-            if len(deltas) >= self.model["window"]:
-                rolling = pegmodel.fit_ar1_rolling(days, deltas, self.model["window"])
+            return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, window)
         except EstimationError:
-            # estimation is informational when rho is fixed, so a degenerate
-            # series (e.g. a perfectly pegged fixture) only fails in 'estimate' mode
-            if estimate:
+            if window < 3:  # a bad setting, not bad data, so it fails the command
                 raise
-        if estimate:
-            return (full_fit.rho if rolling is None else rolling.rho_mean), full_fit, rolling
+            return None
+
+    @cached_property
+    def rho(self) -> float:
+        """The rho of the inversion: the number given, or under 'estimate' that of the full-sample fit."""
+        if self.model["rho"] == "estimate":
+            return self.fit.rho
+        self.run.stage = "fit"
         try:
-            rho = float(self.model["rho"])
+            return float(self.model["rho"])
         except ValueError:
             raise SchemaError(f"rho must be a number or 'estimate', got {self.model['rho']!r}") from None
-        return rho, full_fit, rolling
 
     @cached_property
     def untrimmed(self) -> pegmodel.ProbSeries:
         """Raw inversions: they feed the statistics and the regressions."""
-        aligned, rho, model = self.aligned, self.fit[0], self.model
+        aligned, rho, model = self.aligned, self.rho, self.model
         self.run.stage = "prob"
         return pegmodel.prob_series(
             aligned, rho, model["horizon"], model["recovery"], trim=False, method=model["annualization"]
@@ -371,7 +377,11 @@ def _join_summary(aligned: marketdata.AlignedSeries) -> str:
 
 
 def _manifest(stages: _Stages) -> str:
-    rho, full_fit, rolling = stages.fit
+    fmt, rolling = marketdata.fmt_float, stages.rolling
+    try:
+        full_fit = f"rho_full_sample = {fmt(stages.fit.rho)} (stderr {fmt(stages.fit.stderr)})"
+    except EstimationError:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it again
+        full_fit = "full-sample fit unavailable (degenerate deviation series)"
     entries = dict(stages.paths)
     venues = [f"{role}_venue" for role in (*PANEL_INPUTS, "usdt_alt")]
     for key in [f"col_{role}" for role in marketdata.ROLES] + venues:
@@ -381,18 +391,14 @@ def _manifest(stages: _Stages) -> str:
     for key, value in stages.model.items():
         if isinstance(value, bool):
             value = "true" if value else "false"
-        entries[key] = marketdata.fmt_float(value) if isinstance(value, float) else str(value)
+        entries[key] = fmt(value) if isinstance(value, float) else str(value)
     report = stages.aligned.join_report
     comments = [
         "pegrisk run manifest; feed back via --config to reproduce",
-        f"rho_effective = {marketdata.fmt_float(rho)}",
+        f"rho_effective = {fmt(stages.rho)}",
+        full_fit,
         (
-            f"rho_full_sample = {marketdata.fmt_float(full_fit.rho)} (stderr {marketdata.fmt_float(full_fit.stderr)})"
-            if full_fit is not None
-            else "full-sample fit unavailable (degenerate deviation series)"
-        ),
-        (
-            f"rho_rolling_mean = {marketdata.fmt_float(rolling.rho_mean)} over {len(rolling.fits)} windows"
+            f"rho_rolling_mean = {fmt(rolling.rho_mean)} over {len(rolling.fits)} windows"
             if rolling is not None
             else f"rolling fit unavailable (series shorter than window {stages.model['window']} or degenerate)"
         ),
@@ -420,9 +426,9 @@ ARTIFACTS = {
 
 def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
     stages = _Stages(args, run, PANEL_INPUTS)
-    written = stages.write(PIPELINE_ARTIFACTS + ("run_manifest.txt",))
+    written = stages.write(("run_manifest.txt", *PIPELINE_ARTIFACTS))  # its fits fail before prob runs
     print(f"wrote {len(written)} artifacts to {Path(stages.out)}")
-    print(f"{_join_summary(stages.aligned)}; rho = {stages.fit[0]:.4f}")
+    print(f"{_join_summary(stages.aligned)}; rho = {stages.rho:.4f}")
     untrimmed = stages.untrimmed
     mean_p = sum(untrimmed.p_annualized_bps.tolist()) / len(untrimmed)
     print(f"mean annualized default probability (untrimmed): {mean_p:.2f} bps over {len(untrimmed)} dates")
@@ -438,9 +444,7 @@ def cmd_align(args: argparse.Namespace, run: _Run) -> int:
 
 def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
     stages = _Stages(args, run, ("spot",))
-    stages.model["rho"] = "estimate"  # so that a fit that fails, fails the command
-    _, full_fit, rolling = stages.fit
-    window = stages.model["window"]
+    full_fit, rolling, window = stages.fit, stages.rolling, stages.model["window"]
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
@@ -449,7 +453,7 @@ def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
     if rolling is not None:
         print(f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days")
     else:
-        print(f"series shorter than window {window}; rolling fit skipped")
+        print(f"rolling fit unavailable (series shorter than window {window} or degenerate)")
     return 0
 
 
@@ -459,7 +463,7 @@ def cmd_prob(args: argparse.Namespace, run: _Run) -> int:
     published = stages.published
     mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
     series = "trimmed" if stages.model["trim"] else "untrimmed"
-    print(f"wrote {len(published)} points (rho {stages.fit[0]:.4f}); mean {mean_p:.2f} bps annualized ({series})")
+    print(f"wrote {len(published)} points (rho {stages.rho:.4f}); mean {mean_p:.2f} bps annualized ({series})")
     return 0
 
 
@@ -539,7 +543,7 @@ FLAGS: dict[str, dict] = {
     "horizon": {"type": int, "help": f"futures horizon in days (default {MODEL_DEFAULTS['horizon']})"},
     "recovery": {"type": float, "help": f"recovery rate in [0, 1) (default {MODEL_DEFAULTS['recovery']:g})"},
     "window": {"type": int, "help": f"rolling estimation window (default {MODEL_DEFAULTS['window']})"},
-    "annualization": {"choices": ("linear", "compounded")},
+    "annualization": {"choices": pegmodel.ANNUALIZATIONS},
     "estimator": {"choices": features.ESTIMATORS, "help": "intraday volatility estimator"},
     "out": {"help": "output directory"},
     "innovation-sd": {"type": float},
@@ -556,14 +560,14 @@ FLAGS: dict[str, dict] = {
 
 _MARKET = "config spot spot-venue futures futures-venue"
 _PANEL = _MARKET + " btc btc-venue usdt-alt usdt-alt-venue"
-_MODEL = "rho horizon recovery window annualization"
+_MODEL = "rho horizon recovery annualization"
 _SIM = "config rho horizon recovery innovation-sd delta0 p-default seed"
 
 # subcommand -> (handler, the flags it reads, help); "trim" is --trim/--no-trim
 COMMANDS = {
     "pipeline": (
         cmd_pipeline,
-        f"{_PANEL} {_MODEL} estimator trim out",
+        f"{_PANEL} {_MODEL} window estimator trim out",
         "run everything and write all artifacts",
     ),
     "align": (cmd_align, f"{_MARKET} out", "align spot and futures into a daily panel"),

@@ -34,11 +34,15 @@ def parse_kv_text(text: str, keys: set[str]) -> dict[str, str]:
     return out
 
 
+def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValidationError:
+    return ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})")
+
+
 def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
     try:
         return parse_kv_text(Path(path).read_text(encoding="utf-8-sig"), keys)
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})") from None
+        raise not_utf8(path, exc) from None
 
 
 def format_kv(entries: dict[str, str], comments: list[str] | None = None) -> str:

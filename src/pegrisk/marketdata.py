@@ -67,8 +67,11 @@ def _parse_day(text: str) -> date:
     try:
         return date.fromisoformat(text)
     except ValueError:
-        # tolerate full ISO timestamps; only the calendar date is kept
-        return datetime.fromisoformat(text.replace("Z", "+00:00")).date()
+        # tolerate full ISO timestamps in UTC or with no zone; only the calendar date is kept
+        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if stamp.utcoffset():  # its calendar date is not the UTC one
+            raise ValueError(f"time stamp {text!r} is not in UTC (offset {stamp:%z})") from None
+        return stamp.date()
 
 
 class Table:
@@ -339,8 +342,6 @@ class AlignedSeries(Table):
     date: np.ndarray
     s: np.ndarray
     f: np.ndarray
-    spot_venue: str = "unspecified"
-    futures_venue: str = "unspecified"
     join_report: JoinReport = JoinReport(0, 0, 0)
 
     @property
@@ -380,8 +381,6 @@ def align_daily(spot: BarSeries, futures: BarSeries) -> AlignedSeries:
         date=common,
         s=spot.close[in_spot],
         f=futures.close[in_futures],
-        spot_venue=spot.venue,
-        futures_venue=futures.venue,
         join_report=report,
     )
 

@@ -110,9 +110,9 @@ def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, 
     does not depend on the gaps. A window with no usable variation raises
     :class:`EstimationError` naming its first date.
     """
-    lagged, lead, _ = _consecutive_pairs(days, deviations)
     if window < 3:
         raise EstimationError(f"rolling window must be at least 3, got {window}")
+    lagged, lead, _ = _consecutive_pairs(days, deviations)
     if window > lagged.size + 1:
         raise EstimationError(f"window {window} longer than series of length {lagged.size + 1}")
     # one row per window; vecdot on these contiguous rows gives the same
@@ -243,14 +243,16 @@ def prob_series(
     published series. Raw values below :data:`RAW_PROB_FLOOR` emit a
     :class:`DataQualityWarning` instead of being silently clamped. An
     inversion or annualization that fails names the first date it fails
-    on; dates before it still warn.
+    on; dates before it still warn. An unknown ``method`` fails first.
     """
     _check_inversion_domain(rho, h, recovery)
+    if method not in ANNUALIZATIONS:
+        raise DomainError(f"unknown annualization method {method!r}")
     survivor_value = 1.0 + rho**h * (aligned.s - 1.0)
     denominator = survivor_value - recovery
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (survivor_value - aligned.f) / denominator
-    bad = (denominator <= 0.0) | (raw > 1.0) | (raw <= -1.0) | (method not in ANNUALIZATIONS)
+    bad = (denominator <= 0.0) | (raw > 1.0) | (raw <= -1.0)
     first_bad = int(np.argmax(bad)) if bad.any() else raw.size
     # a date whose inversion succeeds warns before its annualization fails
     warn_until = first_bad + 1 if first_bad < raw.size and denominator[first_bad] > 0.0 else first_bad

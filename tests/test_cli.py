@@ -5,6 +5,7 @@ import csv
 import datetime
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -207,7 +208,8 @@ class TestPipelineCommand:
         assert main(args) == 0
         manifest = (out / "run_manifest.txt").read_text()
         assert "rho = estimate" in manifest
-        assert "rho_effective" in manifest
+        effective = re.search(r"rho_effective = (\S+)", manifest).group(1)
+        assert f"rho_full_sample = {effective} (stderr " in manifest
 
     def test_fixed_rho_survives_degenerate_deviations(self, tmp_path):
         # a perfectly pegged series cannot support estimation, but a fixed
@@ -274,8 +276,10 @@ class TestPipelineCommand:
             ("rho = 0.5\nrho = 0.6", "config line 5: repeated key 'rho'"),
             ("horizn = 30", "config line 4: no command reads the key 'horizn'"),
             ("config = other.txt", "config line 4: no command reads the key 'config'"),
+            ("annualization = weekly", "bad value for 'annualization': 'weekly' (expected one of linear, compounded)"),
+            ("estimator = foo", "bad value for 'estimator': 'foo' (expected one of parkinson, range)"),
         ],
-        ids=["no-equals", "empty-key", "repeated-key", "misspelt-key", "config-key"],
+        ids=["no-equals", "empty-key", "repeated-key", "misspelt-key", "config-key", "annualization", "estimator"],
     )
     def test_malformed_config_line(self, fixture_dir, tmp_path, capsys, line, message):
         cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", line)
@@ -381,7 +385,8 @@ class TestSingleStageCommands:
         assert main(["fixture", "--out", str(data), "--n-days", "40", "--seed", "7"]) == 0
         capsys.readouterr()
         assert main(["fit", "--spot", str(data / "spot.csv")]) == 0
-        assert "series shorter than window 60; rolling fit skipped" in capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out.splitlines()
+        assert "rolling fit unavailable (series shorter than window 60 or degenerate)" in out
 
     def test_fit_without_stable_rho_prints_no_half_life(self, tmp_path, capsys):
         # deviations of -10 and +10 bps by turns: rho is -1
@@ -392,9 +397,8 @@ class TestSingleStageCommands:
         assert main(["fit", "--spot", str(spot)]) == 0
         assert "fit is not stable (rho outside (0, 1)); no half-life" in capsys.readouterr().out.splitlines()
 
-    def test_prob_window_below_three_fails_at_fit(self, fixture_dir, tmp_path, capsys):
-        inputs = ["--spot", str(fixture_dir / "spot.csv"), "--futures", str(fixture_dir / "futures.csv")]
-        assert main(["prob", *inputs, "--window", "2", "--out", str(tmp_path / "p")]) == 1
+    def test_fit_window_below_three_fails_at_fit(self, fixture_dir, capsys):
+        assert main(["fit", "--spot", str(fixture_dir / "spot.csv"), "--window", "2"]) == 1
         err = capsys.readouterr().err
         assert err == 'error stage=fit type=EstimationError msg="rolling window must be at least 3, got 2"\n'
 
@@ -593,6 +597,15 @@ def test_flag_the_command_ignores_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["prob", "features", "regress", "stats"])
+def test_window_is_a_flag_of_pipeline_and_fit_only(command, capsys):
+    # the rolling fit runs only where it is reported: the pipeline manifest and fit's output
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--window", "30"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window 30" in capsys.readouterr().err
 
 
 def test_readme_lists_every_config_key():

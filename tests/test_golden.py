@@ -29,14 +29,16 @@ P_DEFAULT = 30.0 * 90.0 / (365.0 * 1e4)
 
 MARKET = ["--spot", "data/spot.csv", "--futures", "data/futures.csv"]
 BTC = ["--btc", "data/btc.csv"]
-ESTIMATE = ["--rho", "estimate", "--window", "30", "--no-trim", "--annualization", "compounded"]
+ESTIMATE = ["--rho", "estimate", "--no-trim", "--annualization", "compounded"]
+# only pipeline and fit take a window: the rolling fit runs only where it is reported
+WINDOW = ["--window", "30"]
 # priced at a 90-day horizon, read at one day: some raw probabilities are negative
 SHORT = ["--horizon", "1"]
 
 # name -> argv; the last argument is the output directory, except for fit
 INVOCATIONS = {
     "pipeline": ["pipeline", *MARKET, *BTC, "--out", "pipeline"],
-    "pipeline-estimate": ["pipeline", *MARKET, *BTC, *ESTIMATE, "--out", "pipeline-estimate"],
+    "pipeline-estimate": ["pipeline", *MARKET, *BTC, *ESTIMATE, *WINDOW, "--out", "pipeline-estimate"],
     "align": ["align", *MARKET, "--out", "align"],
     "prob": ["prob", *MARKET, "--out", "prob"],
     "prob-trimmed": ["prob", *MARKET, *SHORT, "--out", "prob-trimmed"],
@@ -61,15 +63,15 @@ GOLDEN = {
             "table4.txt": "e436ab191b27bbb03882840350418fc5ec85a91e567310aceda5531aa89b533b",
         },
         "pipeline-estimate": {
-            "stdout": "9c9499245808e15701981473ebacf251849072e91dd0d18501d7bbbda244fd05",
+            "stdout": "448e9cd75d48c9883549b39012bf158e9a936945bdc8b83c8d6b273d2cbe339c",
             "aligned.csv": "8e940781e7dbb63fcc0373e5ea685d78ee07271c322072e7b2212729e9f61707",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
-            "prob.csv": "14b41165f1993d193e126d9a7ce89be6ff2fa13218804ebfb6b8fb9f1671fc61",
-            "run_manifest.txt": "3b98b647e5a3270610ec1ff07873c5c695ee3d97abfb7e6fbef5eb901a0f229a",
-            "table3.csv": "9a4c3a091674804ccc36d1fd1944df91b78df4027f40bcbec4621efc0bc80594",
+            "prob.csv": "e6932699c81e89d0002ed8a62dc321bb0539ddf07066b78ae7cb630fbacf28d1",
+            "run_manifest.txt": "402b733d66b78b96c1b47bc4cbf4fdd567d683acf0d2de3718fb3ef87e747aaf",
+            "table3.csv": "3ebd0035c6eee69ff12964be1c849efea1dbe8af51cbc3ee4c8b693fd6582928",
             "table3.txt": "0ddf9de5b9916c49f35594faf89a4ee484cf0ee570d57d42f0c6fd73afd65e31",
-            "table4.csv": "84d7439db37db3e6e7914aa55f4b7c6c3c89f44560df1b5dbb769ca5408affd4",
+            "table4.csv": "8ecdddbbf52b8d834c4e5be88f1925d81418b06febd4edf19a5702e86b9a1e97",
             "table4.txt": "b85a7f15caabc90c3567febfbae32c98e4ca190c11e8edc8989f9647f8000572",
         },
         "align": {
@@ -116,15 +118,15 @@ GOLDEN = {
             "table4.txt": "97cd5a4f6ac3ca7665d120ed2ddc517413e695eaee905b8180f8d6dc1f48e930",
         },
         "pipeline-estimate": {
-            "stdout": "fdbdf2fdddb74107c242a0c6a717f8eb6e97d2064548489ad2d640600089c664",
+            "stdout": "b94dfe31e880c04df968a90ded77acc14826e4866a8509021dee9073fd84fdf0",
             "aligned.csv": "089a388212b8cae43f1bd4484ec58986dad9f8b1aacbedb95be018c7c7466b0d",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
-            "prob.csv": "5506bf9c642f2832290a3645ffe1c721dee506ae101044dbb95663146173483a",
-            "run_manifest.txt": "c729c867f38574320eb86d77fb39df7108513b47bd5c853b4f4651e58d51d3f4",
-            "table3.csv": "5ef8e0dc6687a3465cd194bc98ed27956c525bba24e93b488b4cb123401413e1",
+            "prob.csv": "eee99203b6334c1b84cc77d1d2968b6b55d2499ca9e746f8e4513c1c1ebbf64f",
+            "run_manifest.txt": "c4c8b02dbcec4a58380252a6643a37554acf0fd3b6008cf288084208cd7db20a",
+            "table3.csv": "8005d9bc5308e998d445e44ce09e1bea048bf01bd25989c4d238133da7ea03dc",
             "table3.txt": "d1f8f0d135fcd7d37f3ce7e0d586f50800a74d3838b8944773a1dc01926a53f7",
-            "table4.csv": "98b42b3fb86231f30a3f4bdcbd99e9f501160b699a0387a37228481809efd37d",
+            "table4.csv": "f0ffe8a379195d4d77f7a096afe84366241d4400b2c93e86cd9f0932ff6bc254",
             "table4.txt": "ebebf6b356bc4a4629b0bf42389f03831bac7bf1fd05713bd08b3e69b95f45ae",
         },
         "align": {
@@ -159,15 +161,15 @@ GOLDEN = {
     },
     "long": {
         "pipeline-estimate": {
-            "stdout": "0a146d320db4856eab08388248745a6eb33fa32053ee0c7e5a0cb2fb88e336ba",
+            "stdout": "efd23983a54038023bba92ca533bf89de8ec771633dc14cb4265ba782aa89182",
             "aligned.csv": "c6a2d204bffc17bf6c0287a736bfd8dc820a3fa4e10973ee7a2268b27e9fa07b",
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
-            "prob.csv": "4dca61ce3ae279274a97712cb422831c4334c1b04beea06ccc19c4f9430a795e",
-            "run_manifest.txt": "5378a92298f448ce357ed97a85eb3b90568fd0e69aedddb59546b3432c972a36",
-            "table3.csv": "1228652c8d010fdd9b7867615a5fd0d627da993f7cfe74d695cd84c92c4e2fc3",
+            "prob.csv": "e4a81bb6ac66f65df6ca7d45a94664078dbd88315289882afa1ecc0c40fe7695",
+            "run_manifest.txt": "debf61b0b448d1bf7549c032a639b5a451aee624a05d99113e5faa1180db0e87",
+            "table3.csv": "7b9798041ab38987a7079726ea08bcb5c59198521daf10f04e9864b9f70425e4",
             "table3.txt": "e723b5af95cb8342b07fd38a4486726ccae8d6faf4ecdbcb56cd821d15106ef7",
-            "table4.csv": "31bc5dd831a7a582e61f807091ea56271b45f4e85f8d5d0d6645c0c98e5f5e82",
+            "table4.csv": "db5ba24cf5040c8feacd84629de6050b149ab42cd63c00f4b542381d710eee6c",
             "table4.txt": "5696d5a9178dc9f1a3e1f2980d3d3e5ac94ec202eac9c29d2b516d082661fd50",
         },
     },
@@ -235,7 +237,7 @@ def test_single_stage_outputs_equal_pipeline_artifacts(datasets, dataset, model,
     market = ["--spot", str(data / "spot.csv"), "--futures", str(data / "futures.csv")]
     btc = ["--btc", str(data / "btc.csv")]
     pipe = tmp_path / "pipeline"
-    assert _run(["pipeline", *market, *btc, *model, "--out", str(pipe)], capsys)[0] == 0
+    assert _run(["pipeline", *market, *btc, *model, *WINDOW, "--out", str(pipe)], capsys)[0] == 0
     # regress and stats read the untrimmed series and take no trim flag
     untrimmed = [arg for arg in model if arg != "--no-trim"]
     commands = {
@@ -313,26 +315,29 @@ def test_degenerate_estimate_fails_at_fit(pegged_data, command, tmp_path, capsys
 
 @pytest.fixture(scope="module")
 def flat_stretch_data(tmp_path_factory):
-    """60 fittable days whose spot sits exactly at the peg on days 20-29, plus that stretch's first date."""
+    """60 fittable days whose spot sits exactly at the peg on days 20-29."""
     data = tmp_path_factory.mktemp("flat")
     assert main(["fixture", "--out", str(data), "--n-days", "60", "--seed", "5"]) == 0
     header, *rows = (data / "spot.csv").read_text().splitlines()
     for i in range(20, 30):
         rows[i] = rows[i].split(",")[0] + ",1,1.001,0.999,1,1000000"
     (data / "spot.csv").write_text("\n".join([header, *rows]) + "\n")
-    return data, rows[20].split(",")[0]
+    return data
 
 
-@pytest.mark.parametrize("command", ("pipeline", "prob", "features", "regress", "stats"))
-def test_degenerate_rolling_window_fails_estimate_at_fit(flat_stretch_data, command, tmp_path, capsys):
-    data, first_flat_day = flat_stretch_data
+def test_degenerate_rolling_window_leaves_estimate_to_the_full_sample(flat_stretch_data, tmp_path, capsys):
     out = tmp_path / "out"
-    args = _command_args(command, data, out) + ["--window", "10"]
-    code, _, err = _run(args + ["--rho", "estimate"], capsys)
-    _assert_failed(code, err, "fit", "EstimationError", out)
-    assert f"rolling window starting {first_flat_day}: degenerate regressor" in err
-    # with rho fixed the fits are informational and the run goes on
-    assert _run(args, capsys)[0] == 0
+    args = _command_args("pipeline", flat_stretch_data, out) + ["--window", "10", "--rho", "estimate"]
+    code, _, err = _run(args, capsys)
+    assert code == 0, err
+    manifest = (out / "run_manifest.txt").read_text()
+    effective = re.search(r"rho_effective = (\S+)", manifest).group(1)
+    assert f"rho_full_sample = {effective} (stderr " in manifest
+    unavailable = "rolling fit unavailable (series shorter than window 10 or degenerate)"
+    assert f"# {unavailable}" in manifest.splitlines()
+    code, stdout, err = _run(["fit", "--spot", str(flat_stretch_data / "spot.csv"), "--window", "10"], capsys)
+    assert code == 0, err
+    assert unavailable in stdout.splitlines()
 
 
 @pytest.fixture

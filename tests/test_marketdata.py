@@ -134,6 +134,26 @@ class TestParseBars:
         series = _series(_bars_csv(["2020-03-12T00:00:00Z,1.0,1.1,0.9,1.0,1e6"]))
         assert next(iter(series)).date.isoformat() == "2020-03-12"
 
+    @pytest.mark.parametrize(
+        "stamp", ["2020-03-12T23:00:00Z", "2020-03-12T23:00:00+00:00", "2020-03-12T23:00:00", "2020-03-12 23:00"]
+    )
+    def test_utc_and_naive_stamps_keep_their_date(self, stamp):
+        for lines in (io.StringIO, str.splitlines):  # the block reader, then the row reader
+            series = parse_bars(lines(_bars_csv([f"{stamp},1.0,1.1,0.9,1.0,1e6"])))
+            assert series.date.tolist() == [DAY]
+
+    @pytest.mark.parametrize(
+        "stamp, offset", [("2020-03-12T23:00:00-05:00", "-0500"), ("2020-03-13T04:00+05:30", "+0530")]
+    )
+    def test_stamp_with_utc_offset_fails(self, stamp, offset):
+        # 2020-03-12T23:00:00-05:00 is 2020-03-13 in UTC: neither date can be kept without a record
+        text = _bars_csv(["2020-03-11,1.0,1.1,0.9,1.0,1e6", f"{stamp},1.0,1.1,0.9,1.0,1e6"])
+        message = f"line 3: time stamp '{stamp}' is not in UTC (offset {offset})"
+        for lines in (io.StringIO, str.splitlines):
+            with pytest.raises(ValidationError) as caught:
+                parse_bars(lines(text))
+            assert str(caught.value) == message
+
 
 def _bar_series(open, high, low, close, volume, venue="test"):
     return BarSeries(
@@ -203,16 +223,6 @@ class TestAlignDaily:
         with pytest.raises(AlignmentError):
             align_daily(spot, futures)
 
-    def test_venues_carried_through(self):
-        spot = parse_bars(
-            io.StringIO(_bars_csv(["2020-06-01,1,1,1,1,1"])), venue="venue-a"
-        )
-        futures = parse_bars(
-            io.StringIO(_bars_csv(["2020-06-01,1,1,1,1,1"])), venue="venue-b"
-        )
-        aligned = align_daily(spot, futures)
-        assert aligned.spot_venue == "venue-a"
-        assert aligned.futures_venue == "venue-b"
 
 
 price = st.floats(min_value=0.9, max_value=1.1, allow_nan=False, allow_infinity=False)

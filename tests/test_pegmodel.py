@@ -1,5 +1,7 @@
 """Tests for mean-reversion fitting and the default-probability inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,10 +70,10 @@ class TestFitAr1:
         assert hits >= 90
 
     def test_long_series_oracle_and_rolling_bias(self):
-        # 10 seeds of a 20,000-day series: every full-sample fit lies within
-        # 3 of its own SEs of the planted rho, while the mean of the window-60
-        # fits, which --rho estimate uses, sits at the first-order bias of a
-        # fit through the origin over 59 pairs: rho - 2 rho / 59 = 0.7053
+        # 10 seeds of a 20,000-day series: every full-sample fit, which
+        # --rho estimate uses, lies within 3 of its own SEs of the planted rho,
+        # while the mean of the window-60 fits sits at the first-order bias of
+        # a fit through the origin over 59 pairs: rho - 2 rho / 59 = 0.7053
         rho0, window, seeds = 0.73, 60, range(10)
         rolling_means = []
         for seed in seeds:
@@ -383,6 +385,14 @@ class TestProbSeries:
         aligned = _aligned([(1.0, 0.3)])
         with pytest.raises(DomainError, match="2020-01-01: probability above 1"):
             prob_series(aligned, rho=0.73, h=90, recovery=0.5)
+
+    def test_unknown_method_fails_before_any_date(self):
+        aligned = _aligned([(1.0, 1.06), (1.0007, 0.9992)])  # the first date would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as caught:
+                prob_series(aligned, rho=0.73, h=90, method="weekly")
+        assert str(caught.value) == "unknown annualization method 'weekly'"
 
     def test_annualized_field_matches_annualize(self):
         aligned = _aligned([(1.0007, 0.9992), (1.0, 1.002)])
