@@ -141,9 +141,9 @@ class _Settings:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        # the keys the README lists: each flag but --config, with "_" for "-", then trim and the column names
+        # the keys the README lists: each flag but --config, with "_" for "-", then the column names
         keys = {flag.replace("-", "_") for flag in FLAGS if flag != "config"}
-        keys |= {"trim", *(f"col_{role}" for role in marketdata.ROLES)}
+        keys |= {f"col_{role}" for role in marketdata.ROLES}
         self.cfg = cfgmod.load_config(args.config, keys) if getattr(args, "config", None) else {}
 
     def get(self, key: str, default=None, cast=str):
@@ -231,23 +231,25 @@ def _at_once(func: Callable, jobs: list[tuple], workers: int) -> list:
 
 
 class _Stages:
-    """The paper's chain for one command: parse, align, fit, prob, features, regress, stats.
+    """One command's settings, and the paper's chain: parse, align, fit, prob, features, regress, stats.
 
-    Each stage runs at most once, the first time something reads it, and
-    names itself in ``run.stage`` while it runs so an error reports where
-    it happened. Required inputs and model parameters are resolved up
-    front, in the config stage, the model ones only if the command takes
-    their flag; the parse stage reads every input.
+    Constructing it is the config stage of every command. It resolves up
+    front each input, and in a data command each model setting, whose flag
+    the command takes; every input but ``usdt_alt`` is required. Each stage
+    runs at most once, the first time something reads it, and names itself
+    in ``run.stage`` while it runs so an error reports where it happened.
     """
 
-    def __init__(self, args: argparse.Namespace, run: _Run, inputs: tuple[str, ...]) -> None:
+    def __init__(self, args: argparse.Namespace, run: _Run) -> None:
         run.stage = "config"
         self.run = run
         self.settings = settings = _Settings(args)
-        defaults = {key: value for key, value in MODEL_DEFAULTS.items() if key in COMMANDS[args.command][1].split()}
-        self.model = {key: settings.get(key, value, type(value)) for key, value in defaults.items()}
-        self.paths = {role: settings.require(role) for role in inputs}
-        if "btc" in inputs and settings.get("usdt_alt"):
+        flags = COMMANDS[args.command][1].split()
+        # simulate and fixture read their rho, horizon and recovery through their config dataclass
+        model = MODEL_DEFAULTS if "spot" in flags else {}
+        self.model = {key: settings.get(key, value, type(value)) for key, value in model.items() if key in flags}
+        self.paths = {role: settings.require(role) for role in ("spot", "futures", "btc") if role in flags}
+        if "usdt-alt" in flags and settings.get("usdt_alt"):
             self.paths["usdt_alt"] = settings.get("usdt_alt")
         self._jobs = [
             (path, settings.column_schema(), role, settings.get(f"{role}_venue", "unspecified"))
@@ -365,7 +367,6 @@ PIPELINE_ARTIFACTS = (
     "figure1.vl.json",
     "figure2.vl.json",
 )
-PANEL_INPUTS = ("spot", "futures", "btc")
 
 
 def _join_summary(aligned: marketdata.AlignedSeries) -> str:
@@ -383,7 +384,7 @@ def _manifest(stages: _Stages) -> str:
     except EstimationError:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it again
         full_fit = "full-sample fit unavailable (degenerate deviation series)"
     entries = dict(stages.paths)
-    venues = [f"{role}_venue" for role in (*PANEL_INPUTS, "usdt_alt")]
+    venues = [flag.replace("-", "_") for flag in FLAGS if flag.endswith("-venue")]
     for key in [f"col_{role}" for role in marketdata.ROLES] + venues:
         value = stages.settings.get(key)
         if value is not None:
@@ -424,8 +425,7 @@ ARTIFACTS = {
 }
 
 
-def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, PANEL_INPUTS)
+def cmd_pipeline(stages: _Stages) -> int:
     written = stages.write(("run_manifest.txt", *PIPELINE_ARTIFACTS))  # its fits fail before prob runs
     print(f"wrote {len(written)} artifacts to {Path(stages.out)}")
     print(f"{_join_summary(stages.aligned)}; rho = {stages.rho:.4f}")
@@ -435,15 +435,13 @@ def cmd_pipeline(args: argparse.Namespace, run: _Run) -> int:
     return 0
 
 
-def cmd_align(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, ("spot", "futures"))
+def cmd_align(stages: _Stages) -> int:
     stages.write(("aligned.csv",))
     print(_join_summary(stages.aligned))
     return 0
 
 
-def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, ("spot",))
+def cmd_fit(stages: _Stages) -> int:
     full_fit, rolling, window = stages.fit, stages.rolling, stages.model["window"]
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
@@ -457,8 +455,7 @@ def cmd_fit(args: argparse.Namespace, run: _Run) -> int:
     return 0
 
 
-def cmd_prob(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, ("spot", "futures"))
+def cmd_prob(stages: _Stages) -> int:
     stages.write(("prob.csv",))
     published = stages.published
     mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
@@ -467,31 +464,27 @@ def cmd_prob(args: argparse.Namespace, run: _Run) -> int:
     return 0
 
 
-def cmd_features(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, PANEL_INPUTS)
+def cmd_features(stages: _Stages) -> int:
     stages.write(("features.csv",))
     print(f"wrote {len(stages.panel)} panel rows")
     return 0
 
 
-def cmd_regress(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, PANEL_INPUTS)
+def cmd_regress(stages: _Stages) -> int:
     print(stages.write(("table4.txt", "table4.csv"), default_out=None)["table4.txt"], end="")
     return 0
 
 
-def cmd_stats(args: argparse.Namespace, run: _Run) -> int:
-    stages = _Stages(args, run, ("spot", "futures"))
+def cmd_stats(stages: _Stages) -> int:
     print(stages.write(("table3.txt", "table3.csv"), default_out=None)["table3.txt"], end="")
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
+def cmd_simulate(stages: _Stages) -> int:
     # unlike SimConfig's 0, a default that is planted can be recovered
-    config = _Settings(args).build(simkit.SimConfig, p_default=0.005)
+    config = stages.settings.build(simkit.SimConfig, p_default=0.005)
 
-    run.stage = "simulate"
+    stages.run.stage = "simulate"
     recovered = simkit.roundtrip_invert(config)
     sim = recovered.sim
     rate = sim.default_count / config.n_paths
@@ -509,17 +502,15 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
     return 0
 
 
-def cmd_fixture(args: argparse.Namespace, run: _Run) -> int:
-    run.stage = "config"
-    settings = _Settings(args)
-    config = settings.build(simkit.FixtureConfig)
-    outdir = Path(settings.get("out", DEFAULT_OUT))
+def cmd_fixture(stages: _Stages) -> int:
+    config = stages.settings.build(simkit.FixtureConfig)
+    outdir = Path(stages.settings.get("out", DEFAULT_OUT))
 
-    run.stage = "fixture"
+    stages.run.stage = "fixture"
     fixture = simkit.generate_fixture(config)
 
-    run.stage = "write"
-    run.write({outdir / f"{name}.csv": getattr(fixture, name) for name in ("spot", "futures", "btc")})
+    stages.run.stage = "write"
+    stages.run.write({outdir / f"{name}.csv": getattr(fixture, name) for name in ("spot", "futures", "btc")})
     annualized = pegmodel.annualize(config.p_default, config.horizon_days)
     print(
         f"wrote spot.csv futures.csv btc.csv ({config.n_days} days, seed {config.seed}); "
@@ -545,6 +536,7 @@ FLAGS: dict[str, dict] = {
     "window": {"type": int, "help": f"rolling estimation window (default {MODEL_DEFAULTS['window']})"},
     "annualization": {"choices": pegmodel.ANNUALIZATIONS},
     "estimator": {"choices": features.ESTIMATORS, "help": "intraday volatility estimator"},
+    "trim": {"action": argparse.BooleanOptionalAction, "help": "clamp negative probabilities to 0 (default on)"},
     "out": {"help": "output directory"},
     "innovation-sd": {"type": float},
     "delta0": {"type": float},
@@ -563,7 +555,7 @@ _PANEL = _MARKET + " btc btc-venue usdt-alt usdt-alt-venue"
 _MODEL = "rho horizon recovery annualization"
 _SIM = "config rho horizon recovery innovation-sd delta0 p-default seed"
 
-# subcommand -> (handler, the flags it reads, help); "trim" is --trim/--no-trim
+# subcommand -> (handler, the flags it reads, help)
 COMMANDS = {
     "pipeline": (
         cmd_pipeline,
@@ -595,12 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(func=func)
         for flag in flags.split():
-            if flag == "trim":
-                trim = command.add_mutually_exclusive_group()
-                trim.add_argument("--trim", dest="trim", action="store_const", const="true")
-                trim.add_argument("--no-trim", dest="trim", action="store_const", const="false")
-            else:
-                command.add_argument(f"--{flag}", **FLAGS[flag])
+            command.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -612,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     run = _Run()
     try:
-        return args.func(args, run)
+        return args.func(_Stages(args, run))
     except (PegRiskError, OSError) as exc:
         run.discard_written()
         message = " ".join(str(exc).split())

@@ -308,6 +308,18 @@ class TestPipelineCommand:
         assert err == 'error stage=fit type=EstimationError msg="rolling window must be at least 3, got 2"\n'
         assert not out.exists() or not any(out.iterdir())
 
+    def test_last_trim_flag_wins(self, fixture_dir, tmp_path):
+        # at a one-day horizon some raw probabilities are negative, so trimming moves prob.csv
+        runs = {"trim": ["--trim"], "no-trim": ["--no-trim"]}
+        runs |= {"both": ["--trim", "--no-trim"], "again": ["--no-trim", "--trim"]}
+        for name, flags in runs.items():
+            assert main(_pipeline_args(fixture_dir, tmp_path / name) + ["--horizon", "1", *flags]) == 0
+        prob = {name: (tmp_path / name / "prob.csv").read_bytes() for name in runs}
+        assert prob["trim"] != prob["no-trim"]
+        assert prob["both"] == prob["no-trim"]
+        assert prob["again"] == prob["trim"]
+        assert "trim = false" in (tmp_path / "both" / "run_manifest.txt").read_text().splitlines()
+
     def test_trimmed_prob_csv_has_no_negatives(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         assert main(_pipeline_args(fixture_dir, out)) == 0
