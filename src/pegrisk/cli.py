@@ -190,11 +190,11 @@ class _Settings:
         return {role: name for role, name in names.items() if name is not None}
 
 
-def _parse_file(path: str, schema: dict[str, str], role: str, venue: str) -> marketdata.BarSeries:
+def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.BarSeries:
     """The bars of one input file; module-level so that a worker process can be sent it."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as stream:
-            return marketdata.parse_bars(stream, schema=schema, instrument=role, venue=venue)
+            return marketdata.parse_bars(stream, schema=schema, venue=venue)
     except UnicodeDecodeError as exc:
         raise cfgmod.not_utf8(path, exc) from None
 
@@ -252,7 +252,7 @@ class _Stages:
         if "usdt-alt" in flags and settings.get("usdt_alt"):
             self.paths["usdt_alt"] = settings.get("usdt_alt")
         self._jobs = [
-            (path, settings.column_schema(), role, settings.get(f"{role}_venue", "unspecified"))
+            (path, settings.column_schema(), settings.get(f"{role}_venue", "unspecified"))
             for role, path in self.paths.items()
         ]
 
@@ -282,16 +282,16 @@ class _Stages:
         return pegmodel.fit_ar1(spot.date, spot.close - 1.0)
 
     @cached_property
-    def rolling(self) -> pegmodel.RollingAr1 | None:
-        """The rolling fits of the spot deviations, or None if the series is shorter than the window or degenerate."""
+    def rolling(self) -> pegmodel.RollingAr1 | EstimationError:
+        """The rolling fits of the spot deviations, or the error that makes them unavailable."""
         spot, window = self.bars["spot"], self.model["window"]
         self.run.stage = "fit"
         try:
             return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, window)
-        except EstimationError:
+        except EstimationError as exc:
             if window < 3:  # a bad setting, not bad data, so it fails the command
                 raise
-            return None
+            return exc
 
     @cached_property
     def rho(self) -> float:
@@ -381,8 +381,8 @@ def _manifest(stages: _Stages) -> str:
     fmt, rolling = marketdata.fmt_float, stages.rolling
     try:
         full_fit = f"rho_full_sample = {fmt(stages.fit.rho)} (stderr {fmt(stages.fit.stderr)})"
-    except EstimationError:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it again
-        full_fit = "full-sample fit unavailable (degenerate deviation series)"
+    except EstimationError as exc:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it
+        full_fit = f"full-sample fit unavailable: {exc}"
     entries = dict(stages.paths)
     venues = [flag.replace("-", "_") for flag in FLAGS if flag.endswith("-venue")]
     for key in [f"col_{role}" for role in marketdata.ROLES] + venues:
@@ -399,9 +399,9 @@ def _manifest(stages: _Stages) -> str:
         f"rho_effective = {fmt(stages.rho)}",
         full_fit,
         (
-            f"rho_rolling_mean = {fmt(rolling.rho_mean)} over {len(rolling.fits)} windows"
-            if rolling is not None
-            else f"rolling fit unavailable (series shorter than window {stages.model['window']} or degenerate)"
+            f"rolling fit unavailable: {rolling}"
+            if isinstance(rolling, EstimationError)
+            else f"rho_rolling_mean = {fmt(rolling.rho_mean)} over {len(rolling.fits)} windows"
         ),
         f"join: matched {report.matched}, "
         f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
@@ -448,10 +448,10 @@ def cmd_fit(stages: _Stages) -> int:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
     else:
         print("fit is not stable (rho outside (0, 1)); no half-life")
-    if rolling is not None:
-        print(f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days")
+    if isinstance(rolling, EstimationError):
+        print(f"rolling fit unavailable: {rolling}")
     else:
-        print(f"rolling fit unavailable (series shorter than window {window} or degenerate)")
+        print(f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days")
     return 0
 
 

@@ -166,12 +166,11 @@ class BarSeries(Table):
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-    instrument: str
     venue: str
 
     def __post_init__(self) -> None:
-        if not self.instrument or not self.venue:
-            raise ValidationError("instrument and venue must be non-empty")
+        if not self.venue:
+            raise ValidationError("venue must be non-empty")
         super().__post_init__()
         bad = _first_bad_bar(self.open, self.high, self.low, self.close, self.volume)
         if bad is not None:
@@ -265,7 +264,6 @@ def _tell(stream: TextIO | Iterable[str]) -> int | None:
 def parse_bars(
     stream: TextIO | Iterable[str],
     schema: Mapping[str, str] | None = None,
-    instrument: str = "unspecified",
     venue: str = "unspecified",
 ) -> BarSeries:
     """Parse daily OHLCV bars from a CSV stream with a header row.
@@ -316,7 +314,7 @@ def parse_bars(
     if error is not None:
         raise error
     order = np.argsort(days, kind="stable")
-    return BarSeries(days[order], *(column[order] for column in values), instrument=instrument, venue=venue)
+    return BarSeries(days[order], *(column[order] for column in values), venue=venue)
 
 
 @dataclass(frozen=True)

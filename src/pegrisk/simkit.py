@@ -256,7 +256,6 @@ def _bars_from_closes(
     rng: np.random.Generator,
     range_sd: float,
     volume_scale: float,
-    instrument: str,
 ) -> BarSeries:
     n = closes.size
     hi_off = np.abs(rng.normal(0.0, range_sd, n))
@@ -270,7 +269,6 @@ def _bars_from_closes(
         low=np.minimum(opens, closes) * (1.0 - lo_off),
         close=closes,
         volume=volumes,
-        instrument=instrument,
         venue="synthetic",
     )
 
@@ -307,10 +305,10 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
     futures_closes = np.maximum(futures_closes + futures_noise, 1e-6)
 
     range_sd = config.intraday_range_sd
-    spot = _bars_from_closes(spot_closes, days, rng, range_sd, _VOLUME_SCALE, "USDT_USD")
-    futures = _bars_from_closes(futures_closes, days, rng, range_sd, _VOLUME_SCALE, "USDT_USD_FUT")
+    spot = _bars_from_closes(spot_closes, days, rng, range_sd, _VOLUME_SCALE)
+    futures = _bars_from_closes(futures_closes, days, rng, range_sd, _VOLUME_SCALE)
 
     btc_steps = rng.normal(0.0, _BTC_DAILY_VOL, config.n_days)
     btc_closes = _BTC_START * np.exp(np.cumsum(btc_steps))
-    btc = _bars_from_closes(btc_closes, days, rng, _BTC_RANGE_SD, _VOLUME_SCALE / 100.0, "BTC_USDT")
+    btc = _bars_from_closes(btc_closes, days, rng, _BTC_RANGE_SD, _VOLUME_SCALE / 100.0)
     return FixtureSet(spot=spot, futures=futures, btc=btc)

@@ -235,12 +235,22 @@ class TestPipelineCommand:
             )
             == 0
         )
-        out = tmp_path / "run"
-        assert main(_pipeline_args(data, out)) == 0
-        manifest = (out / "run_manifest.txt").read_text()
-        assert "full-sample fit unavailable" in manifest
-        bad = main(_pipeline_args(data, tmp_path / "run2") + ["--rho", "estimate"])
-        assert bad == 1
+        # so can a spot file that keeps every other day: no two of its days are consecutive
+        gapped = tmp_path / "gapped"
+        assert main(["fixture", "--out", str(gapped), "--n-days", "60", "--seed", "3"]) == 0
+        header, *rows = (gapped / "spot.csv").read_text().splitlines()
+        (gapped / "spot.csv").write_text("\n".join([header, *rows[::2]]) + "\n")
+        reasons = {
+            data: "degenerate regressor: lagged deviations are all zero",
+            gapped: "need at least 2 pairs of consecutive days, got 0",
+        }
+        for inputs, reason in reasons.items():
+            out = tmp_path / f"{inputs.name}-run"
+            assert main(_pipeline_args(inputs, out)) == 0
+            manifest = (out / "run_manifest.txt").read_text().splitlines()
+            assert f"# full-sample fit unavailable: {reason}" in manifest
+            bad = main(_pipeline_args(inputs, tmp_path / f"{inputs.name}-estimate") + ["--rho", "estimate"])
+            assert bad == 1
 
     def test_column_names_from_config(self, fixture_dir, tmp_path):
         renamed = {"timestamp": "Date", "open": "Open", "high": "High", "low": "Low", "close": "Close", "volume": "Vol"}
@@ -398,7 +408,7 @@ class TestSingleStageCommands:
         capsys.readouterr()
         assert main(["fit", "--spot", str(data / "spot.csv")]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert "rolling fit unavailable (series shorter than window 60 or degenerate)" in out
+        assert "rolling fit unavailable: window 60 longer than series of length 40" in out
 
     def test_fit_without_stable_rho_prints_no_half_life(self, tmp_path, capsys):
         # deviations of -10 and +10 bps by turns: rho is -1

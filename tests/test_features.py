@@ -22,12 +22,10 @@ from pegrisk.pegmodel import ProbSeries
 START = np.datetime64("2020-02-28")
 
 
-def _series(ohlc_rows, instrument="X", venue="test"):
+def _series(ohlc_rows, venue="test"):
     o, h, lo, c = np.array(ohlc_rows, dtype=float).reshape(-1, 4).T
     days = START + np.arange(c.size)
-    return BarSeries(
-        date=days, open=o, high=h, low=lo, close=c, volume=np.full(c.size, 1e6), instrument=instrument, venue=venue
-    )
+    return BarSeries(date=days, open=o, high=h, low=lo, close=c, volume=np.full(c.size, 1e6), venue=venue)
 
 
 def _flat_series(closes, **kwargs):
@@ -117,8 +115,8 @@ class TestBuildFeaturePanel:
         n = 410
         rng = np.random.default_rng(0)
         closes = 20000.0 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
-        btc = _series([(c, c * 1.01, c * 0.99, c) for c in closes], instrument="BTC")
-        usdt = _series([(1.0, 1.001, 0.999, 1.0)] * n, instrument="USDT")
+        btc = _series([(c, c * 1.01, c * 0.99, c) for c in closes])
+        usdt = _series([(1.0, 1.001, 0.999, 1.0)] * n)
         panel = build_feature_panel(_prob_points(n), btc, usdt)
         assert len(panel) == n
         with_returns = [row for row in panel if not math.isnan(row.r_btc_bps)]
@@ -126,22 +124,22 @@ class TestBuildFeaturePanel:
         assert math.isnan(panel.r_btc_bps[0])
 
     def test_disjoint_dates_error(self):
-        btc = _flat_series([1.0, 1.0], instrument="BTC")
-        usdt = _flat_series([1.0, 1.0], instrument="USDT")
+        btc = _flat_series([1.0, 1.0])
+        usdt = _flat_series([1.0, 1.0])
         late = _prob_points(3, value_bps=0.0, first_day=100)
         with pytest.raises(AlignmentError):
             build_feature_panel(late, btc, usdt)
 
     def test_single_common_date_has_no_return(self):
-        btc = _flat_series([1.0], instrument="BTC")
-        usdt = _flat_series([1.0], instrument="USDT")
+        btc = _flat_series([1.0])
+        usdt = _flat_series([1.0])
         panel = build_feature_panel(_prob_points(1), btc, usdt)
         assert len(panel) == 1
         assert math.isnan(panel.r_btc_bps[0])
 
     def test_csv_empty_cell_for_missing_return(self):
-        btc = _flat_series([1.0, 1.01], instrument="BTC")
-        usdt = _flat_series([1.0, 1.0], instrument="USDT")
+        btc = _flat_series([1.0, 1.01])
+        usdt = _flat_series([1.0, 1.0])
         panel = build_feature_panel(_prob_points(2), btc, usdt)
         buf = io.StringIO()
         write_panel_csv(panel, buf)

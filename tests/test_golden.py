@@ -294,6 +294,37 @@ def test_missing_input_fails_at_parse(datasets, command, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def broken_data(tmp_path_factory):
+    """A 60-day fixture, plus futures and BTC files whose dates moved to 2024 and a BTC file of constant bars."""
+    data = tmp_path_factory.mktemp("broken")
+    assert main(["fixture", "--out", str(data), "--n-days", "60", "--seed", "5"]) == 0
+    for role in ("futures", "btc"):
+        (data / f"{role}-2024.csv").write_text((data / f"{role}.csv").read_text().replace("2020-", "2024-"))
+    header, *rows = (data / "btc.csv").read_text().splitlines()
+    (data / "btc-flat.csv").write_text("\n".join([header, *(row.split(",")[0] + ",1,1,1,1,1" for row in rows)]) + "\n")
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, files, flags, stage, error",
+    [
+        ("align", {"futures": "futures-2024.csv"}, [], "align", 'AlignmentError msg="no dates in common between spot'),
+        ("prob", {}, ["--recovery", "0.9995"], "prob", 'DomainError msg="2020-02-28: probability above 1: '),
+        ("features", {"btc": "btc-2024.csv"}, [], "features", 'AlignmentError msg="no dates in common between the BTC'),
+        ("regress", {"btc": "btc-flat.csv"}, [], "regress", 'EstimationError msg="singular design: '),
+    ],
+    ids=["align", "prob", "features", "regress"],
+)
+def test_failing_stage_names_itself(broken_data, command, files, flags, stage, error, tmp_path, capsys):
+    # stats reads only what align has already checked, so no input fails it
+    out = tmp_path / "out"
+    paths = {role: str(broken_data / name) for role, name in files.items()}
+    code, _, err = _run(_command_args(command, broken_data, out, **paths) + flags, capsys)
+    _assert_failed(code, err, stage, error.split()[0], out)
+    assert err.startswith(f"error stage={stage} type={error}")
+
+
+@pytest.fixture(scope="module")
 def pegged_data(tmp_path_factory):
     """A perfectly pegged series: every deviation is zero, so rho cannot be fitted."""
     data = tmp_path_factory.mktemp("pegged")
@@ -333,7 +364,9 @@ def test_degenerate_rolling_window_leaves_estimate_to_the_full_sample(flat_stret
     manifest = (out / "run_manifest.txt").read_text()
     effective = re.search(r"rho_effective = (\S+)", manifest).group(1)
     assert f"rho_full_sample = {effective} (stderr " in manifest
-    unavailable = "rolling fit unavailable (series shorter than window 10 or degenerate)"
+    # the first degenerate window starts on day 20, 2020-03-19
+    reason = "rolling window starting 2020-03-19: degenerate regressor: lagged deviations are all zero"
+    unavailable = f"rolling fit unavailable: {reason}"
     assert f"# {unavailable}" in manifest.splitlines()
     code, stdout, err = _run(["fit", "--spot", str(flat_stretch_data / "spot.csv"), "--window", "10"], capsys)
     assert code == 0, err

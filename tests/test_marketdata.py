@@ -28,7 +28,7 @@ DAY = datetime.date(2020, 3, 12)
 
 
 def _series(text):
-    return parse_bars(io.StringIO(text), instrument="USDT_USD", venue="test")
+    return parse_bars(io.StringIO(text), venue="test")
 
 
 def _bars_csv(rows):
@@ -156,9 +156,7 @@ class TestParseBars:
 
 
 def _bar_series(open, high, low, close, volume, venue="test"):
-    return BarSeries(
-        date=[DAY], open=[open], high=[high], low=[low], close=[close], volume=[volume], instrument="X", venue=venue
-    )
+    return BarSeries(date=[DAY], open=[open], high=[high], low=[low], close=[close], volume=[volume], venue=venue)
 
 
 class TestBarInvariants:
@@ -172,12 +170,11 @@ class TestBarInvariants:
 
     def test_empty_venue_rejected(self):
         with pytest.raises(ValidationError):
-            BarSeries(date=[], open=[], high=[], low=[], close=[], volume=[], instrument="X", venue="")
+            BarSeries(date=[], open=[], high=[], low=[], close=[], volume=[], venue="")
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValidationError, match="differ in length"):
-            BarSeries(date=[DAY], open=[1.0, 1.0], high=[1.0], low=[1.0], close=[1.0], volume=[1.0],
-                      instrument="X", venue="test")
+            BarSeries(date=[DAY], open=[1.0, 1.0], high=[1.0], low=[1.0], close=[1.0], volume=[1.0], venue="test")
 
 
 class TestAlignDaily:
