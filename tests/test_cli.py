@@ -235,7 +235,7 @@ class TestPipelineCommand:
             )
             == 0
         )
-        # so can a spot file that keeps every other day: no two of its days are consecutive
+        # as must a spot file that keeps every other day: no two of its days are consecutive
         gapped = tmp_path / "gapped"
         assert main(["fixture", "--out", str(gapped), "--n-days", "60", "--seed", "3"]) == 0
         header, *rows = (gapped / "spot.csv").read_text().splitlines()
@@ -584,6 +584,13 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error stage=config type=SchemaError")
         assert "bad value for 'n_paths'" in err
+
+    def test_bad_settings_fail_in_config_field_order(self, tmp_path, capsys):
+        # simulate reads rho, horizon and recovery with the rest of SimConfig, not as the data commands' model
+        config = tmp_path / "sim.cfg"
+        config.write_text("horizon = 1.5\ninnovation_sd = x\n")
+        assert main(["simulate", "--config", str(config)]) == 1
+        assert "bad value for 'innovation_sd'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, field",
