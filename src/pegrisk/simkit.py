@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .marketdata import BarSeries
-from .pegmodel import implied_default_prob, theoretical_futures
+from .pegmodel import _check_inversion_domain, implied_default_prob, theoretical_futures
 
 
 def _require_finite(**values) -> None:
@@ -72,9 +72,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Terminal sample and its first two moments."""
+    """First two moments of the terminal prices, and the number of defaults."""
 
-    terminal_spots: np.ndarray
     mc_futures: float
     mc_stderr: float
     default_count: int
@@ -110,21 +109,26 @@ def _simulate_block(
 
 
 def simulate_paths(config: SimConfig) -> SimResult:
-    """Simulate terminal spot prices under the jump-to-default dynamics."""
+    """Simulate the paths; the thread that fills a block reduces it to its count, sum, M2 and defaults.
+
+    Blocks combine in block order (Chan, Golub & LeVeque 1979), so no thread count touches the result.
+    """
     n = config.n_paths
     n_blocks = -(-n // PATH_BLOCK)
     streams = np.random.SeedSequence(config.seed).spawn(n_blocks)
-    terminal = np.empty(n)
-    defaulted = np.empty(n, dtype=bool)
 
-    def run_block(i: int) -> None:
-        paths = slice(i * PATH_BLOCK, (i + 1) * PATH_BLOCK)
-        _simulate_block(config, streams[i], terminal[paths], defaulted[paths])
+    def run_block(i: int) -> tuple[int, float, float, int]:
+        terminal = np.empty(min(PATH_BLOCK, n - i * PATH_BLOCK))
+        defaulted = np.empty(terminal.size, dtype=bool)
+        _simulate_block(config, streams[i], terminal, defaulted)
+        total = float(np.sum(terminal))
+        terminal -= total / terminal.size
+        terminal *= terminal
+        return terminal.size, total, float(np.sum(terminal)), int(np.count_nonzero(defaulted))
 
     workers = min(n_blocks, _cpu_count())
     if workers == 1:
-        for i in range(n_blocks):
-            run_block(i)
+        blocks = [run_block(i) for i in range(n_blocks)]
     else:
         # imported here, not at the top: concurrent.futures loads logging,
         # which would add to the start-up of every pegrisk command
@@ -132,14 +136,13 @@ def simulate_paths(config: SimConfig) -> SimResult:
 
         # leaving the pool joins its threads; iterating map re-raises a block's error
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-    mc_futures = float(np.mean(terminal))
-    mc_stderr = float(np.std(terminal, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            blocks = list(pool.map(run_block, range(n_blocks)))
+    mean = math.fsum(total for _, total, _, _ in blocks) / n
+    m2 = math.fsum(m2_i + m * (total / m - mean) ** 2 for m, total, m2_i, _ in blocks)
     return SimResult(
-        terminal_spots=terminal,
-        mc_futures=mc_futures,
-        mc_stderr=mc_stderr,
-        default_count=int(np.count_nonzero(defaulted)),
+        mc_futures=mean,
+        mc_stderr=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
+        default_count=sum(count for _, _, _, count in blocks),
     )
 
 
@@ -159,6 +162,7 @@ class RecoveredProb:
 
 def roundtrip_invert(config: SimConfig) -> RecoveredProb:
     """Invert the simulated futures price back to a default probability."""
+    _check_inversion_domain(config.rho, config.horizon_days, config.recovery)  # before the paths run
     sim = simulate_paths(config)
     s = 1.0 + config.delta0
     p = implied_default_prob(s, sim.mc_futures, config.rho, config.horizon_days, config.recovery)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pegrisk
+from pegrisk import simkit
 from pegrisk.cli import FLAGS, MODEL_DEFAULTS, main
 from pegrisk.marketdata import write_bars_csv
 from pegrisk.simkit import FixtureConfig, generate_fixture
@@ -561,6 +562,15 @@ class TestSimulateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "mc_futures = 0.75000000" in out
+
+    def test_full_recovery_fails_before_simulating(self, monkeypatch, capsys):
+        def no_paths(config):
+            raise AssertionError("simulate_paths ran")
+
+        monkeypatch.setattr(simkit, "simulate_paths", no_paths)
+        assert main(["simulate", "--recovery", "1", "--n-paths", "2000000"]) == 1
+        err = capsys.readouterr().err
+        assert err == 'error stage=simulate type=DomainError msg="recovery must lie in [0, 1), got 1.0"\n'
 
     def test_invalid_rho_is_domain_error(self, capsys):
         code = main(["simulate", "--rho", "1.2", "--n-paths", "100"])

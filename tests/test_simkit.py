@@ -3,6 +3,7 @@
 import io
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,23 +23,53 @@ from pegrisk.simkit import (
 )
 
 
+@pytest.fixture
+def simulate_recorded(monkeypatch):
+    """simulate_paths that also returns the terminal prices and default flags its blocks filled, in path order."""
+    block = simkit._simulate_block
+    filled = {}
+
+    def recording(config, stream, deviation, defaulted):
+        block(config, stream, deviation, defaulted)
+        filled[stream.spawn_key] = (deviation.copy(), defaulted.copy())  # simulate_paths reuses the arrays
+
+    monkeypatch.setattr(simkit, "_simulate_block", recording)
+
+    def run(config):
+        filled.clear()
+        result = simulate_paths(config)
+        blocks = [filled[key] for key in sorted(filled)]
+        return result, np.concatenate([t for t, _ in blocks]), np.concatenate([d for _, d in blocks])
+
+    return run
+
+
+def assert_moments_of(result, terminal):
+    """The result's mean and standard error are numpy's for the whole sample, to rounding."""
+    mean = float(np.mean(terminal))
+    assert abs(result.mc_futures - mean) <= 4.0 * math.ulp(mean)
+    stderr = float(np.std(terminal, ddof=1) / math.sqrt(terminal.size))
+    assert result.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
 class TestSimulatePaths:
     def test_degenerate_dynamics_pin_the_peg(self):
         result = simulate_paths(
             SimConfig(innovation_sd=0.0, p_default=0.0, delta0=0.0, n_paths=1000)
         )
-        assert np.all(result.terminal_spots == 1.0)
-        assert result.mc_futures == 1.0
+        assert (result.mc_futures, result.mc_stderr) == (1.0, 0.0)  # a zero stderr: every path equals the mean
         assert result.default_count == 0
 
     def test_certain_default_pays_recovery(self):
         result = simulate_paths(SimConfig(p_default=1.0, recovery=0.75, n_paths=1000))
-        assert np.all(result.terminal_spots == 0.75)
+        assert (result.mc_futures, result.mc_stderr) == (0.75, 0.0)
         assert result.default_count == 1000
 
-    def test_mean_is_exact_sample_mean(self):
-        result = simulate_paths(SimConfig(p_default=0.01, n_paths=5000, seed=3))
-        assert result.mc_futures == float(np.mean(result.terminal_spots))
+    def test_moments_are_the_sample_moments(self, simulate_recorded):
+        config = SimConfig(p_default=0.01, n_paths=2 * PATH_BLOCK + 5000, seed=3)
+        result, terminal, _ = simulate_recorded(config)
+        assert terminal.size == config.n_paths
+        assert_moments_of(result, terminal)
 
     def test_matches_closed_form_within_mc_error(self):
         config = SimConfig(
@@ -63,17 +94,17 @@ class TestSimulatePaths:
         rate = result.default_count / config.n_paths
         assert abs(rate - 0.02) < 4.0 * math.sqrt(0.02 * 0.98 / config.n_paths)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, simulate_recorded):
         config = SimConfig(p_default=0.01, n_paths=10_000, seed=21)
-        a = simulate_paths(config)
-        b = simulate_paths(config)
-        assert np.array_equal(a.terminal_spots, b.terminal_spots)
+        a, a_terminal, _ = simulate_recorded(config)
+        b, b_terminal, _ = simulate_recorded(config)
+        assert np.array_equal(a_terminal, b_terminal)
         assert a.mc_futures == b.mc_futures
         assert a.mc_stderr == b.mc_stderr
-        c = simulate_paths(SimConfig(p_default=0.01, n_paths=10_000, seed=22))
-        assert not np.array_equal(a.terminal_spots, c.terminal_spots)
+        _, c_terminal, _ = simulate_recorded(SimConfig(p_default=0.01, n_paths=10_000, seed=22))
+        assert not np.array_equal(a_terminal, c_terminal)
 
-    def test_survivor_moments(self):
+    def test_survivor_moments(self, simulate_recorded):
         config = SimConfig(
             rho=0.73,
             horizon_days=90,
@@ -83,8 +114,8 @@ class TestSimulatePaths:
             n_paths=1_000_000,
             seed=4,
         )
-        result = simulate_paths(config)
-        survivors = result.terminal_spots[result.terminal_spots != config.recovery] - 1.0
+        _, terminal, defaulted = simulate_recorded(config)
+        survivors = terminal[~defaulted] - 1.0
         n = survivors.size
         mean_target = config.rho**config.horizon_days * config.delta0
         var_target = (
@@ -120,10 +151,11 @@ class TestSimulatePaths:
 class TestPathBlocks:
     CONFIG = dict(rho=0.73, horizon_days=5, delta0=0.001, innovation_sd=5e-4, p_default=0.02, seed=7)
 
-    def test_matches_stepwise_reference(self):
+    def test_matches_stepwise_reference(self, simulate_recorded):
         config = SimConfig(n_paths=PATH_BLOCK + 5, **self.CONFIG)
         streams = np.random.SeedSequence(config.seed).spawn(2)
         blocks = []
+        flags = []
         for stream, m in zip(streams, (PATH_BLOCK, 5)):
             rng = np.random.default_rng(stream)
             defaulted = rng.random(m) < config.p_default
@@ -131,32 +163,54 @@ class TestPathBlocks:
             for _ in range(config.horizon_days):
                 deviation = config.rho * deviation + config.innovation_sd * rng.standard_normal(m)
             blocks.append(np.where(defaulted, config.recovery, 1.0 + deviation))
-        assert np.array_equal(simulate_paths(config).terminal_spots, np.concatenate(blocks))
+            flags.append(defaulted)
+        reference = np.concatenate(blocks)
+        result, terminal, defaulted = simulate_recorded(config)
+        assert np.array_equal(terminal, reference)
+        assert np.array_equal(defaulted, np.concatenate(flags))
+        assert_moments_of(result, reference)
+        assert result.default_count == np.count_nonzero(np.concatenate(flags))
 
-    def test_draws_do_not_depend_on_cpu_count(self, monkeypatch):
+    def test_draws_do_not_depend_on_cpu_count(self, monkeypatch, simulate_recorded):
         config = SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG)
         results = []
         for cpus in (1, 3):
             monkeypatch.setattr(simkit, "_cpu_count", lambda: cpus)
-            results.append(simulate_paths(config))
-        one, three = results
-        assert np.array_equal(one.terminal_spots, three.terminal_spots)
+            results.append(simulate_recorded(config))
+        (one, one_terminal, one_defaulted), (three, three_terminal, three_defaulted) = results
+        assert np.array_equal(one_terminal, three_terminal)
+        assert np.array_equal(one_defaulted, three_defaulted)
         assert (one.mc_futures, one.mc_stderr, one.default_count) == (
             three.mc_futures,
             three.mc_stderr,
             three.default_count,
         )
 
-    def test_first_block_does_not_depend_on_path_count(self):
-        short = simulate_paths(SimConfig(n_paths=2 * PATH_BLOCK, **self.CONFIG))
-        long = simulate_paths(SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG))
-        assert long.terminal_spots.size == 3 * PATH_BLOCK + 7
-        assert np.array_equal(short.terminal_spots[:PATH_BLOCK], long.terminal_spots[:PATH_BLOCK])
+    def test_first_block_does_not_depend_on_path_count(self, simulate_recorded):
+        _, short, _ = simulate_recorded(SimConfig(n_paths=2 * PATH_BLOCK, **self.CONFIG))
+        _, long, _ = simulate_recorded(SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG))
+        assert long.size == 3 * PATH_BLOCK + 7
+        assert np.array_equal(short[:PATH_BLOCK], long[:PATH_BLOCK])
 
-    def test_default_count_matches_recovery_paths(self):
-        result = simulate_paths(SimConfig(n_paths=2 * PATH_BLOCK + 3, recovery=0.0, **self.CONFIG))
+    def test_default_count_matches_recovery_paths(self, simulate_recorded):
+        config = SimConfig(n_paths=2 * PATH_BLOCK + 3, recovery=0.0, **self.CONFIG)
+        result, terminal, defaulted = simulate_recorded(config)
         assert result.default_count > 0
-        assert result.default_count == np.count_nonzero(result.terminal_spots == 0.0)
+        assert result.default_count == np.count_nonzero(terminal == 0.0) == np.count_nonzero(defaulted)
+
+    @pytest.mark.parametrize("n_blocks", [2, 16])
+    def test_memory_does_not_grow_with_path_count(self, monkeypatch, n_blocks):
+        # numpy reports its array buffers to tracemalloc; two workers hold two blocks at a time
+        monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+        config = SimConfig(n_paths=n_blocks * PATH_BLOCK, **dict(self.CONFIG, horizon_days=5))
+        simulate_paths(config)  # the first call with threads imports concurrent.futures
+        tracemalloc.start()
+        try:
+            simulate_paths(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_single_block_runs_in_calling_thread(self, monkeypatch):
         monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
@@ -212,6 +266,14 @@ class TestRoundtripInvert:
         config = SimConfig(innovation_sd=0.0, p_default=0.0, delta0=0.0, n_paths=100)
         recovered = roundtrip_invert(config)
         assert recovered.p == 0.0
+
+    def test_full_recovery_fails_before_simulating(self, monkeypatch):
+        def no_paths(config):
+            raise AssertionError("simulate_paths ran")
+
+        monkeypatch.setattr(simkit, "simulate_paths", no_paths)
+        with pytest.raises(DomainError, match=r"^recovery must lie in \[0, 1\), got 1\.0$"):
+            roundtrip_invert(SimConfig(recovery=1.0, n_paths=2_000_000))
 
     def test_high_recovery_inflates_standard_error(self):
         base = dict(
