@@ -36,8 +36,6 @@ from .marketdata import (
     JoinReport,
     align_daily,
     parse_bars,
-    write_aligned_csv,
-    write_bars_csv,
 )
 from .pegmodel import (
     Ar1Fit,
@@ -50,7 +48,6 @@ from .pegmodel import (
     implied_default_prob,
     prob_series,
     theoretical_futures,
-    write_prob_csv,
 )
 from .simkit import (
     FixtureConfig,
@@ -108,7 +105,4 @@ __all__ = [
     "SummaryRow",
     "theoretical_futures",
     "ValidationError",
-    "write_aligned_csv",
-    "write_bars_csv",
-    "write_prob_csv",
 ]

@@ -309,9 +309,7 @@ class _Stages:
         """Raw inversions: they feed the statistics and the regressions."""
         aligned, rho, model = self.aligned, self.rho, self.model
         self.run.stage = "prob"
-        return pegmodel.prob_series(
-            aligned, rho, model["horizon"], model["recovery"], trim=False, method=model["annualization"]
-        )
+        return pegmodel.prob_series(aligned, rho, model["horizon"], model["recovery"], method=model["annualization"])
 
     @cached_property
     def published(self) -> pegmodel.ProbSeries:

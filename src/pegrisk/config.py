@@ -1,4 +1,4 @@
-"""Plain-text key=value configuration, shared by the CLI and file schemas.
+"""Plain-text key=value configuration of the CLI.
 
 A file is UTF-8 text, with or without a byte-order mark. Blank lines and
 ``#`` comments are ignored; values keep everything after the first ``=``.

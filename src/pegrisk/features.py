@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError, EstimationError
-from .marketdata import BarSeries, Table, write_table_csv
+from .marketdata import BarSeries, Table
 from .pegmodel import ProbSeries
 
 PARKINSON_FACTOR = 2.0 * math.sqrt(math.log(2.0))
@@ -106,5 +106,3 @@ def build_feature_panel(
         r_btc_bps=returns[in_btc],
     )
 
-
-write_panel_csv = write_table_csv  # undefined returns become empty cells

@@ -383,4 +383,4 @@ def align_daily(spot: BarSeries, futures: BarSeries) -> AlignedSeries:
     )
 
 
-write_bars_csv = write_aligned_csv = write_table_csv  # bars in the input schema; closes with delta and basis
+write_aligned_csv = write_table_csv  # no command calls it; only pegbench/spans.py wraps it

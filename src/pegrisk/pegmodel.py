@@ -232,15 +232,13 @@ def prob_series(
     rho: float,
     h: int = 90,
     recovery: float = 0.0,
-    trim: bool = True,
     method: str = "linear",
 ) -> ProbSeries:
-    """Implied default probabilities for every aligned observation.
+    """Raw implied default probabilities for every aligned observation.
 
-    The inversion of :func:`implied_default_prob`, element-wise. With
-    ``trim`` set, the raw series passes through :func:`trim_negative`;
-    untrimmed values should feed summary statistics, trimmed ones the
-    published series. Raw values below :data:`RAW_PROB_FLOOR` emit a
+    The inversion of :func:`implied_default_prob`, element-wise. Raw values
+    feed summary statistics; :func:`trim_negative` of them is the published
+    series. Raw values below :data:`RAW_PROB_FLOOR` emit a
     :class:`DataQualityWarning` instead of being silently clamped. An
     inversion or annualization that fails names the first date it fails
     on; dates before it still warn. An unknown ``method`` fails first.
@@ -269,13 +267,12 @@ def prob_series(
             annualize(implied_default_prob(s, f, rho, h, recovery), h, method)
         except (InversionError, DomainError) as exc:
             raise type(exc)(f"{aligned.date[first_bad]}: {exc}") from exc
-    series = ProbSeries(
+    return ProbSeries(
         date=aligned.date,
         p_horizon=raw,
         p_annualized_bps=annualize(raw, h, method),
         trimmed=np.zeros(raw.size, dtype=bool),
     )
-    return trim_negative(series) if trim else series
 
 
 def trim_negative(series: ProbSeries) -> ProbSeries:
@@ -289,4 +286,4 @@ def trim_negative(series: ProbSeries) -> ProbSeries:
     )
 
 
-write_prob_csv = write_table_csv
+write_prob_csv = write_table_csv  # no command calls it; only pegbench/spans.py wraps it

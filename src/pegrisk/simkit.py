@@ -126,17 +126,13 @@ def simulate_paths(config: SimConfig) -> SimResult:
         terminal *= terminal
         return terminal.size, total, float(np.sum(terminal)), int(np.count_nonzero(defaulted))
 
-    workers = min(n_blocks, _cpu_count())
-    if workers == 1:
-        blocks = [run_block(i) for i in range(n_blocks)]
-    else:
-        # imported here, not at the top: concurrent.futures loads logging,
-        # which would add to the start-up of every pegrisk command
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here, not at the top: concurrent.futures loads logging,
+    # which would add to the start-up of every pegrisk command
+    from concurrent.futures import ThreadPoolExecutor
 
-        # leaving the pool joins its threads; iterating map re-raises a block's error
-        with ThreadPoolExecutor(workers) as pool:
-            blocks = list(pool.map(run_block, range(n_blocks)))
+    # leaving the pool joins its threads; iterating map re-raises a block's error
+    with ThreadPoolExecutor(min(n_blocks, _cpu_count())) as pool:
+        blocks = list(pool.map(run_block, range(n_blocks)))
     mean = math.fsum(total for _, total, _, _ in blocks) / n
     m2 = math.fsum(m2_i + m * (total / m - mean) ** 2 for m, total, m2_i, _ in blocks)
     return SimResult(
@@ -175,8 +171,8 @@ def simulate_ar1_series(
     innovation_sd: float,
     n: int,
     delta0: float = 0.0,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """One daily mean-reverting deviation path, for fixtures and estimator checks."""
     if not 0.0 <= rho < 1.0:
@@ -186,8 +182,6 @@ def simulate_ar1_series(
     if n < 1:
         raise DomainError(f"series length must be at least 1, got {n}")
     _require_finite(innovation_sd=innovation_sd, delta0=delta0)
-    if rng is None:
-        rng = np.random.default_rng(seed)
     innovations = rng.normal(0.0, innovation_sd, n)
     out = np.empty(n, dtype=float)
     prev = delta0
@@ -278,12 +272,12 @@ def _bars_from_closes(
 
 
 def planted_prob_path(config: FixtureConfig) -> np.ndarray:
-    """Per-day planted default probabilities (deterministic in the config)."""
+    """Per-day planted default probabilities (deterministic in the config).
+
+    Not clamped: a path that leaves [0, 1] fails in :func:`theoretical_futures`.
+    """
     t = np.arange(config.n_days, dtype=float)
-    path = config.p_default * (
-        1.0 + config.p_amplitude * np.sin(2.0 * math.pi * t / config.p_period_days)
-    )
-    return np.clip(path, 0.0, 0.999)
+    return config.p_default * (1.0 + config.p_amplitude * np.sin(2.0 * math.pi * t / config.p_period_days))
 
 
 def generate_fixture(config: FixtureConfig) -> FixtureSet:

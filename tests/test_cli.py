@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import pegrisk
 from pegrisk import simkit
 from pegrisk.cli import FLAGS, MODEL_DEFAULTS, main
-from pegrisk.marketdata import write_bars_csv
+from pegrisk.marketdata import write_table_csv
 from pegrisk.simkit import FixtureConfig, generate_fixture
 
 ARTIFACTS = (
@@ -75,7 +76,7 @@ def _fixture_csv_bytes(config):
     fixture = generate_fixture(config)
     buf = io.StringIO()
     for series in (fixture.spot, fixture.futures, fixture.btc):
-        write_bars_csv(series, buf)
+        write_table_csv(series, buf)
     return buf.getvalue()
 
 
@@ -124,6 +125,23 @@ class TestFixtureCommand:
         assert err.startswith("error stage=config type=DomainError")
         assert f"{field} must be finite" in err
         assert err.count("nan") + err.count("inf") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "settings, value",
+        [
+            (["--n-days", "60", "--p-default", "0.9", "--p-amplitude", "0.5"], "1.0164685702961345"),
+            (["--n-days", "200", "--p-amplitude", "2"], "-6.606577182224008e-05"),
+        ],
+    )
+    def test_planted_path_outside_unit_interval_fails(self, tmp_path, capsys, settings, value):
+        # the planted path is not clamped into [0, 1]: its first value outside fails the run
+        assert main(["fixture", "--out", str(tmp_path / "data"), *settings]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f'error stage=fixture type=DomainError msg="default probability must lie in [0, 1], got {value}"\n'
+        )
         assert not list(tmp_path.iterdir())
 
 
@@ -389,6 +407,33 @@ class TestSingleStageCommands:
         header = (out / "aligned.csv").read_text().splitlines()[0]
         assert header == "date,s,f,delta,basis_bps"
         assert "aligned 120 dates" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    @pytest.mark.parametrize("quote_header", [False, True], ids=["plain", "quoted-header"])
+    def test_align_reads_spot_from_named_pipe(self, fixture_dir, tmp_path, quote_header):
+        # a pipe cannot seek back, so a file the block reader declines (a quote) must be read row by row
+        # from the start; either way aligned.csv must be the one of the same text in a regular file
+        spot = (fixture_dir / "spot.csv").read_bytes()
+        if quote_header:
+            spot = spot.replace(b"timestamp", b'"timestamp"', 1)
+        (tmp_path / "spot.csv").write_bytes(spot)
+        fifo = tmp_path / "spot.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as stream:  # blocks until the command opens the pipe
+                stream.write(spot)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        argv = ["align", "--futures", str(fixture_dir / "futures.csv")]
+        try:
+            assert main([*argv, "--spot", str(fifo), "--out", str(tmp_path / "piped")]) == 0
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert main([*argv, "--spot", str(tmp_path / "spot.csv"), "--out", str(tmp_path / "file")]) == 0
+        assert (tmp_path / "piped" / "aligned.csv").read_bytes() == (tmp_path / "file" / "aligned.csv").read_bytes()
 
     def test_fit_reports_coefficient(self, fixture_dir, capsys):
         code = main(["fit", "--spot", str(fixture_dir / "spot.csv"), "--window", "30"])

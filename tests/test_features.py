@@ -14,9 +14,8 @@ from pegrisk.features import (
     build_feature_panel,
     daily_returns,
     intraday_vol,
-    write_panel_csv,
 )
-from pegrisk.marketdata import BarSeries
+from pegrisk.marketdata import BarSeries, write_table_csv
 from pegrisk.pegmodel import ProbSeries
 
 START = np.datetime64("2020-02-28")
@@ -142,7 +141,7 @@ class TestBuildFeaturePanel:
         usdt = _flat_series([1.0, 1.0])
         panel = build_feature_panel(_prob_points(2), btc, usdt)
         buf = io.StringIO()
-        write_panel_csv(panel, buf)
+        write_table_csv(panel, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "date,p_annualized_bps,sigma_btc_bps,sigma_usdt_bps,r_btc_bps"
         assert lines[1].endswith(",")  # first date: no return

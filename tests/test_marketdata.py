@@ -20,7 +20,7 @@ from pegrisk.marketdata import (
     BarSeries,
     align_daily,
     parse_bars,
-    write_aligned_csv,
+    write_table_csv,
 )
 
 HEADER = "timestamp,open,high,low,close,volume"
@@ -142,6 +142,13 @@ class TestParseBars:
             series = parse_bars(lines(_bars_csv([f"{stamp},1.0,1.1,0.9,1.0,1e6"])))
             assert series.date.tolist() == [DAY]
 
+    @pytest.mark.parametrize("stamp", ["20200312", "2020-W11-4"])
+    def test_other_iso_date_forms_keep_their_date(self, stamp):
+        # date.fromisoformat reads these from Python 3.11 on; 3.10 rejects them
+        for lines in (io.StringIO, str.splitlines):  # the block reader, then the row reader
+            series = parse_bars(lines(_bars_csv([f"{stamp},1.0,1.1,0.9,1.0,1e6"])))
+            assert series.date.tolist() == [DAY]
+
     @pytest.mark.parametrize(
         "stamp, offset", [("2020-03-12T23:00:00-05:00", "-0500"), ("2020-03-13T04:00+05:30", "+0530")]
     )
@@ -226,9 +233,9 @@ price = st.floats(min_value=0.9, max_value=1.1, allow_nan=False, allow_infinity=
 
 
 def _reread_aligned(series: AlignedSeries) -> dict[str, np.ndarray]:
-    """The columns of ``series`` written by write_aligned_csv, read back by header name with numpy."""
+    """The columns of ``series`` written by write_table_csv, read back by header name with numpy."""
     buf = io.StringIO()
-    write_aligned_csv(series, buf)
+    write_table_csv(series, buf)
     header, *lines = buf.getvalue().splitlines()
     assert header == "date,s,f,delta,basis_bps"
     dates = np.array([line.split(",")[0] for line in lines], dtype="datetime64[D]")

@@ -17,6 +17,7 @@ from pegrisk.pegmodel import (
     implied_default_prob,
     prob_series,
     theoretical_futures,
+    trim_negative,
 )
 from pegrisk.simkit import simulate_ar1_series
 
@@ -63,7 +64,7 @@ class TestFitAr1:
         rho0 = 0.73
         hits = 0
         for seed in range(100):
-            deviations = simulate_ar1_series(rho0, 5e-4, 400, seed=seed)
+            deviations = simulate_ar1_series(rho0, 5e-4, 400, rng=np.random.default_rng(seed))
             fit = fit_ar1(_days(400), deviations)
             if abs(fit.rho - rho0) <= 2.0 * fit.stderr:
                 hits += 1
@@ -77,7 +78,7 @@ class TestFitAr1:
         rho0, window, seeds = 0.73, 60, range(10)
         rolling_means = []
         for seed in seeds:
-            deviations = simulate_ar1_series(rho0, 5e-4, 20_000, seed=seed)
+            deviations = simulate_ar1_series(rho0, 5e-4, 20_000, rng=np.random.default_rng(seed))
             fit = fit_ar1(_days(20_000), deviations)
             assert abs(fit.rho - rho0) < 3.0 * fit.stderr, seed
             rolling_means.append(fit_ar1_rolling(_days(20_000), deviations, window).rho_mean)
@@ -342,7 +343,7 @@ class TestAnnualize:
 class TestProbSeries:
     def test_composition_at_mean_prices(self):
         aligned = _aligned([(1.0007, 0.9992)])
-        points = prob_series(aligned, rho=0.73, h=90, recovery=0.0, trim=True)
+        points = prob_series(aligned, rho=0.73, h=90, recovery=0.0)
         assert len(points) == 1
         assert 29.0 <= points.p_annualized_bps[0] <= 33.0
         assert not points.trimmed[0]
@@ -350,14 +351,14 @@ class TestProbSeries:
     def test_trimming_clamps_and_flags(self):
         # futures above the survivor value implies a negative raw probability
         aligned = _aligned([(1.0, 1.002)])
-        points = prob_series(aligned, rho=0.73, h=90, trim=True)
+        points = trim_negative(prob_series(aligned, rho=0.73, h=90))
         assert points.p_horizon[0] == 0.0
         assert points.p_annualized_bps[0] == 0.0
         assert points.trimmed[0]
 
     def test_untrimmed_keeps_negative_values(self):
         aligned = _aligned([(1.0, 1.002)])
-        points = prob_series(aligned, rho=0.73, h=90, trim=False)
+        points = prob_series(aligned, rho=0.73, h=90)
         assert points.p_horizon[0] == pytest.approx(-0.002, abs=1e-9)
         assert points.p_annualized_bps[0] < 0.0
         assert not points.trimmed[0]
@@ -373,7 +374,7 @@ class TestProbSeries:
     def test_deep_negative_raises_data_quality_warning(self):
         aligned = _aligned([(1.0, 1.06)])
         with pytest.warns(DataQualityWarning):
-            prob_series(aligned, rho=0.73, h=90, trim=False)
+            prob_series(aligned, rho=0.73, h=90)
 
     def test_inversion_error_names_date(self):
         aligned = _aligned([(0.5, 0.4)])
@@ -393,6 +394,30 @@ class TestProbSeries:
             with pytest.raises(DomainError) as caught:
                 prob_series(aligned, rho=0.73, h=90, method="weekly")
         assert str(caught.value) == "unknown annualization method 'weekly'"
+
+    @given(
+        data=st.data(),
+        rho=st.floats(min_value=0.0, max_value=0.999),
+        h=st.integers(min_value=1, max_value=365),
+        recovery=st.floats(min_value=0.0, max_value=0.85),
+        method=st.sampled_from(["linear", "compounded"]),
+    )
+    def test_vectorized_inversion_is_the_scalar_one(self, data, rho, h, recovery, method):
+        # every data command inverts through prob_series; the Monte Carlo oracle
+        # checks implied_default_prob and annualize, so the two must agree to the bit
+        n = data.draw(st.integers(min_value=1, max_value=50))
+        spots = data.draw(st.lists(st.floats(min_value=0.9, max_value=1.1), min_size=n, max_size=n))
+        # raw probabilities in range and above the data-quality floor, so nothing fails or warns
+        probs = data.draw(st.lists(st.floats(min_value=-0.049, max_value=0.999), min_size=n, max_size=n))
+        pairs = []
+        for s, p in zip(spots, probs):
+            survivor_value = 1.0 + rho**h * (s - 1.0)
+            pairs.append((s, survivor_value - p * (survivor_value - recovery)))
+        series = prob_series(_aligned(pairs), rho=rho, h=h, recovery=recovery, method=method)
+        p_horizon = [implied_default_prob(s, f, rho, h, recovery) for s, f in pairs]
+        p_annualized = [annualize(p, h, method) for p in p_horizon]
+        assert np.array_equal(series.p_horizon.view(np.int64), np.array(p_horizon).view(np.int64))
+        assert np.array_equal(series.p_annualized_bps.view(np.int64), np.array(p_annualized).view(np.int64))
 
     def test_annualized_field_matches_annualize(self):
         aligned = _aligned([(1.0007, 0.9992), (1.0, 1.002)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pegrisk.errors import DomainError
-from pegrisk.marketdata import align_daily, write_bars_csv
+from pegrisk.marketdata import align_daily, write_table_csv
 from pegrisk import simkit
 from pegrisk.pegmodel import fit_ar1, prob_series, theoretical_futures
 from pegrisk.simkit import (
@@ -212,19 +212,6 @@ class TestPathBlocks:
             tracemalloc.stop()
         assert peak < 3 * 2**20
 
-    def test_single_block_runs_in_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
-        threads_seen = set()
-        block = simkit._simulate_block
-
-        def recording(*args):
-            threads_seen.add(threading.get_ident())
-            block(*args)
-
-        monkeypatch.setattr(simkit, "_simulate_block", recording)
-        simulate_paths(SimConfig(n_paths=PATH_BLOCK, **self.CONFIG))
-        assert threads_seen == {threading.get_ident()}
-
     def test_no_thread_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
         before = threading.active_count()
@@ -288,16 +275,16 @@ class TestRoundtripInvert:
 
 class TestSimulateAr1Series:
     def test_reproducible(self):
-        a = simulate_ar1_series(0.73, 5e-4, 100, seed=5)
-        b = simulate_ar1_series(0.73, 5e-4, 100, seed=5)
+        a = simulate_ar1_series(0.73, 5e-4, 100, rng=np.random.default_rng(5))
+        b = simulate_ar1_series(0.73, 5e-4, 100, rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_zero_noise_decays_geometrically(self):
-        series = simulate_ar1_series(0.5, 0.0, 5, delta0=1.0)
+        series = simulate_ar1_series(0.5, 0.0, 5, delta0=1.0, rng=np.random.default_rng(0))
         assert series == pytest.approx([0.5, 0.25, 0.125, 0.0625, 0.03125])
 
     def test_fit_recovers_coefficient(self):
-        series = simulate_ar1_series(0.6, 1e-3, 2000, seed=1)
+        series = simulate_ar1_series(0.6, 1e-3, 2000, rng=np.random.default_rng(1))
         fit = fit_ar1(np.datetime64("2020-01-01") + np.arange(series.size), series)
         assert abs(fit.rho - 0.6) < 3.0 * fit.stderr
 
@@ -307,7 +294,7 @@ def _fixture_csv_bytes(config):
     chunks = []
     for series in (fixture.spot, fixture.futures, fixture.btc):
         buf = io.StringIO()
-        write_bars_csv(series, buf)
+        write_table_csv(series, buf)
         chunks.append(buf.getvalue())
     return "".join(chunks)
 
@@ -331,7 +318,7 @@ class TestGenerateFixture:
         )
         fixture = generate_fixture(config)
         aligned = align_daily(fixture.spot, fixture.futures)
-        points = prob_series(aligned, rho=config.rho, h=config.horizon_days, trim=False)
+        points = prob_series(aligned, rho=config.rho, h=config.horizon_days)
         values = {p.p_horizon for p in points}
         assert len(values) == 1
         assert values.pop() == pytest.approx(0.001, abs=1e-15)
@@ -349,7 +336,7 @@ class TestGenerateFixture:
         )
         fixture = generate_fixture(config)
         aligned = align_daily(fixture.spot, fixture.futures)
-        points = prob_series(aligned, rho=config.rho, h=config.horizon_days, trim=False)
+        points = prob_series(aligned, rho=config.rho, h=config.horizon_days)
         for point in points:
             assert point.p_horizon == pytest.approx(0.001, abs=1e-12)
 
@@ -357,7 +344,7 @@ class TestGenerateFixture:
         config = FixtureConfig(n_days=410, p_default=7.4e-4, seed=6)
         fixture = generate_fixture(config)
         aligned = align_daily(fixture.spot, fixture.futures)
-        points = prob_series(aligned, rho=0.73, h=90, trim=False)
+        points = prob_series(aligned, rho=0.73, h=90)
         mean_p = np.mean([p.p_horizon for p in points])
         assert mean_p == pytest.approx(7.4e-4, rel=0.05)
 
@@ -372,7 +359,8 @@ class TestGenerateFixture:
 
 
 def ar1_series(**setting):
-    return simulate_ar1_series(**{"rho": 0.5, "innovation_sd": 1e-3, "n": 10, **setting})
+    setting = {"rho": 0.5, "innovation_sd": 1e-3, "n": 10, **setting}
+    return simulate_ar1_series(**setting, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
