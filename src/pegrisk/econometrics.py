@@ -13,6 +13,7 @@ stars use two-sided normal critical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -47,11 +48,36 @@ class SummaryRow:
     max: float
 
 
+def _sorted_quantile(arr: np.ndarray, q: float) -> float:
+    """``np.quantile(arr, q)`` of a sorted array, bit for bit, without loading ``numpy.ma``.
+
+    numpy's ``linear`` method: between the neighbours of the virtual index
+    (n - 1) * q, interpolating from whichever neighbour is nearer. At or
+    past the last index (for the quartiles, only in a one-value series) both
+    neighbours are the last value, weighted by the index + 1, which keeps
+    the sign of -0.0. A NaN (sorted last) makes every quantile NaN.
+    """
+    n = arr.size
+    last = float(arr[-1])
+    if math.isnan(last):
+        return last
+    v = (n - 1) * q
+    if v >= n - 1:
+        a = b = last
+        g = v + 1.0
+    else:
+        i = int(v)
+        a, b = float(arr[i]), float(arr[i + 1])
+        g = v - i
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
 def summary_stats(name: str, values: Sequence[float] | np.ndarray) -> SummaryRow:
     arr = np.sort(np.asarray(values, dtype=float))  # canonical order: result is permutation-invariant
     if arr.size == 0:
         raise EstimationError(f"empty series {name!r}")
-    q25, q50, q75 = (float(q) for q in np.quantile(arr, [0.25, 0.5, 0.75]))
+    q25, q50, q75 = (_sorted_quantile(arr, q) for q in (0.25, 0.5, 0.75))
     return SummaryRow(
         name=name,
         count=int(arr.size),

@@ -10,15 +10,20 @@ touches the closed form.
 
 The paths are simulated in blocks of ``PATH_BLOCK`` paths; the last block
 may be partial. Block i covers paths [i * PATH_BLOCK, (i + 1) * PATH_BLOCK)
-and draws from its own generator, the i-th child that
+and draws from its own SFC64 generator, seeded by the i-th child that
 ``SeedSequence(seed).spawn`` gives. Within a block the draw order is fixed:
 one uniform per path for the default flags, then, day by day, one
 standard normal per path. Innovations are drawn for every path regardless
 of its default flag to keep the draw count invariant. The blocks run on as
 many threads as the process has CPUs, but which thread runs which block
-does not touch the draws, so a given config produces bit-identical output
-on any machine. This block stream replaced an earlier single-generator
-stream, so the same seed gives other draws than before it.
+does not touch the draws, and SFC64 uses integer arithmetic only, so a
+given config produces bit-identical output on any machine.
+
+This is the third draw stream: a single generator came first, then one
+PCG64 generator per block, then SFC64 per block. SFC64 draws normals
+faster, and its 64-bit counter keeps two distinct seeds from colliding for
+at least 2**64 draws, which is what independent block streams need. Each
+change gave the same seed other draws than before it.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ def _simulate_block(
     config: SimConfig, stream: np.random.SeedSequence, deviation: np.ndarray, defaulted: np.ndarray
 ) -> None:
     """Fill one block's terminal values (in ``deviation``) and default flags in place."""
-    rng = np.random.default_rng(stream)
+    rng = np.random.Generator(np.random.SFC64(stream))
     z = np.empty(deviation.size)
     rng.random(out=z)
     np.less(z, config.p_default, out=defaulted)

@@ -720,6 +720,21 @@ def test_pipeline_and_regress_run_without_scipy(fixture_dir, tmp_path):
             assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
 
 
+def test_stats_does_not_load_numpy_ma(fixture_dir, tmp_path):
+    """The Table 3 quartiles come from the sorted series, not from np.quantile, which loads numpy.ma."""
+    src = str(Path(pegrisk.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys; from pegrisk.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy.ma' in sys.modules); sys.exit(code)"
+    )
+    inputs = ["--spot", str(fixture_dir / "spot.csv"), "--futures", str(fixture_dir / "futures.csv")]
+    argv = [sys.executable, "-c", probe, "stats", *inputs, "--out", str(tmp_path / "stats")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_import_starts_no_process_machinery():
     """Worker processes and their modules load only when a command parses large inputs."""
     src = str(Path(pegrisk.__file__).parents[1])

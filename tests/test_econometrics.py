@@ -6,6 +6,7 @@ to high relative precision on small random designs.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,29 @@ class TestSummaryStats:
         for field in ("count", "mean", "std", "min", "q25", "q50", "q75", "max"):
             a, b = getattr(forward, field), getattr(backward, field)
             assert a == b or (math.isnan(a) and math.isnan(b))
+
+    # floats() also draws NaN, +-inf, -0.0 and subnormals; the sampled values make repeats common
+    @given(
+        st.lists(
+            st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, math.inf, -math.inf, math.nan]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_quartiles_match_numpy_quantile_bit_for_bit(self, values):
+        with np.errstate(all="ignore"):
+            row = summary_stats("x", values)
+            expected = np.quantile(np.sort(values), [0.25, 0.5, 0.75]).tolist()
+        # np.quantile partitions its input, which may reorder 0.0 and -0.0 (they compare equal), so
+        # with both in the data only the value of a zero quartile is pinned, not its sign
+        mixed_zeros = {math.copysign(1.0, v) for v in values if v == 0.0} == {1.0, -1.0}
+        for got, want in zip((row.q25, row.q50, row.q75), expected):
+            if math.isnan(want):
+                assert math.isnan(got)
+            elif mixed_zeros:
+                assert got == want
+            else:
+                assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestOlsHc0:

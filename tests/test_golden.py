@@ -177,7 +177,7 @@ GOLDEN = {
 
 # 200,000 paths are 4 blocks of the Monte Carlo stream, the last one partial
 SIMULATE = ["simulate", "--n-paths", "200000", "--seed", "5"]
-SIMULATE_STDOUT = "fa69b13181cc622e1d1d8f2979326ac60837c0d8a3982a8a685615e8c48359eb"
+SIMULATE_STDOUT = "f6c5eaf9d144f986d98b94f1a9c44be57165451d904d946bed8d079710f6ce57"
 
 
 def _sha(data: bytes) -> str:

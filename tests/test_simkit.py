@@ -157,7 +157,7 @@ class TestPathBlocks:
         blocks = []
         flags = []
         for stream, m in zip(streams, (PATH_BLOCK, 5)):
-            rng = np.random.default_rng(stream)
+            rng = np.random.Generator(np.random.SFC64(stream))
             defaulted = rng.random(m) < config.p_default
             deviation = np.full(m, config.delta0)
             for _ in range(config.horizon_days):
