@@ -10,21 +10,23 @@ reproduces a run exactly. Errors exit nonzero with a single machine-
 parsable line on stderr (``error stage=... type=... msg="..."``) and any
 partially written artifacts are removed. A command parses all its inputs
 first, in role order. On two or more CPUs, inputs of ``PARALLEL_BYTES`` or
-more in all are parsed by forked workers, one per input, and a CSV artifact
-about that large (``aligned.csv``, ``prob.csv``, ``features.csv``, a
-fixture's bars) is split into one range of rows per CPU for forked workers,
-one per CPU, to format; bytes and errors are those of the serial path.
+more in all are parsed by forked workers, one per input, and the rows of a
+CSV artifact about that large (``aligned.csv``, ``prob.csv``,
+``features.csv``, a fixture's bars) are formatted by forked workers, one per
+CPU, a chunk at a time, while the command writes each chunk's text into the
+artifact in order; bytes and errors are those of the serial path, and only
+artifacts are ever written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import shutil
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
@@ -96,37 +98,30 @@ class _Run:
         self.written: list[Path] = []
 
     def write(self, files: dict[Path, str | marketdata.Table]) -> None:
-        """Write each file: a text, or a table as CSV.
+        """Write each file in turn: a text, or a table as CSV, its header and then its rows.
 
-        A large table is split into one range of rows per CPU, which forked workers, one per CPU, write to part
-        files beside it. The parts count as written from before the fork; they are appended in order, then removed.
+        A table's rows are formatted ``WRITE_ROWS`` at a time; those of a large table by forked workers, one per
+        CPU. Either way this process writes each chunk's text into the file, in order, as it comes, so no other
+        file is made and no process holds a whole table's text.
         """
         cpus = simkit._cpu_count()
-        parts, jobs = {}, []
-        for path, table in files.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            large = isinstance(table, marketdata.Table) and len(table) * len(table.HEADER) * 16 >= PARALLEL_BYTES
-            if large and cpus > 1:  # a CSV cell takes about 16 bytes
-                parts[path] = [path.with_name(f"{path.name}.{k}.part") for k in range(cpus)]
-                columns, bounds = table.columns(), [len(table) * k // cpus for k in range(cpus + 1)]
-                for k, part in enumerate(parts[path]):
-                    rows = slice(bounds[k], bounds[k + 1])
-                    jobs.append((part, table.HEADER if k == 0 else None, [column[rows] for column in columns]))
-        self.written += [part for paths in parts.values() for part in paths]
-        if jobs:
-            _at_once(_write_part, jobs, cpus)
         for path, content in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
             with path.open("w", encoding="utf-8") as stream:
                 self.written.append(path)
-                if path in parts:
-                    for part in parts[path]:
-                        with part.open("rb") as rows:
-                            shutil.copyfileobj(rows, stream.buffer)
-                        part.unlink()
-                elif isinstance(content, marketdata.Table):
-                    marketdata.write_table_csv(content, stream)
-                else:
+                if isinstance(content, str):
                     stream.write(content)
+                    continue
+                columns, step = content.columns(), marketdata.WRITE_ROWS
+                chunks = [[column[k : k + step] for column in columns] for k in range(0, len(content), step)]
+                # a CSV cell takes about 16 bytes
+                if cpus > 1 and len(content) * len(content.HEADER) * 16 >= PARALLEL_BYTES:
+                    texts = _at_once(marketdata.csv_rows, [(path, chunk) for chunk in chunks], cpus)
+                else:
+                    texts = (marketdata.csv_rows(*chunk) for chunk in chunks)
+                stream.write(",".join(content.HEADER) + "\n")
+                with contextlib.closing(texts):  # joins the workers also when a write fails
+                    stream.writelines(texts)
 
     def discard_written(self) -> None:
         for path in self.written:
@@ -199,35 +194,33 @@ def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.Bar
         raise cfgmod.not_utf8(path, exc) from None
 
 
-def _write_part(path: Path, header: tuple[str, ...] | None, columns: list) -> None:
-    """A part of a CSV file: the rows of the columns, after a header row unless it is None; run by a worker."""
-    with path.open("w", encoding="utf-8") as stream:
-        marketdata.write_csv(stream, header, *columns)
+def _at_once(func: Callable, jobs: list[tuple], workers: int) -> Iterator:
+    """Yield ``func(*args)`` of each ``(name, args)`` job in job order, run by forked worker processes.
 
-
-def _at_once(func: Callable, jobs: list[tuple], workers: int) -> list:
-    """``func(*job)`` of each job, run by forked worker processes; the first job that failed raises its error.
-
-    A job's first item is the path it reads or writes, named if its worker dies.
+    A job that failed raises its own error in its turn, and one whose worker died, as by a signal, a
+    ``ChildProcessError`` naming the job. The workers are joined when the generator ends, so a caller that
+    may stop early closes it.
     """
     # imported here, not at the top: concurrent.futures loads logging, which would slow every command's start
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    # forked workers keep this process's imports; leaving the pool joins them
-    fork = multiprocessing.get_context("fork")
-    futures = []
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        for job in jobs:
+    # forked workers keep this process's imports
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = []
+        for _, args in jobs:
             try:
-                futures.append(pool.submit(func, *job))
+                futures.append(pool.submit(func, *args))
             except BrokenExecutor:  # a worker died before this job was sent
                 break
-    for k, (path, *_) in enumerate(jobs):
-        if k == len(futures) or isinstance(futures[k].exception(), BrokenExecutor):  # its worker died, as by a signal
-            raise ChildProcessError(f"the worker process for {path} ended without a result")
-        futures[k].result()  # raises the job's own error
-    return [future.result() for future in futures]
+        futures.reverse()  # popped in job order, so no result is kept once it is yielded
+        for name, _ in jobs:
+            if not futures or isinstance(futures[-1].exception(), BrokenExecutor):  # its worker died, as by a signal
+                raise ChildProcessError(f"the worker process for {name} ended without a result")
+            yield futures.pop().result()  # raises the job's own error
+    finally:  # after an error or an early close, jobs not yet started are dropped; the workers are joined
+        pool.shutdown(cancel_futures=True)
 
 
 class _Stages:
@@ -249,6 +242,8 @@ class _Stages:
         model = MODEL_DEFAULTS if "spot" in flags else {}
         self.model = {key: settings.get(key, value, type(value)) for key, value in model.items() if key in flags}
         self.paths = {role: settings.require(role) for role in ("spot", "futures", "btc") if role in flags}
+        if "out" in flags and settings.get("out") == "":  # Path("") would write into the working directory
+            raise SchemaError("empty value for 'out': name an output directory (flag --out or config)")
         if "usdt-alt" in flags and settings.get("usdt_alt"):
             self.paths["usdt_alt"] = settings.get("usdt_alt")
         self._jobs = [
@@ -266,7 +261,8 @@ class _Stages:
             except OSError:  # the serial parse of that file raises it
                 size = 0
             if size >= PARALLEL_BYTES:
-                return dict(zip(self.paths, _at_once(_parse_file, self._jobs, len(self._jobs))))
+                jobs = list(zip(self.paths.values(), self._jobs))
+                return dict(zip(self.paths, list(_at_once(_parse_file, jobs, len(jobs)))))
         return {role: _parse_file(*job) for role, job in zip(self.paths, self._jobs)}
 
     @cached_property

@@ -48,19 +48,15 @@ def _cells(column: np.ndarray) -> list:
     return column.tolist()
 
 
-def write_csv(stream: TextIO, header: Iterable[str] | None, *columns: np.ndarray) -> None:
-    """A header row unless ``header`` is None, then one row per position of the equal-length columns.
+def csv_rows(*columns: np.ndarray) -> str:
+    """CSV rows, one per position of the equal-length columns.
 
     No cell needs CSV quoting, so each row is one ``%`` template: ``%.17g``
     for a float, whose NaN prints as ``nan``, a text no other cell holds,
-    cut to an empty cell. ``WRITE_ROWS`` rows are formatted at a time.
+    cut to an empty cell.
     """
-    if header is not None:
-        stream.write(",".join(header) + "\n")
     row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
-    for start in range(0, len(columns[0]), WRITE_ROWS):
-        cells = [_cells(column[start : start + WRITE_ROWS]) for column in columns]
-        stream.write("".join(map(row.__mod__, zip(*cells))).replace("nan", ""))
+    return "".join(map(row.__mod__, zip(*map(_cells, columns)))).replace("nan", "")
 
 
 def _parse_day(text: str) -> date:
@@ -118,8 +114,11 @@ class Table:
 
 
 def write_table_csv(table: Table, stream: TextIO) -> None:
-    """Write a table as CSV: its ``HEADER`` row, then one row per date."""
-    write_csv(stream, table.HEADER, *table.columns())
+    """Write a table as CSV: its ``HEADER`` row, then its rows, ``WRITE_ROWS`` at a time."""
+    columns = table.columns()
+    stream.write(",".join(table.HEADER) + "\n")
+    for start in range(0, len(table), WRITE_ROWS):
+        stream.write(csv_rows(*(column[start : start + WRITE_ROWS] for column in columns)))
 
 
 def _first_bad_bar(open_, high, low, close, volume) -> tuple[int, str] | None:

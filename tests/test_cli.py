@@ -329,6 +329,17 @@ class TestPipelineCommand:
         message = "missing required input 'btc' (flag --btc or config)"
         assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["stats", "fixture"])
+    def test_empty_output_directory_fails_at_config(self, fixture_dir, tmp_path, capsys, monkeypatch, command, source):
+        monkeypatch.chdir(tmp_path)  # Path("") is the working directory
+        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", *(["out ="] if source == "config" else []))
+        args = [command, "--config", str(cfg)] + (["--out", ""] if source == "flag" else [])
+        assert main(args) == 1
+        message = "empty value for 'out': name an output directory (flag --out or config)"
+        assert capsys.readouterr() == ("", f'error stage=config type=SchemaError msg="{message}"\n')
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.txt"]
+
     @pytest.mark.parametrize("rho", [[], ["--rho", "estimate"]], ids=["fixed", "estimate"])
     def test_window_below_three_fails_at_fit(self, fixture_dir, tmp_path, capsys, rho):
         out = tmp_path / "run"

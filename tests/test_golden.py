@@ -395,7 +395,8 @@ def _forked(spy: mock.Mock) -> list:
 )
 def test_parallel_parse_writes_the_pinned_bytes(datasets, dataset, name, at_once, monkeypatch, capsys):
     test_outputs_match_pinned_hashes(datasets, dataset, name, monkeypatch, capsys)
-    assert _forked(at_once) == [cli._parse_file, cli._write_part]
+    tables = 1 if name == "features" else 2  # features.csv; or aligned.csv and prob.csv
+    assert _forked(at_once) == [cli._parse_file] + [marketdata.csv_rows] * tables
     assert multiprocessing.active_children() == []
 
 
@@ -406,7 +407,7 @@ def test_parallel_fixture_writes_the_serial_bytes(tmp_path, at_once, monkeypatch
     assert _forked(at_once) == []
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
     assert main(args + [str(tmp_path / "forked")]) == 0
-    assert _forked(at_once) == [cli._write_part]
+    assert _forked(at_once) == [marketdata.csv_rows] * 3
     for name in ("spot.csv", "futures.csv", "btc.csv"):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
     assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == ["btc.csv", "futures.csv", "spot.csv"]
@@ -453,36 +454,92 @@ def test_parse_worker_that_dies_fails_at_parse(datasets, at_once, tmp_path, monk
     assert multiprocessing.active_children() == []
 
 
+_csv_rows = marketdata.csv_rows
+
+
+def _csv_rows_that_die_in_a_worker(*columns):
+    """``marketdata.csv_rows``, but a forked worker that runs it dies; module-level so that a worker can be sent it."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _csv_rows(*columns)
+
+
 def test_write_worker_that_dies_fails_at_write(datasets, at_once, tmp_path, monkeypatch, capsys):
-    parent, write_csv = os.getpid(), marketdata.write_csv
-
-    def die_in_a_worker(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        return write_csv(*args, **kwargs)
-
-    monkeypatch.setattr(marketdata, "write_csv", die_in_a_worker)
+    monkeypatch.setattr(marketdata, "csv_rows", _csv_rows_that_die_in_a_worker)
     out = tmp_path / "out"
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     _assert_failed(code, err, "write", "ChildProcessError", out)
-    assert re.search(r"the worker process for \S+[.]csv[.]\d[.]part ended without a result", err)
-    assert _forked(at_once) == [cli._parse_file, cli._write_part]
+    assert err.endswith(f'msg="the worker process for {out}/aligned.csv ended without a result"\n')
+    assert _forked(at_once) == [cli._parse_file, _csv_rows_that_die_in_a_worker]
     assert multiprocessing.active_children() == []
 
 
-def test_write_that_fails_after_the_workers_leaves_no_file(datasets, at_once, tmp_path, monkeypatch, capsys):
-    appended = []
+class _FullDisk:
+    """A text file open for writing that takes its first ``room`` writes, then fails as a full disk does."""
 
-    def disk_full(source, target, *args):
-        appended.append(Path(source.name).name)
-        raise OSError(28, "No space left on device")
+    def __init__(self, stream, room: int) -> None:
+        self.stream, self.room = stream, room
 
-    monkeypatch.setattr(shutil, "copyfileobj", disk_full)  # the parent's append of the first part
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stream.close()
+
+    def write(self, text: str) -> None:
+        if self.room == 0:
+            raise OSError(28, "No space left on device")
+        self.room -= 1
+        self.stream.write(text)
+
+    def writelines(self, texts) -> None:
+        for text in texts:
+            self.write(text)
+
+
+def test_write_that_fails_while_chunks_stream_in_leaves_no_file(datasets, at_once, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(marketdata, "WRITE_ROWS", 50)  # 410 rows make 9 chunks
+    path_open, disks = Path.open, []
+
+    def open_on_a_full_disk(path, *args, **kwargs):
+        stream = path_open(path, *args, **kwargs)
+        if path.name != "aligned.csv":
+            return stream
+        disks.append(_FullDisk(stream, room=3))  # the header, then two chunks
+        return disks[-1]
+
+    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
+    alive, discard_written = [], cli._Run.discard_written
+
+    def discard_written_once_joined(run):  # while the error is handled, its traceback still holds the writer
+        alive.append(multiprocessing.active_children())
+        discard_written(run)
+
+    monkeypatch.setattr(cli._Run, "discard_written", discard_written_once_joined)
     out = tmp_path / "out"
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     _assert_failed(code, err, "write", "OSError", out)
-    assert appended == ["aligned.csv.0.part"]
-    assert _forked(at_once) == [cli._parse_file, cli._write_part]
+    assert err.endswith('msg="[Errno 28] No space left on device"\n')
+    assert [disk.room for disk in disks] == [0]
+    assert _forked(at_once) == [cli._parse_file, marketdata.csv_rows]
+    assert alive == [[]]  # the workers were joined when the write failed, not left to garbage collection
+    assert multiprocessing.active_children() == []
+
+
+def test_write_workers_see_only_artifacts(datasets, at_once, tmp_path, monkeypatch, capsys):
+    out, seen, cells = tmp_path / "out", tmp_path / "seen.txt", marketdata._cells
+
+    def list_the_output_directory(column):
+        if multiprocessing.parent_process() is not None:  # a forked worker, formatting rows
+            with seen.open("a", encoding="utf-8") as stream:
+                stream.write(" ".join(sorted(os.listdir(out))) + "\n")
+        return cells(column)
+
+    monkeypatch.setattr(marketdata, "_cells", list_the_output_directory)
+    code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
+    assert code == 0, err
+    listed = {name for line in seen.read_text(encoding="utf-8").splitlines() for name in line.split()}
+    assert {"aligned.csv", "prob.csv"} <= listed <= {"run_manifest.txt", *cli.PIPELINE_ARTIFACTS}
     assert multiprocessing.active_children() == []
 
 
