@@ -9,24 +9,23 @@ artifacts plus a run manifest that doubles as a config file, so
 reproduces a run exactly. Errors exit nonzero with a single machine-
 parsable line on stderr (``error stage=... type=... msg="..."``) and any
 partially written artifacts are removed. A command parses all its inputs
-first, in role order. On two or more CPUs, inputs of ``PARALLEL_BYTES`` or
-more in all are parsed by forked workers, one per input, and the rows of a
-CSV artifact about that large (``aligned.csv``, ``prob.csv``,
-``features.csv``, a fixture's bars) are formatted by forked workers, one per
-CPU, a chunk at a time, while the command writes each chunk's text into the
-artifact in order; bytes and errors are those of the serial path, and only
-artifacts are ever written.
+first, in role order, and writes its text artifacts before its CSV tables.
+Its inputs, and then its tables, go through one rule (``_each``): on two or
+more CPUs, two or more files of ``PARALLEL_BYTES`` or more in all are parsed,
+or written, by forked workers, one per file. So a long ``pipeline`` writes
+``aligned.csv`` and ``prob.csv`` side by side, and a command that writes one
+table writes it in its own process. Bytes and errors are those of the serial
+path.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
@@ -86,7 +85,7 @@ MODEL_DEFAULTS = {
     "trim": True,
 }
 
-PARALLEL_BYTES = 8 << 20  # inputs this large in all, or a CSV artifact this large, are handled by forked workers
+PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are handled by forked workers
 DEFAULT_OUT = "out"
 
 
@@ -98,30 +97,17 @@ class _Run:
         self.written: list[Path] = []
 
     def write(self, files: dict[Path, str | marketdata.Table]) -> None:
-        """Write each file in turn: a text, or a table as CSV, its header and then its rows.
-
-        A table's rows are formatted ``WRITE_ROWS`` at a time; those of a large table by forked workers, one per
-        CPU. Either way this process writes each chunk's text into the file, in order, as it comes, so no other
-        file is made and no process holds a whole table's text.
-        """
-        cpus = simkit._cpu_count()
+        """Write each text file, then the tables as CSV through ``_each``, sized at about 16 bytes a cell."""
+        tables = []
         for path, content in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w", encoding="utf-8") as stream:
+            if isinstance(content, str):
                 self.written.append(path)
-                if isinstance(content, str):
-                    stream.write(content)
-                    continue
-                columns, step = content.columns(), marketdata.WRITE_ROWS
-                chunks = [[column[k : k + step] for column in columns] for k in range(0, len(content), step)]
-                # a CSV cell takes about 16 bytes
-                if cpus > 1 and len(content) * len(content.HEADER) * 16 >= PARALLEL_BYTES:
-                    texts = _at_once(marketdata.csv_rows, [(path, chunk) for chunk in chunks], cpus)
-                else:
-                    texts = (marketdata.csv_rows(*chunk) for chunk in chunks)
-                stream.write(",".join(content.HEADER) + "\n")
-                with contextlib.closing(texts):  # joins the workers also when a write fails
-                    stream.writelines(texts)
+                path.write_text(content, encoding="utf-8")
+            else:
+                tables.append((path, (path, content)))
+        self.written += [path for path, _ in tables]
+        _each(_write_table, tables, sum(len(table) * len(table.HEADER) * 16 for _, (_, table) in tables))
 
     def discard_written(self) -> None:
         for path in self.written:
@@ -194,33 +180,39 @@ def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.Bar
         raise cfgmod.not_utf8(path, exc) from None
 
 
-def _at_once(func: Callable, jobs: list[tuple], workers: int) -> Iterator:
-    """Yield ``func(*args)`` of each ``(name, args)`` job in job order, run by forked worker processes.
+def _write_table(path: Path, table: marketdata.Table) -> None:
+    """Write one table as a CSV artifact; module-level so that a worker process can be sent it."""
+    with path.open("w", encoding="utf-8") as stream:
+        marketdata.write_table_csv(table, stream)
 
-    A job that failed raises its own error in its turn, and one whose worker died, as by a signal, a
-    ``ChildProcessError`` naming the job. The workers are joined when the generator ends, so a caller that
-    may stop early closes it.
+
+def _each(func: Callable, jobs: list[tuple], size: int) -> list:
+    """``func(*args)`` of each ``(name, args)`` job, in job order; the jobs' files come to ``size`` bytes.
+
+    Two or more jobs of ``PARALLEL_BYTES`` or more, on two or more CPUs, run side by side in forked workers, one
+    per job; others in this process. Either way the first failed job, in job order, raises its own error, or a
+    ``ChildProcessError`` naming it if its worker died.
     """
+    if size < PARALLEL_BYTES or len(jobs) < 2 or simkit._cpu_count() < 2:
+        return [func(*args) for _, args in jobs]
+    return _in_workers(func, jobs)
+
+
+def _in_workers(func: Callable, jobs: list[tuple]) -> list:
+    """The forked half of ``_each``: each job runs in its own worker process, and all are joined on return."""
     # imported here, not at the top: concurrent.futures loads logging, which would slow every command's start
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    # forked workers keep this process's imports
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = []
-        for _, args in jobs:
-            try:
-                futures.append(pool.submit(func, *args))
-            except BrokenExecutor:  # a worker died before this job was sent
-                break
-        futures.reverse()  # popped in job order, so no result is kept once it is yielded
-        for name, _ in jobs:
-            if not futures or isinstance(futures[-1].exception(), BrokenExecutor):  # its worker died, as by a signal
-                raise ChildProcessError(f"the worker process for {name} ended without a result")
-            yield futures.pop().result()  # raises the job's own error
-    finally:  # after an error or an early close, jobs not yet started are dropped; the workers are joined
-        pool.shutdown(cancel_futures=True)
+    results = []
+    # forked workers keep this process's imports; leaving the block joins them, also on an error
+    with ProcessPoolExecutor(len(jobs), mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            for result in pool.map(func, *zip(*(args for _, args in jobs))):  # raises a failed job's own error
+                results.append(result)
+        except BrokenExecutor:  # a worker died, as by a signal, before this job had its result
+            raise ChildProcessError(f"the worker process for {jobs[len(results)][0]} ended without a result") from None
+    return results
 
 
 class _Stages:
@@ -247,23 +239,19 @@ class _Stages:
         if "usdt-alt" in flags and settings.get("usdt_alt"):
             self.paths["usdt_alt"] = settings.get("usdt_alt")
         self._jobs = [
-            (path, settings.column_schema(), settings.get(f"{role}_venue", "unspecified"))
+            (path, (path, settings.column_schema(), settings.get(f"{role}_venue", "unspecified")))
             for role, path in self.paths.items()
         ]
 
     @cached_property
     def bars(self) -> dict[str, marketdata.BarSeries]:
-        """Each input's bars, parsed in role order, or side by side if the inputs are large."""
+        """Each input's bars, parsed in role order, or side by side if the inputs are large (``_each``)."""
         self.run.stage = "parse"
-        if len(self._jobs) > 1 and simkit._cpu_count() > 1:
-            try:
-                size = sum(Path(path).stat().st_size for path in self.paths.values())
-            except OSError:  # the serial parse of that file raises it
-                size = 0
-            if size >= PARALLEL_BYTES:
-                jobs = list(zip(self.paths.values(), self._jobs))
-                return dict(zip(self.paths, list(_at_once(_parse_file, jobs, len(jobs)))))
-        return {role: _parse_file(*job) for role, job in zip(self.paths, self._jobs)}
+        try:
+            size = sum(Path(path).stat().st_size for path in self.paths.values())
+        except OSError:  # the parse of that file, in this process, raises it
+            size = 0
+        return dict(zip(self.paths, _each(_parse_file, self._jobs, size)))
 
     @cached_property
     def aligned(self) -> marketdata.AlignedSeries:

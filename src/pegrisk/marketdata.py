@@ -48,17 +48,6 @@ def _cells(column: np.ndarray) -> list:
     return column.tolist()
 
 
-def csv_rows(*columns: np.ndarray) -> str:
-    """CSV rows, one per position of the equal-length columns.
-
-    No cell needs CSV quoting, so each row is one ``%`` template: ``%.17g``
-    for a float, whose NaN prints as ``nan``, a text no other cell holds,
-    cut to an empty cell.
-    """
-    row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
-    return "".join(map(row.__mod__, zip(*map(_cells, columns)))).replace("nan", "")
-
-
 def _parse_day(text: str) -> date:
     try:
         return date.fromisoformat(text)
@@ -114,11 +103,18 @@ class Table:
 
 
 def write_table_csv(table: Table, stream: TextIO) -> None:
-    """Write a table as CSV: its ``HEADER`` row, then its rows, ``WRITE_ROWS`` at a time."""
+    """Write a table as CSV: its ``HEADER`` row, then its rows, ``WRITE_ROWS`` at a time.
+
+    No cell needs CSV quoting, so each row is one ``%`` template: ``%.17g``
+    for a float, whose NaN prints as ``nan``, a text no other cell holds,
+    cut to an empty cell.
+    """
     columns = table.columns()
+    row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
     stream.write(",".join(table.HEADER) + "\n")
     for start in range(0, len(table), WRITE_ROWS):
-        stream.write(csv_rows(*(column[start : start + WRITE_ROWS] for column in columns)))
+        cells = (_cells(column[start : start + WRITE_ROWS]) for column in columns)
+        stream.write("".join(map(row.__mod__, zip(*cells))).replace("nan", ""))
 
 
 def _first_bad_bar(open_, high, low, close, volume) -> tuple[int, str] | None:
@@ -271,7 +267,8 @@ def parse_bars(
     ``ROLES``. Rows are sorted by date before the series invariants are
     checked, so physical row order in the file does not matter. The first
     bad row in file order raises :class:`ValidationError` naming its 1-based
-    line number; a header missing a mapped column raises
+    line number, and after the rows are checked, so does the first row that
+    repeats an earlier row's date; a header missing a mapped column raises
     :class:`SchemaError`.
     """
     mapping = dict(DEFAULT_SCHEMA)
@@ -313,7 +310,12 @@ def parse_bars(
     if error is not None:
         raise error
     order = np.argsort(days, kind="stable")
-    return BarSeries(days[order], *(column[order] for column in values), venue=venue)
+    days = days[order]
+    repeats = np.flatnonzero(days[1:] == days[:-1]) + 1  # sorted stably, so a date's first row comes first
+    if repeats.size:
+        k = repeats[np.argmin(order[repeats])]
+        raise ValidationError(f"line {lines[order[k]]}: duplicate date {days[k]}, first on line {lines[order[k - 1]]}")
+    return BarSeries(days, *(column[order] for column in values), venue=venue)
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,7 @@ class TestBuildFeaturePanel:
         usdt = _series([(1.0, 1.001, 0.999, 1.0)] * n)
         panel = build_feature_panel(_prob_points(n), btc, usdt)
         assert len(panel) == n
-        with_returns = [row for row in panel if not math.isnan(row.r_btc_bps)]
-        assert len(with_returns) == n - 1
+        assert np.count_nonzero(~np.isnan(panel.r_btc_bps)) == n - 1
         assert math.isnan(panel.r_btc_bps[0])
 
     def test_disjoint_dates_error(self):

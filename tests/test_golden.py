@@ -375,14 +375,14 @@ def test_degenerate_rolling_window_leaves_estimate_to_the_full_sample(flat_stret
 
 @pytest.fixture
 def at_once(monkeypatch):
-    """Inputs and CSV artifacts of any size are parsed and written by forked workers, as on two CPUs.
+    """Two or more inputs, or CSV tables, of any size are parsed or written by forked workers, as on two CPUs.
 
-    Yields a spy on that path; ``_forked(spy)`` lists the function each call ran.
+    Yields a spy on the forked half of ``cli._each``; ``_forked(spy)`` lists the function each call ran.
     """
     monkeypatch.setattr(cli, "PARALLEL_BYTES", 0)
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
-    spy = mock.Mock(wraps=cli._at_once)
-    monkeypatch.setattr(cli, "_at_once", spy)
+    spy = mock.Mock(wraps=cli._in_workers)
+    monkeypatch.setattr(cli, "_in_workers", spy)
     return spy
 
 
@@ -390,13 +390,21 @@ def _forked(spy: mock.Mock) -> list:
     return [call.args[0] for call in spy.call_args_list]
 
 
+def _forked_jobs(spy: mock.Mock, func) -> list[list[str]]:
+    """The base names of the files of each forked call of ``func``."""
+    return [[Path(name).name for name, _ in call.args[1]] for call in spy.call_args_list if call.args[0] is func]
+
+
 @pytest.mark.parametrize(
     "dataset, name", [("long", "pipeline-estimate"), ("full", "pipeline"), ("full", "features")]
 )
 def test_parallel_parse_writes_the_pinned_bytes(datasets, dataset, name, at_once, monkeypatch, capsys):
     test_outputs_match_pinned_hashes(datasets, dataset, name, monkeypatch, capsys)
-    tables = 1 if name == "features" else 2  # features.csv; or aligned.csv and prob.csv
-    assert _forked(at_once) == [cli._parse_file] + [marketdata.csv_rows] * tables
+    if name == "features":  # features.csv is its one table, so this process writes it
+        assert _forked(at_once) == [cli._parse_file]
+    else:  # one write, of both tables
+        assert _forked(at_once) == [cli._parse_file, cli._write_table]
+        assert _forked_jobs(at_once, cli._write_table) == [["aligned.csv", "prob.csv"]]
     assert multiprocessing.active_children() == []
 
 
@@ -407,7 +415,8 @@ def test_parallel_fixture_writes_the_serial_bytes(tmp_path, at_once, monkeypatch
     assert _forked(at_once) == []
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
     assert main(args + [str(tmp_path / "forked")]) == 0
-    assert _forked(at_once) == [marketdata.csv_rows] * 3
+    assert _forked(at_once) == [cli._write_table]
+    assert _forked_jobs(at_once, cli._write_table) == [["spot.csv", "futures.csv", "btc.csv"]]
     for name in ("spot.csv", "futures.csv", "btc.csv"):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
     assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == ["btc.csv", "futures.csv", "spot.csv"]
@@ -454,23 +463,23 @@ def test_parse_worker_that_dies_fails_at_parse(datasets, at_once, tmp_path, monk
     assert multiprocessing.active_children() == []
 
 
-_csv_rows = marketdata.csv_rows
+_write_table = cli._write_table
 
 
-def _csv_rows_that_die_in_a_worker(*columns):
-    """``marketdata.csv_rows``, but a forked worker that runs it dies; module-level so that a worker can be sent it."""
+def _write_table_that_dies_in_a_worker(path, table):
+    """``cli._write_table``, but a forked worker that runs it dies; module-level so that a worker can be sent it."""
     if multiprocessing.parent_process() is not None:
         os._exit(3)
-    return _csv_rows(*columns)
+    _write_table(path, table)
 
 
 def test_write_worker_that_dies_fails_at_write(datasets, at_once, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(marketdata, "csv_rows", _csv_rows_that_die_in_a_worker)
+    monkeypatch.setattr(cli, "_write_table", _write_table_that_dies_in_a_worker)
     out = tmp_path / "out"
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     _assert_failed(code, err, "write", "ChildProcessError", out)
     assert err.endswith(f'msg="the worker process for {out}/aligned.csv ended without a result"\n')
-    assert _forked(at_once) == [cli._parse_file, _csv_rows_that_die_in_a_worker]
+    assert _forked(at_once) == [cli._parse_file, _write_table_that_dies_in_a_worker]
     assert multiprocessing.active_children() == []
 
 
@@ -492,37 +501,31 @@ class _FullDisk:
         self.room -= 1
         self.stream.write(text)
 
-    def writelines(self, texts) -> None:
-        for text in texts:
-            self.write(text)
 
-
-def test_write_that_fails_while_chunks_stream_in_leaves_no_file(datasets, at_once, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(marketdata, "WRITE_ROWS", 50)  # 410 rows make 9 chunks
-    path_open, disks = Path.open, []
+@pytest.mark.parametrize("mode", ["serial", "forked"])
+def test_write_on_a_full_disk_fails_alike_serial_and_forked(datasets, mode, request, tmp_path, monkeypatch, capsys):
+    spy = request.getfixturevalue("at_once") if mode == "forked" else None
+    monkeypatch.setattr(marketdata, "WRITE_ROWS", 50)  # 410 rows make 9 chunks, so the disk fills partway
+    path_open = Path.open
 
     def open_on_a_full_disk(path, *args, **kwargs):
         stream = path_open(path, *args, **kwargs)
-        if path.name != "aligned.csv":
-            return stream
-        disks.append(_FullDisk(stream, room=3))  # the header, then two chunks
-        return disks[-1]
+        return _FullDisk(stream, room=3) if path.name == "aligned.csv" else stream  # the header, then two chunks
 
     monkeypatch.setattr(Path, "open", open_on_a_full_disk)
     alive, discard_written = [], cli._Run.discard_written
 
-    def discard_written_once_joined(run):  # while the error is handled, its traceback still holds the writer
+    def discard_written_once_joined(run):
         alive.append(multiprocessing.active_children())
         discard_written(run)
 
     monkeypatch.setattr(cli._Run, "discard_written", discard_written_once_joined)
     out = tmp_path / "out"
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
+    assert (code, err) == (1, 'error stage=write type=OSError msg="[Errno 28] No space left on device"\n')
     _assert_failed(code, err, "write", "OSError", out)
-    assert err.endswith('msg="[Errno 28] No space left on device"\n')
-    assert [disk.room for disk in disks] == [0]
-    assert _forked(at_once) == [cli._parse_file, marketdata.csv_rows]
-    assert alive == [[]]  # the workers were joined when the write failed, not left to garbage collection
+    assert spy is None or _forked(spy) == [cli._parse_file, cli._write_table]
+    assert alive == [[]]  # the workers were joined when the write failed, before the artifacts were removed
     assert multiprocessing.active_children() == []
 
 

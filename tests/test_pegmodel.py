@@ -422,5 +422,6 @@ class TestProbSeries:
     def test_annualized_field_matches_annualize(self):
         aligned = _aligned([(1.0007, 0.9992), (1.0, 1.002)])
         for method in ("linear", "compounded"):
-            for point in prob_series(aligned, rho=0.73, h=90, method=method):
-                assert point.p_annualized_bps == annualize(point.p_horizon, 90, method)
+            series = prob_series(aligned, rho=0.73, h=90, method=method)
+            for p_horizon, p_annualized in zip(series.p_horizon.tolist(), series.p_annualized_bps.tolist()):
+                assert p_annualized == annualize(p_horizon, 90, method)

@@ -319,7 +319,7 @@ class TestGenerateFixture:
         fixture = generate_fixture(config)
         aligned = align_daily(fixture.spot, fixture.futures)
         points = prob_series(aligned, rho=config.rho, h=config.horizon_days)
-        values = {p.p_horizon for p in points}
+        values = set(points.p_horizon.tolist())
         assert len(values) == 1
         assert values.pop() == pytest.approx(0.001, abs=1e-15)
 
@@ -337,15 +337,15 @@ class TestGenerateFixture:
         fixture = generate_fixture(config)
         aligned = align_daily(fixture.spot, fixture.futures)
         points = prob_series(aligned, rho=config.rho, h=config.horizon_days)
-        for point in points:
-            assert point.p_horizon == pytest.approx(0.001, abs=1e-12)
+        for p_horizon in points.p_horizon.tolist():
+            assert p_horizon == pytest.approx(0.001, abs=1e-12)
 
     def test_planted_level_recovered_through_model(self):
         config = FixtureConfig(n_days=410, p_default=7.4e-4, seed=6)
         fixture = generate_fixture(config)
         aligned = align_daily(fixture.spot, fixture.futures)
         points = prob_series(aligned, rho=0.73, h=90)
-        mean_p = np.mean([p.p_horizon for p in points])
+        mean_p = np.mean(points.p_horizon)
         assert mean_p == pytest.approx(7.4e-4, rel=0.05)
 
     def test_bars_valid_and_paired(self):
