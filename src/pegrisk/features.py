@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError, EstimationError
-from .marketdata import BarSeries, Table
+from .marketdata import BarSeries, Dates, Floats, Table
 from .pegmodel import ProbSeries
 
 PARKINSON_FACTOR = 2.0 * math.sqrt(math.log(2.0))
@@ -56,20 +56,13 @@ class Panel(Table):
     ``r_btc_bps`` is NaN on the first BTC date, where no return is defined.
     """
 
-    COLUMNS = {
-        "date": "datetime64[D]",
-        "p_bps": "float64",
-        "sigma_btc_bps": "float64",
-        "sigma_usdt_bps": "float64",
-        "r_btc_bps": "float64",
-    }
     HEADER = ("date", "p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps")
 
-    date: np.ndarray
-    p_bps: np.ndarray
-    sigma_btc_bps: np.ndarray
-    sigma_usdt_bps: np.ndarray
-    r_btc_bps: np.ndarray
+    date: Dates
+    p_bps: Floats
+    sigma_btc_bps: Floats
+    sigma_usdt_bps: Floats
+    r_btc_bps: Floats
 
 
 def build_feature_panel(

@@ -19,7 +19,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import repeat
-from typing import ClassVar, Iterable, Mapping, TextIO
+from typing import Annotated, ClassVar, Iterable, Mapping, TextIO, get_type_hints
 
 import numpy as np
 
@@ -32,6 +32,11 @@ DEFAULT_SCHEMA: dict[str, str] = {role: role for role in ROLES}
 BLOCK_CHARS = 1 << 20
 # rows of CSV text formatted at a time
 WRITE_ROWS = 1 << 14
+
+# the field types of table columns, each naming its dtype
+Dates = Annotated[np.ndarray, "datetime64[D]"]
+Floats = Annotated[np.ndarray, "float64"]
+Flags = Annotated[np.ndarray, "bool"]
 
 
 def fmt_float(x: float) -> str:
@@ -62,11 +67,12 @@ def _parse_day(text: str) -> date:
 class Table:
     """Equal-length 1-D numpy columns; iterating yields one namedtuple per row.
 
-    Subclasses are frozen dataclasses that name their column fields and
-    dtypes in ``COLUMNS``, the first being ``date``; any other field is
-    metadata. Columns are stored as contiguous arrays of the declared
-    dtype, and dates must be strictly increasing. ``HEADER`` names the
-    CSV columns of ``columns()``.
+    Subclasses are frozen dataclasses whose column fields are typed
+    ``Dates``, ``Floats`` or ``Flags``, the first being ``date``; any other
+    field is metadata. ``COLUMNS`` maps each column, in field order, to its
+    dtype. Columns are stored as contiguous arrays of that dtype, and dates
+    must be strictly increasing. ``HEADER`` names the CSV columns of
+    ``columns()``, by default the column names.
     """
 
     COLUMNS: ClassVar[dict[str, str]] = {}
@@ -74,6 +80,10 @@ class Table:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        hints = get_type_hints(cls, include_extras=True).items()
+        cls.COLUMNS = {name: hint.__metadata__[0] for name, hint in hints if hasattr(hint, "__metadata__")}
+        if "HEADER" not in vars(cls):
+            cls.HEADER = tuple(cls.COLUMNS)
         cls.Row = namedtuple(f"{cls.__name__}Row", cls.COLUMNS)
 
     def __post_init__(self) -> None:
@@ -145,22 +155,14 @@ def _first_bad_bar(open_, high, low, close, volume) -> tuple[int, str] | None:
 class BarSeries(Table):
     """Daily OHLCV bars for one instrument on one venue, in strictly increasing date order."""
 
-    COLUMNS = {
-        "date": "datetime64[D]",
-        "open": "float64",
-        "high": "float64",
-        "low": "float64",
-        "close": "float64",
-        "volume": "float64",
-    }
     HEADER = ROLES
 
-    date: np.ndarray
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
-    volume: np.ndarray
+    date: Dates
+    open: Floats
+    high: Floats
+    low: Floats
+    close: Floats
+    volume: Floats
     venue: str
 
     def __post_init__(self) -> None:
@@ -335,12 +337,11 @@ class AlignedSeries(Table):
     discount or premium ``(f - s) * 1e4``.
     """
 
-    COLUMNS = {"date": "datetime64[D]", "s": "float64", "f": "float64"}
     HEADER = ("date", "s", "f", "delta", "basis_bps")
 
-    date: np.ndarray
-    s: np.ndarray
-    f: np.ndarray
+    date: Dates
+    s: Floats
+    f: Floats
     join_report: JoinReport = JoinReport(0, 0, 0)
 
     @property

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataQualityWarning, DomainError, EstimationError, InversionError
-from .marketdata import AlignedSeries, Table, write_table_csv
+from .marketdata import AlignedSeries, Dates, Flags, Floats, Table, write_table_csv
 
 DAYS_PER_YEAR = 365.0
 
@@ -218,13 +218,10 @@ class ProbSeries(Table):
     ``trimmed`` flags dates whose negative raw value was clamped to zero.
     """
 
-    COLUMNS = {"date": "datetime64[D]", "p_horizon": "float64", "p_annualized_bps": "float64", "trimmed": "bool"}
-    HEADER = tuple(COLUMNS)
-
-    date: np.ndarray
-    p_horizon: np.ndarray
-    p_annualized_bps: np.ndarray
-    trimmed: np.ndarray
+    date: Dates
+    p_horizon: Floats
+    p_annualized_bps: Floats
+    trimmed: Flags
 
 
 def prob_series(

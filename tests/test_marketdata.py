@@ -5,6 +5,7 @@ import datetime
 import io
 import random
 import re
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from pegrisk import marketdata
 from pegrisk.errors import AlignmentError, SchemaError, ValidationError
+from pegrisk.features import Panel
 from pegrisk.marketdata import (
     ROLES,
     AlignedSeries,
@@ -22,6 +24,7 @@ from pegrisk.marketdata import (
     parse_bars,
     write_table_csv,
 )
+from pegrisk.pegmodel import ProbSeries
 
 HEADER = "timestamp,open,high,low,close,volume"
 DAY = datetime.date(2020, 3, 12)
@@ -182,6 +185,60 @@ class TestBarInvariants:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValidationError, match="differ in length"):
             BarSeries(date=[DAY], open=[1.0, 1.0], high=[1.0], low=[1.0], close=[1.0], volume=[1.0], venue="test")
+
+
+class TestTableColumns:
+    """Each table declares a column once, as a typed field; ``COLUMNS`` and ``HEADER`` follow from the fields."""
+
+    # each table's COLUMNS and HEADER as they were declared by hand
+    DECLARED = [
+        (
+            BarSeries,
+            {"date": "datetime64[D]", **dict.fromkeys(("open", "high", "low", "close", "volume"), "float64")},
+            ("timestamp", "open", "high", "low", "close", "volume"),
+        ),
+        (
+            AlignedSeries,
+            {"date": "datetime64[D]", "s": "float64", "f": "float64"},
+            ("date", "s", "f", "delta", "basis_bps"),
+        ),
+        (
+            ProbSeries,
+            {"date": "datetime64[D]", "p_horizon": "float64", "p_annualized_bps": "float64", "trimmed": "bool"},
+            ("date", "p_horizon", "p_annualized_bps", "trimmed"),
+        ),
+        (
+            Panel,
+            {
+                "date": "datetime64[D]",
+                **dict.fromkeys(("p_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps"), "float64"),
+            },
+            ("date", "p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("table, columns, header", DECLARED, ids=lambda v: getattr(v, "__name__", ""))
+    def test_derived_columns_and_header(self, table, columns, header):
+        assert list(table.COLUMNS.items()) == list(columns.items())  # in field order
+        assert table.HEADER == header
+        assert table.Row._fields == tuple(columns)
+
+    def test_header_defaults_to_the_column_names(self):
+        @dataclass(frozen=True, eq=False)
+        class Marks(marketdata.Table):
+            date: marketdata.Dates
+            level: marketdata.Floats
+            flagged: marketdata.Flags
+            source: str = "test"
+
+        assert Marks.COLUMNS == {"date": "datetime64[D]", "level": "float64", "flagged": "bool"}
+        assert Marks.HEADER == ("date", "level", "flagged")
+        marks = Marks(date=[DAY], level=[1], flagged=[0])
+        assert [column.dtype for column in marks.columns()] == [np.dtype("datetime64[D]"), float, bool]
+        assert list(marks) == [Marks.Row(DAY, 1.0, False)]
+        stream = io.StringIO()
+        write_table_csv(replace(marks, level=[0.5]), stream)
+        assert stream.getvalue() == "date,level,flagged\n2020-03-12,0.5,false\n"
 
 
 class TestAlignDaily:
