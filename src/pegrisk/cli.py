@@ -8,8 +8,10 @@ artifacts plus a run manifest that doubles as a config file, so
 
 reproduces a run exactly. Errors exit nonzero with a single machine-
 parsable line on stderr (``error stage=... type=... msg="..."``) and any
-partially written artifacts are removed. A command parses all its inputs
-first, in role order, and writes its text artifacts before its CSV tables.
+partially written artifacts are removed, also on SIGTERM (exit 143) and
+SIGINT (130); a warning prints one ``warning stage=...`` line. A command
+parses all its inputs first, in role order, and writes its CSV tables
+before its text artifacts, the run manifest last.
 Its inputs, and then its tables, go through one rule (``_each``): on two or
 more CPUs, two or more files of ``PARALLEL_BYTES`` or more in all are parsed,
 or written, by forked workers, one per file. So a long ``pipeline`` writes
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import signal
 import sys
+import warnings
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -97,17 +101,21 @@ class _Run:
         self.written: list[Path] = []
 
     def write(self, files: dict[Path, str | marketdata.Table]) -> None:
-        """Write each text file, then the tables as CSV through ``_each``, sized at about 16 bytes a cell."""
-        tables = []
-        for path, content in files.items():
+        """Write the tables as CSV through ``_each``, sized at about 16 bytes a cell, then each text file in order."""
+        tables = [(path, (path, content)) for path, content in files.items() if not isinstance(content, str)]
+        for path in files:
             path.parent.mkdir(parents=True, exist_ok=True)
+        self.written += [path for path, _ in tables]
+        _each(_write_table, tables, sum(len(table) * len(table.HEADER) * 16 for _, (_, table) in tables))
+        for path, content in files.items():
             if isinstance(content, str):
                 self.written.append(path)
                 path.write_text(content, encoding="utf-8")
-            else:
-                tables.append((path, (path, content)))
-        self.written += [path for path, _ in tables]
-        _each(_write_table, tables, sum(len(table) * len(table.HEADER) * 16 for _, (_, table) in tables))
+
+    def report(self, kind: str, name: str, message) -> None:
+        """Print one ``<kind> stage=... type=<name> msg="..."`` line on stderr."""
+        message = " ".join(str(message).split())
+        print(f'{kind} stage={self.stage} type={name} msg="{message}"', file=sys.stderr)
 
     def discard_written(self) -> None:
         for path in self.written:
@@ -205,8 +213,9 @@ def _in_workers(func: Callable, jobs: list[tuple]) -> list:
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     results = []
-    # forked workers keep this process's imports; leaving the block joins them, also on an error
-    with ProcessPoolExecutor(len(jobs), mp_context=multiprocessing.get_context("fork")) as pool:
+    # forked workers keep this process's imports, not its SIGTERM handler; leaving the block joins them, come what may
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(jobs), fork, signal.signal, (signal.SIGTERM, signal.SIG_DFL)) as pool:
         try:
             for result in pool.map(func, *zip(*(args for _, args in jobs))):  # raises a failed job's own error
                 results.append(result)
@@ -326,16 +335,16 @@ class _Stages:
         ]
 
     def write(self, names: tuple[str, ...], default_out: str | None = DEFAULT_OUT) -> dict:
-        """Run every stage the named artifacts need, then write them if an output directory is set.
+        """Build the named artifacts in ``ARTIFACTS`` order, then write them, if an output directory is set, as named.
 
         Returns each artifact's content: its text, or for a CSV its table.
         ``self.out`` is the directory written, or None.
         """
-        contents = {name: ARTIFACTS[name](self) for name in names}
+        contents = {name: build(self) for name, build in ARTIFACTS.items() if name in names}
         self.out = self.settings.get("out", default_out)
         if self.out is not None:
             self.run.stage = "write"
-            self.run.write({Path(self.out) / name: content for name, content in contents.items()})
+            self.run.write({Path(self.out) / name: contents[name] for name in names})
         return contents
 
 
@@ -392,8 +401,10 @@ def _manifest(stages: _Stages) -> str:
     return cfgmod.format_kv(entries, comments)
 
 
-# artifact name -> its text, or for a CSV its table, built from the stages it needs
+# artifact name -> its text, or for a CSV its table, built from the stages it needs, in this order:
+# the manifest first, so that a fit that fails under 'estimate' fails before prob runs
 ARTIFACTS = {
+    "run_manifest.txt": _manifest,
     "aligned.csv": lambda st: st.aligned,
     "prob.csv": lambda st: st.published,
     "features.csv": lambda st: st.panel,
@@ -403,12 +414,11 @@ ARTIFACTS = {
     "table4.csv": lambda st: econometrics.regression_table_csv(st.regressions),
     "figure1.vl.json": lambda st: FIGURE1_STUB,
     "figure2.vl.json": lambda st: FIGURE2_STUB,
-    "run_manifest.txt": _manifest,
 }
 
 
 def cmd_pipeline(stages: _Stages) -> int:
-    written = stages.write(("run_manifest.txt", *PIPELINE_ARTIFACTS))  # its fits fail before prob runs
+    written = stages.write((*PIPELINE_ARTIFACTS, "run_manifest.txt"))  # the manifest, written last, marks a whole run
     print(f"wrote {len(written)} artifacts to {Path(stages.out)}")
     print(f"{_join_summary(stages.aligned)}; rho = {stages.rho:.4f}")
     untrimmed = stages.untrimmed
@@ -573,6 +583,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class Terminated(BaseException):
+    """SIGTERM, raised where the main thread is, so that the command ends through the error path."""
+
+
+def _terminate(signum, frame) -> None:
+    raise Terminated("received SIGTERM")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -580,16 +598,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     run = _Run()
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        return args.func(_Stages(args, run))
-    except (PegRiskError, OSError) as exc:
+        with warnings.catch_warnings():  # each warning prints one line; under -W error it raises as an error does
+            warnings.showwarning = lambda message, category, *_: run.report("warning", category.__name__, message)
+            return args.func(_Stages(args, run))
+    except (PegRiskError, OSError, Warning, KeyboardInterrupt, Terminated) as exc:
         run.discard_written()
-        message = " ".join(str(exc).split())
-        print(
-            f'error stage={run.stage} type={type(exc).__name__} msg="{message}"',
-            file=sys.stderr,
-        )
-        return 1
+        run.report("error", type(exc).__name__, str(exc) or "interrupted")
+        return 130 if isinstance(exc, KeyboardInterrupt) else 143 if isinstance(exc, Terminated) else 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

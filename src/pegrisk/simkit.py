@@ -262,7 +262,7 @@ def _bars_from_closes(
 ) -> BarSeries:
     n = closes.size
     hi_off = np.abs(rng.normal(0.0, range_sd, n))
-    lo_off = np.minimum(np.abs(rng.normal(0.0, range_sd, n)), 0.5)
+    lo_off = np.abs(rng.normal(0.0, range_sd, n))
     volumes = volume_scale * rng.lognormal(0.0, 0.5, n)
     opens = np.concatenate((closes[:1], closes[:-1]))  # each bar opens at the previous close
     return BarSeries(
@@ -305,7 +305,7 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
     p_path = planted_prob_path(config)
     futures_noise = rng.normal(0.0, config.futures_noise_sd, config.n_days)
     futures_closes = theoretical_futures(deviations, config.rho, config.horizon_days, p_path, config.recovery)
-    futures_closes = np.maximum(futures_closes + futures_noise, 1e-6)
+    futures_closes = futures_closes + futures_noise
 
     range_sd = config.intraday_range_sd
     spot = _bars_from_closes(spot_closes, days, rng, range_sd, _VOLUME_SCALE)

@@ -6,9 +6,11 @@ import datetime
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,12 @@ def _pipeline_args(fixture_dir, out):
 
 def _read_artifacts(out):
     return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
+def _cli_env() -> dict[str, str]:
+    """The environment of a subprocess that imports this checkout's pegrisk."""
+    src = str(Path(pegrisk.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _column(path, name):
@@ -143,6 +151,21 @@ class TestFixtureCommand:
             f'error stage=fixture type=DomainError msg="default probability must lie in [0, 1], got {value}"\n'
         )
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [("--futures-noise-sd", "0.8", "-0.2138316581969698"), ("--intraday-range-sd", "0.6", "-0.31536754344212753")],
+    )
+    def test_bar_that_is_not_positive_fails(self, tmp_path, capsys, flag, value, low):
+        # no futures close is floored and no low offset capped: the first bar that is not positive fails the run
+        out = tmp_path / "data"
+        assert main(["fixture", "--n-days", "410", "--seed", "17", flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f'error stage=fixture type=ValidationError msg="2020-03-01: low must be strictly positive, got {low}"\n'
+        )
+        assert not out.exists() or not list(out.iterdir())
 
 
 class TestPipelineCommand:
@@ -717,8 +740,7 @@ def test_no_subcommand_prints_help(capsys):
 
 def test_pipeline_and_regress_run_without_scipy(fixture_dir, tmp_path):
     """numpy is the only runtime dependency: blocking scipy changes no byte."""
-    src = str(Path(pegrisk.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _cli_env()
     block = "import sys; sys.modules['scipy'] = None; from pegrisk.cli import main; sys.exit(main(sys.argv[1:]))"
     inputs = _pipeline_args(fixture_dir, tmp_path)[1:-2]
     for command, names in (("pipeline", ARTIFACTS), ("regress", ("table4.txt", "table4.csv"))):
@@ -733,8 +755,7 @@ def test_pipeline_and_regress_run_without_scipy(fixture_dir, tmp_path):
 
 def test_stats_does_not_load_numpy_ma(fixture_dir, tmp_path):
     """The Table 3 quartiles come from the sorted series, not from np.quantile, which loads numpy.ma."""
-    src = str(Path(pegrisk.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _cli_env()
     probe = (
         "import sys; from pegrisk.cli import main; code = main(sys.argv[1:]); "
         "print('numpy.ma' in sys.modules); sys.exit(code)"
@@ -748,10 +769,101 @@ def test_stats_does_not_load_numpy_ma(fixture_dir, tmp_path):
 
 def test_cli_import_starts_no_process_machinery():
     """Worker processes and their modules load only when a command parses large inputs."""
-    src = str(Path(pegrisk.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _cli_env()
     modules = ("multiprocessing", "concurrent.futures", "logging")
     probe = f"import sys, pegrisk.cli; print([m for m in {modules!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def noisy_dir(tmp_path_factory):
+    """The default fixture with noisy futures: 18 raw probabilities fall below ``RAW_PROB_FLOOR``."""
+    path = tmp_path_factory.mktemp("noisy")
+    assert main(["fixture", "--futures-noise-sd", "0.03", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("options", [[], ["-W", "error"]], ids=["default", "W-error"])
+def test_data_quality_warning_is_one_line(noisy_dir, tmp_path, options):
+    inputs = ["--spot", str(noisy_dir / "spot.csv"), "--futures", str(noisy_dir / "futures.csv")]
+    out = tmp_path / "out"
+    argv = [sys.executable, *options, "-m", "pegrisk.cli", "prob", *inputs, "--out", str(out)]
+    done = subprocess.run(argv, env=_cli_env(), capture_output=True, text=True, timeout=120)
+    message = "2020-03-13: raw default probability -0.062509 below -0.05; check the input prices"
+    first = f'type=DataQualityWarning msg="{message}"'
+    if options:  # the first warning is an error: the run fails at prob and writes nothing
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error stage=prob {first}\n")
+        assert not out.exists() or not list(out.iterdir())
+    else:
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert lines[0] == f"warning stage=prob {first}"
+        assert len(lines) == 18
+        assert all(re.fullmatch(r'warning stage=prob type=DataQualityWarning msg="[^"\n]+"', line) for line in lines)
+        assert (out / "prob.csv").exists()
+
+
+# runs pegrisk with the cli job named in argv[2] forked and slowed down; each job first records its worker's pid
+SLOW_JOBS = """
+import os, signal, sys, time
+from pegrisk import cli, simkit
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # as in a process started from a terminal
+pids, name = sys.argv[1:3]
+cli.PARALLEL_BYTES, simkit._cpu_count, job = 0, lambda: 2, getattr(cli, name)
+
+
+def slow_job(*args):
+    with open(pids, "a") as stream:
+        stream.write(f"{os.getpid()}\\n")
+    time.sleep(1)
+    return job(*args)
+
+
+setattr(cli, name, slow_job)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "signum, job, stage, error",
+    [
+        (signal.SIGTERM, "_write_table", "write", 'type=Terminated msg="received SIGTERM"'),
+        (signal.SIGINT, "_write_table", "write", 'type=KeyboardInterrupt msg="interrupted"'),
+        (signal.SIGTERM, "_parse_file", "parse", 'type=Terminated msg="received SIGTERM"'),
+    ],
+    ids=["term-write", "int-write", "term-parse"],
+)
+def test_signal_ends_the_run_and_its_workers(fixture_dir, tmp_path, signum, job, stage, error):
+    pids, out = tmp_path / "pids.txt", tmp_path / "out"
+    workers = {"write": 2, "parse": 3}[stage]  # aligned.csv and prob.csv; spot, futures and btc
+    argv = [sys.executable, "-c", SLOW_JOBS, str(pids), job, *_pipeline_args(fixture_dir, out)]
+    try:
+        with subprocess.Popen(argv, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
+            deadline = time.monotonic() + 60
+            while not (pids.exists() and len(pids.read_text().split()) == workers) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            run.send_signal(signum)  # to the command's process alone, while its workers run their jobs
+            stdout, stderr = run.communicate(timeout=30)
+        assert (run.returncode, stdout, stderr) == (128 + signum, "", f"error stage={stage} {error}\n")
+        assert not out.exists() or not list(out.iterdir())
+        recorded = [int(pid) for pid in pids.read_text().split()]
+        assert len(recorded) == workers
+        deadline = time.monotonic() + 5
+        while any(map(_alive, recorded)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, recorded))
+    finally:  # a worker that outlived a failed run ends here
+        for pid in map(int, pids.read_text().split() if pids.exists() else []):
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -529,6 +529,26 @@ def test_write_on_a_full_disk_fails_alike_serial_and_forked(datasets, mode, requ
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("mode", ["serial", "forked"])
+def test_tables_come_first_and_the_manifest_last(datasets, mode, request, tmp_path, monkeypatch, capsys):
+    spy = request.getfixturevalue("at_once") if mode == "forked" else None
+    created, path_open = tmp_path / "created.txt", Path.open
+
+    def open_and_record(path, mode="r", *args, **kwargs):
+        if "w" in mode:  # a file created for writing, in this process or in a forked worker
+            with path_open(created, "a", encoding="utf-8") as log:
+                log.write(path.name + "\n")
+        return path_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_and_record)
+    code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", tmp_path / "out"), capsys)
+    assert code == 0, err
+    order = created.read_text(encoding="utf-8").split()
+    assert sorted(order[:2]) == ["aligned.csv", "prob.csv"]  # side by side when forked
+    assert order[2:] == [*cli.PIPELINE_ARTIFACTS[2:], "run_manifest.txt"]
+    assert spy is None or _forked(spy) == [cli._parse_file, cli._write_table]
+
+
 def test_write_workers_see_only_artifacts(datasets, at_once, tmp_path, monkeypatch, capsys):
     out, seen, cells = tmp_path / "out", tmp_path / "seen.txt", marketdata._cells
 
