@@ -605,8 +605,9 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(_Stages(args, run))
     except (PegRiskError, OSError, Warning, KeyboardInterrupt, Terminated) as exc:
         run.discard_written()
-        run.report("error", type(exc).__name__, str(exc) or "interrupted")
-        return 130 if isinstance(exc, KeyboardInterrupt) else 143 if isinstance(exc, Terminated) else 1
+        interrupted = isinstance(exc, KeyboardInterrupt)
+        run.report("error", type(exc).__name__, "received SIGINT" if interrupted else exc)
+        return 130 if interrupted else 143 if isinstance(exc, Terminated) else 1
     finally:
         signal.signal(signal.SIGTERM, previous)
 

@@ -805,25 +805,27 @@ def test_data_quality_warning_is_one_line(noisy_dir, tmp_path, options):
         assert (out / "prob.csv").exists()
 
 
-# runs pegrisk with the cli job named in argv[2] forked and slowed down; each job first records its worker's pid
+# runs pegrisk with the cli job named in argv[2] forked: each job records its worker's pid, then takes a second,
+# except the job of the file named in argv[3]
 SLOW_JOBS = """
 import os, signal, sys, time
 from pegrisk import cli, simkit
 
 signal.signal(signal.SIGINT, signal.default_int_handler)  # as in a process started from a terminal
-pids, name = sys.argv[1:3]
+pids, name, quick = sys.argv[1:4]
 cli.PARALLEL_BYTES, simkit._cpu_count, job = 0, lambda: 2, getattr(cli, name)
 
 
-def slow_job(*args):
+def slow_job(path, *args):
     with open(pids, "a") as stream:
         stream.write(f"{os.getpid()}\\n")
-    time.sleep(1)
-    return job(*args)
+    if os.path.basename(path) != quick:
+        time.sleep(1)
+    return job(path, *args)
 
 
 setattr(cli, name, slow_job)
-sys.exit(cli.main(sys.argv[3:]))
+sys.exit(cli.main(sys.argv[4:]))
 """
 
 
@@ -836,26 +838,34 @@ def _alive(pid: int) -> bool:
 
 
 @pytest.mark.parametrize(
-    "signum, job, stage, error",
+    "signum, job, quick, error",
     [
-        (signal.SIGTERM, "_write_table", "write", 'type=Terminated msg="received SIGTERM"'),
-        (signal.SIGINT, "_write_table", "write", 'type=KeyboardInterrupt msg="interrupted"'),
-        (signal.SIGTERM, "_parse_file", "parse", 'type=Terminated msg="received SIGTERM"'),
+        (signal.SIGTERM, "_write_table", "-", 'write type=Terminated msg="received SIGTERM"'),
+        (signal.SIGINT, "_write_table", "-", 'write type=KeyboardInterrupt msg="received SIGINT"'),
+        (signal.SIGTERM, "_parse_file", "-", 'parse type=Terminated msg="received SIGTERM"'),
+        # to the whole process group, as a service manager stops a command, when one worker has done its job
+        (signal.SIGTERM, "_write_table", "prob.csv", 'write type=Terminated msg="received SIGTERM"'),
     ],
-    ids=["term-write", "int-write", "term-parse"],
+    ids=["term-write", "int-write", "term-parse", "term-group-write"],
 )
-def test_signal_ends_the_run_and_its_workers(fixture_dir, tmp_path, signum, job, stage, error):
+def test_signal_ends_the_run_and_its_workers(fixture_dir, tmp_path, signum, job, quick, error):
     pids, out = tmp_path / "pids.txt", tmp_path / "out"
-    workers = {"write": 2, "parse": 3}[stage]  # aligned.csv and prob.csv; spot, futures and btc
-    argv = [sys.executable, "-c", SLOW_JOBS, str(pids), job, *_pipeline_args(fixture_dir, out)]
+    workers = 3 if job == "_parse_file" else 2  # spot, futures and btc; aligned.csv and prob.csv
+    argv = [sys.executable, "-c", SLOW_JOBS, str(pids), job, quick, *_pipeline_args(fixture_dir, out)]
     try:
-        with subprocess.Popen(argv, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
+        with subprocess.Popen(
+            argv, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+        ) as run:
             deadline = time.monotonic() + 60
             while not (pids.exists() and len(pids.read_text().split()) == workers) and time.monotonic() < deadline:
                 time.sleep(0.01)
-            run.send_signal(signum)  # to the command's process alone, while its workers run their jobs
+            if quick == "-":
+                run.send_signal(signum)  # to the command's process alone, while its workers run their jobs
+            else:
+                time.sleep(0.3)  # the quick job is done, and its worker waits for the pool to end
+                os.killpg(run.pid, signum)
             stdout, stderr = run.communicate(timeout=30)
-        assert (run.returncode, stdout, stderr) == (128 + signum, "", f"error stage={stage} {error}\n")
+        assert (run.returncode, stdout, stderr) == (128 + signum, "", f"error stage={error}\n")
         assert not out.exists() or not list(out.iterdir())
         recorded = [int(pid) for pid in pids.read_text().split()]
         assert len(recorded) == workers
