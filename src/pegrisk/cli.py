@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import signal
 import sys
+import threading
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -598,7 +599,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     run = _Run()
-    previous = signal.signal(signal.SIGTERM, _terminate)
+    in_main = threading.current_thread() is threading.main_thread()  # the one thread that may take signals
+    previous = signal.signal(signal.SIGTERM, _terminate) if in_main else None
     try:
         with warnings.catch_warnings():  # each warning prints one line; under -W error it raises as an error does
             warnings.showwarning = lambda message, category, *_: run.report("warning", category.__name__, message)
@@ -609,7 +611,8 @@ def main(argv: list[str] | None = None) -> int:
         run.report("error", type(exc).__name__, "received SIGINT" if interrupted else exc)
         return 130 if interrupted else 143 if isinstance(exc, Terminated) else 1
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if in_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

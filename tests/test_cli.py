@@ -805,6 +805,16 @@ def test_data_quality_warning_is_one_line(noisy_dir, tmp_path, options):
         assert (out / "prob.csv").exists()
 
 
+def test_main_runs_outside_the_main_thread(fixture_dir, capsys):
+    # only the main thread may set a signal handler, so elsewhere main sets none
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(["fit", "--spot", str(fixture_dir / "spot.csv")])))
+    thread.start()
+    thread.join(timeout=60)
+    assert codes == [0]
+    assert capsys.readouterr().out.startswith("full-sample rho = ")
+
+
 # runs pegrisk with the cli job named in argv[2] forked: each job records its worker's pid, then takes a second,
 # except the job of the file named in argv[3]
 SLOW_JOBS = """
