@@ -529,9 +529,9 @@ def test_write_on_a_full_disk_fails_alike_serial_and_forked(datasets, mode, requ
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("mode", ["serial", "forked"])
-def test_tables_come_first_and_the_manifest_last(datasets, mode, request, tmp_path, monkeypatch, capsys):
-    spy = request.getfixturevalue("at_once") if mode == "forked" else None
+@pytest.mark.parametrize("where", ["serial", "forked"])
+def test_tables_come_first_and_the_manifest_last(datasets, where, request, tmp_path, monkeypatch, capsys):
+    spy = request.getfixturevalue("at_once") if where == "forked" else None
     created, path_open = tmp_path / "created.txt", Path.open
 
     def open_and_record(path, mode="r", *args, **kwargs):
