@@ -109,7 +109,21 @@ class TestFixtureCommand:
         assert err.count("\n") == 1
 
     def test_config_file_matches_flags(self, tmp_path):
-        settings = {"n_days": "60", "seed": "4", "p_amplitude": "0.5", "futures_noise_sd": "3e-4"}
+        # every setting fixture takes but --out, each away from its default
+        settings = {
+            "n_days": "60",
+            "rho": "0.8",
+            "innovation_sd": "4e-4",
+            "delta0": "0.001",
+            "horizon": "30",
+            "p_default": "0.002",
+            "p_amplitude": "0.5",
+            "p_period_days": "20",
+            "recovery": "0.25",
+            "futures_noise_sd": "3e-4",
+            "intraday_range_sd": "6e-4",
+            "seed": "4",
+        }
         config = tmp_path / "fixture.cfg"
         config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
         flags = [arg for key, value in settings.items() for arg in (f"--{key.replace('_', '-')}", value)]
@@ -311,6 +325,42 @@ class TestPipelineCommand:
             assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
         manifest = (out / "run_manifest.txt").read_text().splitlines()
         assert all(line in manifest for line in columns)
+
+    def test_every_setting_by_config_matches_flags(self, fixture_dir, tmp_path, capsys):
+        renamed = {"timestamp": "Date", "open": "Open", "high": "High", "low": "Low", "close": "Close", "volume": "Vol"}
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, source in (("spot", "spot"), ("futures", "futures"), ("btc", "btc"), ("usdt_alt", "spot")):
+            header, body = (fixture_dir / f"{source}.csv").read_text().split("\n", 1)
+            (data / f"{name}.csv").write_text(",".join(renamed.values()) + "\n" + body)
+        inputs = {role: str(data / f"{role}.csv") for role in ("spot", "futures", "btc", "usdt_alt")}
+        columns = {f"col_{role}": column for role, column in renamed.items()}
+        venues = {f"{role}_venue": f"venue-{role}" for role in inputs}
+        model = {"rho": "0.8", "horizon": "30", "recovery": "0.25", "window": "40"}
+        model |= {"estimator": "range", "annualization": "compounded"}
+        by_config, only_columns = tmp_path / "all.txt", tmp_path / "columns.txt"
+        everything = inputs | columns | venues | model | {"trim": "off"}
+        by_config.write_text("".join(f"{key} = {value}\n" for key, value in everything.items()))
+        only_columns.write_text("".join(f"{key} = {value}\n" for key, value in columns.items()))
+        flags = [arg for key, value in (inputs | venues | model).items() for arg in (f"--{key.replace('_', '-')}", value)]
+        runs = {
+            "config": ["--config", str(by_config)],
+            "flags": ["--config", str(only_columns), *flags, "--no-trim"],
+        }
+        stdout = {}
+        for name, args in runs.items():
+            assert main(["pipeline", *args, "--out", str(tmp_path / name)]) == 0
+            stdout[name] = capsys.readouterr().out
+        assert stdout["config"] == stdout["flags"].replace(str(tmp_path / "flags"), str(tmp_path / "config"))
+        assert _read_artifacts(tmp_path / "config") == _read_artifacts(tmp_path / "flags")
+        # the manifest's entries: inputs, then columns, then venues, then model
+        manifest = tmp_path / "config" / "run_manifest.txt"
+        entries = [line.split(" = ", 1) for line in manifest.read_text().splitlines() if not line.startswith("#")]
+        expected = inputs | columns | venues | model | {"trim": "false"}
+        assert entries == [[key, value] for key, value in expected.items()]
+        # fed back, it reproduces the run and rewrites itself byte for byte
+        assert main(["pipeline", "--config", str(manifest), "--out", str(tmp_path / "again")]) == 0
+        assert _read_artifacts(tmp_path / "again") == _read_artifacts(tmp_path / "config")
 
     def test_non_boolean_trim_in_config(self, fixture_dir, tmp_path, capsys):
         cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", "trim = maybe")
@@ -658,12 +708,25 @@ class TestSimulateCommand:
         assert "DomainError" in err
 
     def test_config_file_matches_flags(self, tmp_path, capsys):
+        # every setting simulate takes, each away from its default
+        settings = {
+            "rho": "0.8",
+            "innovation_sd": "4e-4",
+            "delta0": "0.001",
+            "horizon": "30",
+            "p_default": "0.02",
+            "recovery": "0.25",
+            "seed": "11",
+            "n_paths": "2000",
+        }
         config = tmp_path / "sim.cfg"
-        config.write_text("n_paths = 2000\nseed = 11\np_default = 0.02\n")
-        assert main(["simulate", "--n-paths", "2000", "--seed", "11", "--p-default", "0.02"]) == 0
+        config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        flags = [arg for key, value in settings.items() for arg in (f"--{key.replace('_', '-')}", value)]
+        assert main(["simulate", *flags]) == 0
         from_flags = capsys.readouterr().out
         assert main(["simulate", "--config", str(config)]) == 0
         assert capsys.readouterr().out == from_flags
+        assert "defaults   = " in from_flags and " / 2000 (rate " in from_flags
         assert "planted 0.02" in from_flags
 
     def test_non_integer_count_in_config_fails_at_config(self, tmp_path, capsys):
