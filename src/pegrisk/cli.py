@@ -76,10 +76,9 @@ FIGURE2_STUB = """\
 }
 """
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
-# model setting of the data commands -> its default, whose type is the setting's cast
+# model setting -> its default, in the manifest's order; simulate and fixture take rho, horizon and recovery from it
 MODEL_DEFAULTS = {
     "rho": "0.73",  # a number, or "estimate"
     "horizon": 90,
@@ -126,58 +125,47 @@ class _Run:
                 pass
 
 
-class _Settings:
-    """Flag > config > default resolution for one command invocation."""
+def _settings(args: argparse.Namespace) -> dict:
+    """Each setting ``args.command`` reads: the flag given, else the config value, else its ``MODEL_DEFAULTS`` entry.
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        # the keys the README lists: each flag but --config, with "_" for "-", then the column names
-        keys = {flag.replace("-", "_") for flag in FLAGS if flag != "config"}
-        keys |= {f"col_{role}" for role in marketdata.ROLES}
-        self.cfg = cfgmod.load_config(args.config, keys) if getattr(args, "config", None) else {}
+    It reads its flags but --config, with "_" for "-", and the column names. No flag has a default, so
+    ``vars(args)`` holds the flags given. The config values are cast and checked in the command's flag order.
+    """
+    given, columns = vars(args), [f"col_{role}" for role in marketdata.ROLES]
+    # a config file may set any flag but --config, and the column names, whichever command reads it
+    allowed = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(columns)
+    raw = cfgmod.load_config(given["config"], allowed) if "config" in given else {}
+    reads = [flag.replace("-", "_") for flag in COMMANDS[args.command][1].split() if flag != "config"] + columns
+    defaults = {key: value for key, value in MODEL_DEFAULTS.items() if key in reads}
+    config = {key: _cast(key, raw[key]) for key in reads if key in raw and key not in given}
+    return defaults | config | {key: given[key] for key in reads if key in given}
 
-    def get(self, key: str, default=None, cast=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            raw = flag
-        elif key in self.cfg:
-            raw = self.cfg[key]
-        else:
-            return default
-        if cast is bool and isinstance(raw, str):
-            lowered = raw.lower()
-            if lowered in _TRUE:
-                return True
-            if lowered in _FALSE:
-                return False
+
+def _cast(key: str, raw: str):
+    """A config value as argparse takes its flag's: by the flag's ``type`` and ``choices``, or as a boolean word."""
+    spec = FLAGS.get(key.replace("_", "-"), {})
+    if spec.get("action") is argparse.BooleanOptionalAction:
+        if raw.lower() not in _BOOLEANS:
             raise SchemaError(f"expected a boolean for {key!r}, got {raw!r}")
-        try:
-            value = cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-        choices = FLAGS.get(key.replace("_", "-"), {}).get("choices", (value,))
-        if value not in choices:  # argparse checks a flag; this checks a config value
-            raise SchemaError(f"bad value for {key!r}: {raw!r} (expected one of {', '.join(choices)})")
-        return value
+        return _BOOLEANS[raw.lower()]
+    try:
+        value = spec.get("type", str)(raw)
+        if value not in spec.get("choices", (value,)):
+            raise ValueError(f"expected one of {', '.join(spec['choices'])}")
+    except ValueError as exc:
+        raise SchemaError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+    return value
 
-    def require(self, key: str, cast=str):
-        value = self.get(key, None, cast)
-        if value is None:
-            raise SchemaError(f"missing required input {key!r} (flag --{key.replace('_', '-')} or config)")
-        return value
 
-    def build(self, cls, **defaults):
-        """``cls`` with each field read from the setting of its name, defaulting to and cast as its default."""
-        values = {}
-        for field in dataclasses.fields(cls):
-            default = defaults.get(field.name, field.default)
-            key = "horizon" if field.name == "horizon_days" else field.name
-            values[field.name] = self.get(key, default, type(default))
-        return cls(**values)
-
-    def column_schema(self) -> dict[str, str]:
-        names = {role: self.get(f"col_{role}") for role in marketdata.ROLES}
-        return {role: name for role, name in names.items() if name is not None}
+def _config(cls, settings: dict):
+    """``cls`` with each field from the setting of its name, if set; rho, text in the data commands, as a number."""
+    named = {"horizon_days" if key == "horizon" else key: value for key, value in settings.items()}
+    values = {field.name: named[field.name] for field in dataclasses.fields(cls) if field.name in named}
+    try:
+        values["rho"] = float(values["rho"])
+    except ValueError as exc:
+        raise SchemaError(f"bad value for 'rho': {values['rho']!r} ({exc})") from exc
+    return cls(**values)
 
 
 def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.BarSeries:
@@ -228,9 +216,9 @@ def _in_workers(func: Callable, jobs: list[tuple]) -> list:
 class _Stages:
     """One command's settings, and the paper's chain: parse, align, fit, prob, features, regress, stats.
 
-    Constructing it is the config stage of every command. It resolves up
-    front each input, and in a data command each model setting, whose flag
-    the command takes; every input but ``usdt_alt`` is required. Each stage
+    Constructing it is the config stage of every command. It resolves the
+    command's settings once, into ``settings`` (``_settings``), and requires
+    each input whose flag the command takes but ``usdt_alt``. Each stage
     runs at most once, the first time something reads it, and names itself
     in ``run.stage`` while it runs so an error reports where it happened.
     """
@@ -238,19 +226,19 @@ class _Stages:
     def __init__(self, args: argparse.Namespace, run: _Run) -> None:
         run.stage = "config"
         self.run = run
-        self.settings = settings = _Settings(args)
+        self.settings = settings = _settings(args)
         flags = COMMANDS[args.command][1].split()
-        # simulate and fixture read their rho, horizon and recovery through their config dataclass
-        model = MODEL_DEFAULTS if "spot" in flags else {}
-        self.model = {key: settings.get(key, value, type(value)) for key, value in model.items() if key in flags}
-        self.paths = {role: settings.require(role) for role in ("spot", "futures", "btc") if role in flags}
-        if "out" in flags and settings.get("out") == "":  # Path("") would write into the working directory
+        self.paths = {role: settings.get(role) for role in ("spot", "futures", "btc") if role in flags}
+        for role, path in self.paths.items():
+            if path is None:
+                raise SchemaError(f"missing required input {role!r} (flag --{role} or config)")
+        if settings.get("out") == "":  # Path("") would write into the working directory
             raise SchemaError("empty value for 'out': name an output directory (flag --out or config)")
-        if "usdt-alt" in flags and settings.get("usdt_alt"):
-            self.paths["usdt_alt"] = settings.get("usdt_alt")
+        if settings.get("usdt_alt"):
+            self.paths["usdt_alt"] = settings["usdt_alt"]
+        schema = {role: settings[f"col_{role}"] for role in marketdata.ROLES if f"col_{role}" in settings}
         self._jobs = [
-            (path, (path, settings.column_schema(), settings.get(f"{role}_venue", "unspecified")))
-            for role, path in self.paths.items()
+            (path, (path, schema, settings.get(f"{role}_venue", "unspecified"))) for role, path in self.paths.items()
         ]
 
     @cached_property
@@ -278,7 +266,7 @@ class _Stages:
     @cached_property
     def rolling(self) -> pegmodel.RollingAr1 | EstimationError:
         """The rolling fits of the spot deviations, or the error that makes them unavailable."""
-        spot, window = self.bars["spot"], self.model["window"]
+        spot, window = self.bars["spot"], self.settings["window"]
         self.run.stage = "fit"
         try:
             return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, window)
@@ -290,25 +278,26 @@ class _Stages:
     @cached_property
     def rho(self) -> float:
         """The rho of the inversion: the number given, or under 'estimate' that of the full-sample fit."""
-        if self.model["rho"] == "estimate":
+        if self.settings["rho"] == "estimate":
             return self.fit.rho
         self.run.stage = "fit"
         try:
-            return float(self.model["rho"])
+            return float(self.settings["rho"])
         except ValueError:
-            raise SchemaError(f"rho must be a number or 'estimate', got {self.model['rho']!r}") from None
+            raise SchemaError(f"rho must be a number or 'estimate', got {self.settings['rho']!r}") from None
 
     @cached_property
     def untrimmed(self) -> pegmodel.ProbSeries:
         """Raw inversions: they feed the statistics and the regressions."""
-        aligned, rho, model = self.aligned, self.rho, self.model
+        aligned, rho, settings = self.aligned, self.rho, self.settings
         self.run.stage = "prob"
-        return pegmodel.prob_series(aligned, rho, model["horizon"], model["recovery"], method=model["annualization"])
+        horizon, recovery, method = settings["horizon"], settings["recovery"], settings["annualization"]
+        return pegmodel.prob_series(aligned, rho, horizon, recovery, method=method)
 
     @cached_property
     def published(self) -> pegmodel.ProbSeries:
         untrimmed = self.untrimmed
-        return pegmodel.trim_negative(untrimmed) if self.model["trim"] else untrimmed
+        return pegmodel.trim_negative(untrimmed) if self.settings["trim"] else untrimmed
 
     @cached_property
     def panel(self) -> features.Panel:
@@ -316,7 +305,7 @@ class _Stages:
         self.run.stage = "features"
         # without an alternative USDT series, spot supplies its volatility
         usdt = bars.get("usdt_alt", bars["spot"])
-        return features.build_feature_panel(untrimmed, bars["btc"], usdt, self.model["estimator"])
+        return features.build_feature_panel(untrimmed, bars["btc"], usdt, self.settings["estimator"])
 
     @cached_property
     def regressions(self) -> dict[str, econometrics.RegressionResult]:
@@ -375,16 +364,14 @@ def _manifest(stages: _Stages) -> str:
         full_fit = f"rho_full_sample = {fmt(stages.fit.rho)} (stderr {fmt(stages.fit.stderr)})"
     except EstimationError as exc:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it
         full_fit = f"full-sample fit unavailable: {exc}"
-    entries = dict(stages.paths)
+    entries, settings = dict(stages.paths), stages.settings
     venues = [flag.replace("-", "_") for flag in FLAGS if flag.endswith("-venue")]
-    for key in [f"col_{role}" for role in marketdata.ROLES] + venues:
-        value = stages.settings.get(key)
-        if value is not None:
-            entries[key] = value
-    for key, value in stages.model.items():
+    for key in [f"col_{role}" for role in marketdata.ROLES] + venues + list(MODEL_DEFAULTS):
+        value = settings.get(key)
         if isinstance(value, bool):
             value = "true" if value else "false"
-        entries[key] = fmt(value) if isinstance(value, float) else str(value)
+        if value is not None:
+            entries[key] = fmt(value) if isinstance(value, float) else str(value)
     report = stages.aligned.join_report
     comments = [
         "pegrisk run manifest; feed back via --config to reproduce",
@@ -435,7 +422,7 @@ def cmd_align(stages: _Stages) -> int:
 
 
 def cmd_fit(stages: _Stages) -> int:
-    full_fit, rolling, window = stages.fit, stages.rolling, stages.model["window"]
+    full_fit, rolling, window = stages.fit, stages.rolling, stages.settings["window"]
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
@@ -452,7 +439,7 @@ def cmd_prob(stages: _Stages) -> int:
     stages.write(("prob.csv",))
     published = stages.published
     mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
-    series = "trimmed" if stages.model["trim"] else "untrimmed"
+    series = "trimmed" if stages.settings["trim"] else "untrimmed"
     print(f"wrote {len(published)} points (rho {stages.rho:.4f}); mean {mean_p:.2f} bps annualized ({series})")
     return 0
 
@@ -475,7 +462,7 @@ def cmd_stats(stages: _Stages) -> int:
 
 def cmd_simulate(stages: _Stages) -> int:
     # unlike SimConfig's 0, a default that is planted can be recovered
-    config = stages.settings.build(simkit.SimConfig, p_default=0.005)
+    config = _config(simkit.SimConfig, {"p_default": 0.005} | stages.settings)
 
     stages.run.stage = "simulate"
     recovered = simkit.roundtrip_invert(config)
@@ -496,7 +483,7 @@ def cmd_simulate(stages: _Stages) -> int:
 
 
 def cmd_fixture(stages: _Stages) -> int:
-    config = stages.settings.build(simkit.FixtureConfig)
+    config = _config(simkit.FixtureConfig, stages.settings)
     outdir = Path(stages.settings.get("out", DEFAULT_OUT))
 
     stages.run.stage = "fixture"
@@ -546,7 +533,7 @@ FLAGS: dict[str, dict] = {
 _MARKET = "config spot spot-venue futures futures-venue"
 _PANEL = _MARKET + " btc btc-venue usdt-alt usdt-alt-venue"
 _MODEL = "rho horizon recovery annualization"
-_SIM = "config rho horizon recovery innovation-sd delta0 p-default seed"
+_SIM = "config rho innovation-sd delta0 horizon p-default recovery seed"
 
 # subcommand -> (handler, the flags it reads, help)
 COMMANDS = {
@@ -577,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     for name, (func, flags, help_text) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         command.set_defaults(func=func)
         for flag in flags.split():
             command.add_argument(f"--{flag}", **FLAGS[flag])

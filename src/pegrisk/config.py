@@ -14,7 +14,15 @@ from pathlib import Path
 from .errors import SchemaError, ValidationError
 
 
-def parse_kv_text(text: str, keys: set[str]) -> dict[str, str]:
+def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValidationError:
+    return ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})")
+
+
+def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -32,17 +40,6 @@ def parse_kv_text(text: str, keys: set[str]) -> dict[str, str]:
             raise SchemaError(f"config line {lineno}: repeated key {key!r}")
         out[key] = value.strip()
     return out
-
-
-def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValidationError:
-    return ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})")
-
-
-def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
-    try:
-        return parse_kv_text(Path(path).read_text(encoding="utf-8-sig"), keys)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
 
 
 def format_kv(entries: dict[str, str], comments: list[str] | None = None) -> str:
