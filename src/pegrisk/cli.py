@@ -202,15 +202,21 @@ def _in_workers(func: Callable, jobs: list[tuple]) -> list:
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     results = []
-    # forked workers keep this process's imports, not its SIGTERM handler; leaving the block joins them, come what may
+    # forked workers keep this process's imports, not its signal handling; leaving the block joins them, come what may
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(jobs), fork, signal.signal, (signal.SIGTERM, signal.SIG_DFL)) as pool:
+    with ProcessPoolExecutor(len(jobs), fork, _worker_signals) as pool:
         try:
             for result in pool.map(func, *zip(*(args for _, args in jobs))):  # raises a failed job's own error
                 results.append(result)
         except BrokenExecutor:  # a worker died, as by a signal, before this job had its result
             raise ChildProcessError(f"the worker process for {jobs[len(results)][0]} ended without a result") from None
     return results
+
+
+def _worker_signals() -> None:
+    """A worker ends on SIGTERM and ignores SIGINT, which a terminal's Ctrl-C sends it too: this process handles it."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class _Stages:

@@ -918,8 +918,11 @@ def _alive(pid: int) -> bool:
         (signal.SIGTERM, "_parse_file", "-", 'parse type=Terminated msg="received SIGTERM"'),
         # to the whole process group, as a service manager stops a command, when one worker has done its job
         (signal.SIGTERM, "_write_table", "prob.csv", 'write type=Terminated msg="received SIGTERM"'),
+        # to the whole process group, as a terminal's Ctrl-C, when one worker has done its job, and when none has
+        (signal.SIGINT, "_write_table", "prob.csv", 'write type=KeyboardInterrupt msg="received SIGINT"'),
+        (signal.SIGINT, "_parse_file", "", 'parse type=KeyboardInterrupt msg="received SIGINT"'),
     ],
-    ids=["term-write", "int-write", "term-parse", "term-group-write"],
+    ids=["term-write", "int-write", "term-parse", "term-group-write", "int-group-write", "int-group-parse"],
 )
 def test_signal_ends_the_run_and_its_workers(fixture_dir, tmp_path, signum, job, quick, error):
     pids, out = tmp_path / "pids.txt", tmp_path / "out"
@@ -935,7 +938,7 @@ def test_signal_ends_the_run_and_its_workers(fixture_dir, tmp_path, signum, job,
             if quick == "-":
                 run.send_signal(signum)  # to the command's process alone, while its workers run their jobs
             else:
-                time.sleep(0.3)  # the quick job is done, and its worker waits for the pool to end
+                time.sleep(0.3)  # the quick job, if any, is done, and its worker waits for the pool to end
                 os.killpg(run.pid, signum)
             stdout, stderr = run.communicate(timeout=30)
         assert (run.returncode, stdout, stderr) == (128 + signum, "", f"error stage={error}\n")
