@@ -214,7 +214,7 @@ def _in_workers(func: Callable, jobs: list[tuple]) -> list:
 
 
 def _worker_signals() -> None:
-    """A worker ends on SIGTERM and ignores SIGINT, which a terminal's Ctrl-C sends it too: this process handles it."""
+    """A forked worker ends on SIGTERM, and leaves the SIGINT of a Ctrl-C to the process group to its command."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 

@@ -342,7 +342,8 @@ class TestPipelineCommand:
         everything = inputs | columns | venues | model | {"trim": "off"}
         by_config.write_text("".join(f"{key} = {value}\n" for key, value in everything.items()))
         only_columns.write_text("".join(f"{key} = {value}\n" for key, value in columns.items()))
-        flags = [arg for key, value in (inputs | venues | model).items() for arg in (f"--{key.replace('_', '-')}", value)]
+        by_flags = inputs | venues | model
+        flags = [arg for key, value in by_flags.items() for arg in (f"--{key.replace('_', '-')}", value)]
         runs = {
             "config": ["--config", str(by_config)],
             "flags": ["--config", str(only_columns), *flags, "--no-trim"],
