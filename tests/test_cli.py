@@ -331,7 +331,7 @@ class TestPipelineCommand:
         data = tmp_path / "data"
         data.mkdir()
         for name, source in (("spot", "spot"), ("futures", "futures"), ("btc", "btc"), ("usdt_alt", "spot")):
-            header, body = (fixture_dir / f"{source}.csv").read_text().split("\n", 1)
+            _, body = (fixture_dir / f"{source}.csv").read_text().split("\n", 1)
             (data / f"{name}.csv").write_text(",".join(renamed.values()) + "\n" + body)
         inputs = {role: str(data / f"{role}.csv") for role in ("spot", "futures", "btc", "usdt_alt")}
         columns = {f"col_{role}": column for role, column in renamed.items()}
