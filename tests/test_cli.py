@@ -16,8 +16,10 @@ from pathlib import Path
 import pytest
 
 import pegrisk
-from pegrisk import simkit
+from pegrisk import config as cfgmod
+from pegrisk import econometrics, features, marketdata, pegmodel, simkit
 from pegrisk.cli import FLAGS, MODEL_DEFAULTS, main
+from pegrisk.errors import ValidationError
 from pegrisk.marketdata import write_table_csv
 from pegrisk.simkit import FixtureConfig, generate_fixture
 
@@ -759,6 +761,43 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error stage=config type=DomainError")
         assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "command, module, name, stage",
+    [
+        ("pipeline", cfgmod, "load_config", "config"),
+        ("pipeline", marketdata, "parse_bars", "parse"),
+        ("pipeline", marketdata, "align_daily", "align"),
+        ("pipeline", pegmodel, "fit_ar1", "fit"),
+        ("pipeline", pegmodel, "fit_ar1_rolling", "fit"),
+        ("pipeline", pegmodel, "prob_series", "prob"),  # the untrimmed series
+        ("pipeline", pegmodel, "trim_negative", "prob"),  # the published series
+        ("pipeline", features, "build_feature_panel", "features"),
+        ("pipeline", econometrics, "run_panel_regressions", "regress"),
+        ("pipeline", econometrics, "summary_stats", "stats"),
+        # after table3, before any other stage: the last stage to run names the failure
+        ("pipeline", econometrics, "format_summary_table", "stats"),
+        ("pipeline", marketdata, "write_table_csv", "write"),
+        ("simulate", simkit, "roundtrip_invert", "simulate"),
+        ("fixture", simkit, "generate_fixture", "fixture"),
+    ],
+    ids=lambda value: value.__name__.rpartition(".")[2] if hasattr(value, "__name__") else value,
+)
+def test_error_names_its_stage(fixture_dir, tmp_path, monkeypatch, capsys, command, module, name, stage):
+    def broken(*args, **kwargs):
+        raise ValidationError(f"{name} failed")
+
+    monkeypatch.setattr(module, name, broken)
+    out = tmp_path / "out"
+    argv = {
+        "pipeline": ["--config", str(_market_config(fixture_dir, tmp_path / "run.cfg")), "--out", str(out)],
+        "simulate": ["--n-paths", "10"],
+        "fixture": ["--n-days", "60", "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr() == ("", f'error stage={stage} type=ValidationError msg="{name} failed"\n')
+    assert not out.exists() or not list(out.iterdir())
 
 
 @pytest.mark.parametrize(
