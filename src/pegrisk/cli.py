@@ -6,18 +6,18 @@ artifacts plus a run manifest that doubles as a config file, so
 
     pegrisk pipeline --config run_manifest.txt --out elsewhere
 
-reproduces a run exactly. Errors exit nonzero with a single machine-
-parsable line on stderr (``error stage=... type=... msg="..."``) and any
-partially written artifacts are removed, also on SIGTERM (exit 143) and
-SIGINT (130); a warning prints one ``warning stage=...`` line. A command
-parses all its inputs first, in role order, and writes its CSV tables
-before its text artifacts, the run manifest last.
-Its inputs, and then its tables, go through one rule (``_each``): on two or
-more CPUs, two or more files of ``PARALLEL_BYTES`` or more in all are parsed,
-or written, by forked workers, one per file. So a long ``pipeline`` writes
-``aligned.csv`` and ``prob.csv`` side by side, and a command that writes one
-table writes it in its own process. Bytes and errors are those of the serial
-path.
+reproduces a run exactly. A command is one ``_Stages``: its settings (stage
+``config``), then each stage it reads, run once. An error exits nonzero with
+one line on stderr (``error stage=... type=... msg="..."``) that names the
+innermost stage running, or the last that ran, and removes what was written,
+also on SIGTERM (exit 143) and SIGINT (130); a warning prints one ``warning
+stage=...`` line. Inputs are parsed first, in role order, and CSV tables
+written before text, the run manifest last. Both go through one rule
+(``_each``): on two or more CPUs, two or more files of ``PARALLEL_BYTES`` or
+more in all are parsed, or written, by forked workers, one per file. So a
+long ``pipeline`` writes ``aligned.csv`` and ``prob.csv`` side by side, and a
+command that writes one table writes it in its own process. Bytes and errors
+are those of the serial path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import signal
 import sys
 import threading
 import warnings
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 from typing import Callable
 
@@ -93,54 +93,6 @@ PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are ha
 DEFAULT_OUT = "out"
 
 
-class _Run:
-    """Tracks the active stage and every file written, for cleanup on error."""
-
-    def __init__(self) -> None:
-        self.stage = "init"
-        self.written: list[Path] = []
-
-    def write(self, files: dict[Path, str | marketdata.Table]) -> None:
-        """Write the tables as CSV through ``_each``, sized at about 16 bytes a cell, then each text file in order."""
-        tables = [(path, (path, content)) for path, content in files.items() if not isinstance(content, str)]
-        for path in files:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        self.written += [path for path, _ in tables]
-        _each(_write_table, tables, sum(len(table) * len(table.HEADER) * 16 for _, (_, table) in tables))
-        for path, content in files.items():
-            if isinstance(content, str):
-                self.written.append(path)
-                path.write_text(content, encoding="utf-8")
-
-    def report(self, kind: str, name: str, message) -> None:
-        """Print one ``<kind> stage=... type=<name> msg="..."`` line on stderr."""
-        message = " ".join(str(message).split())
-        print(f'{kind} stage={self.stage} type={name} msg="{message}"', file=sys.stderr)
-
-    def discard_written(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    """Each setting ``args.command`` reads: the flag given, else the config value, else its ``MODEL_DEFAULTS`` entry.
-
-    It reads its flags but --config, with "_" for "-", and the column names. No flag has a default, so
-    ``vars(args)`` holds the flags given. The config values are cast and checked in the command's flag order.
-    """
-    given, columns = vars(args), [f"col_{role}" for role in marketdata.ROLES]
-    # a config file may set any flag but --config, and the column names, whichever command reads it
-    allowed = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(columns)
-    raw = cfgmod.load_config(given["config"], allowed) if "config" in given else {}
-    reads = [flag.replace("-", "_") for flag in COMMANDS[args.command][1].split() if flag != "config"] + columns
-    defaults = {key: value for key, value in MODEL_DEFAULTS.items() if key in reads}
-    config = {key: _cast(key, raw[key]) for key in reads if key in raw and key not in given}
-    return defaults | config | {key: given[key] for key in reads if key in given}
-
-
 def _cast(key: str, raw: str):
     """A config value as argparse takes its flag's: by the flag's ``type`` and ``choices``, or as a boolean word."""
     spec = FLAGS.get(key.replace("_", "-"), {})
@@ -155,17 +107,6 @@ def _cast(key: str, raw: str):
     except ValueError as exc:
         raise SchemaError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
     return value
-
-
-def _config(cls, settings: dict):
-    """``cls`` with each field from the setting of its name, if set; rho, text in the data commands, as a number."""
-    named = {"horizon_days" if key == "horizon" else key: value for key, value in settings.items()}
-    values = {field.name: named[field.name] for field in dataclasses.fields(cls) if field.name in named}
-    try:
-        values["rho"] = float(values["rho"])
-    except ValueError as exc:
-        raise SchemaError(f"bad value for 'rho': {values['rho']!r} ({exc})") from exc
-    return cls(**values)
 
 
 def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.BarSeries:
@@ -219,61 +160,88 @@ def _worker_signals() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-class _Stages:
-    """One command's settings, and the paper's chain: parse, align, fit, prob, features, regress, stats.
+def _stage(name: str) -> Callable[[Callable], cached_property]:
+    """A ``_Stages`` property, run once when first read, that sets ``stage`` to ``name`` while it runs.
 
-    Constructing it is the config stage of every command. It resolves the
-    command's settings once, into ``settings`` (``_settings``), and requires
-    each input whose flag the command takes but ``usdt_alt``. Each stage
-    runs at most once, the first time something reads it, and names itself
-    in ``run.stage`` while it runs so an error reports where it happened.
+    A stage that reads it gets its own name back on return; between stages ``stage`` keeps the last one's name.
     """
 
-    def __init__(self, args: argparse.Namespace, run: _Run) -> None:
-        run.stage = "config"
-        self.run = run
-        self.settings = settings = _settings(args)
-        flags = COMMANDS[args.command][1].split()
-        self.paths = {role: settings.get(role) for role in ("spot", "futures", "btc") if role in flags}
-        for role, path in self.paths.items():
-            if path is None:
+    def decorate(build: Callable) -> cached_property:
+        def run(self: _Stages):
+            outer, self.stage, self._running = self._running, name, name
+            try:
+                value = build(self)
+            finally:
+                self._running = outer
+            self.stage = outer or name
+            return value
+
+        return cached_property(wraps(build)(run))
+
+    return decorate
+
+
+class _Stages:
+    """One command: its settings, its stages, the stage running (``stage``) and the files written, for cleanup.
+
+    Its stages (``_stage``) are config, then the paper's chain (parse, align, fit, prob, features, regress, stats)
+    or simulate's or fixture's own.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args, self.stage, self._running, self.written = args, "config", None, []
+
+    @_stage("config")
+    def settings(self) -> dict:
+        """Each setting the command reads: the flag given, else the config value, else its ``MODEL_DEFAULTS`` entry.
+
+        It reads its flags but --config, with "_" for "-", and the column names. No flag has a default, so
+        ``vars(args)`` holds the flags given. The config values are cast and checked in the command's flag order.
+        Each input whose flag the command takes is required, but usdt_alt.
+        """
+        given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
+        # a config file may set any flag but --config, and the column names, whichever command reads it
+        allowed = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(columns)
+        raw = cfgmod.load_config(given["config"], allowed) if "config" in given else {}
+        reads = [flag.replace("-", "_") for flag in COMMANDS[given["command"]][1].split() if flag != "config"] + columns
+        defaults = {key: value for key, value in MODEL_DEFAULTS.items() if key in reads}
+        config = {key: _cast(key, raw[key]) for key in reads if key in raw and key not in given}
+        settings = defaults | config | {key: given[key] for key in reads if key in given}
+        for role in ("spot", "futures", "btc"):
+            if role in reads and role not in settings:
                 raise SchemaError(f"missing required input {role!r} (flag --{role} or config)")
         if settings.get("out") == "":  # Path("") would write into the working directory
             raise SchemaError("empty value for 'out': name an output directory (flag --out or config)")
-        if settings.get("usdt_alt"):
-            self.paths["usdt_alt"] = settings["usdt_alt"]
-        schema = {role: settings[f"col_{role}"] for role in marketdata.ROLES if f"col_{role}" in settings}
-        self._jobs = [
-            (path, (path, schema, settings.get(f"{role}_venue", "unspecified"))) for role, path in self.paths.items()
-        ]
+        if settings.get("usdt_alt") == "":  # names no input, as if not given
+            del settings["usdt_alt"]
+        return settings
 
-    @cached_property
+    @_stage("parse")
     def bars(self) -> dict[str, marketdata.BarSeries]:
         """Each input's bars, parsed in role order, or side by side if the inputs are large (``_each``)."""
-        self.run.stage = "parse"
+        settings = self.settings
+        paths = {role: settings[role] for role in ("spot", "futures", "btc", "usdt_alt") if role in settings}
+        schema = {role: settings[f"col_{role}"] for role in marketdata.ROLES if f"col_{role}" in settings}
+        jobs = [(path, (path, schema, settings.get(f"{role}_venue", "unspecified"))) for role, path in paths.items()]
         try:
-            size = sum(Path(path).stat().st_size for path in self.paths.values())
+            size = sum(Path(path).stat().st_size for path in paths.values())
         except OSError:  # the parse of that file, in this process, raises it
             size = 0
-        return dict(zip(self.paths, _each(_parse_file, self._jobs, size)))
+        return dict(zip(paths, _each(_parse_file, jobs, size)))
 
-    @cached_property
+    @_stage("align")
     def aligned(self) -> marketdata.AlignedSeries:
-        bars = self.bars
-        self.run.stage = "align"
-        return marketdata.align_daily(bars["spot"], bars["futures"])
+        return marketdata.align_daily(self.bars["spot"], self.bars["futures"])
 
-    @cached_property
+    @_stage("fit")
     def fit(self) -> pegmodel.Ar1Fit:
         spot = self.bars["spot"]
-        self.run.stage = "fit"
         return pegmodel.fit_ar1(spot.date, spot.close - 1.0)
 
-    @cached_property
+    @_stage("fit")
     def rolling(self) -> pegmodel.RollingAr1 | EstimationError:
         """The rolling fits of the spot deviations, or the error that makes them unavailable."""
         spot, window = self.bars["spot"], self.settings["window"]
-        self.run.stage = "fit"
         try:
             return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, window)
         except EstimationError as exc:
@@ -281,48 +249,40 @@ class _Stages:
                 raise
             return exc
 
-    @cached_property
+    @_stage("fit")
     def rho(self) -> float:
         """The rho of the inversion: the number given, or under 'estimate' that of the full-sample fit."""
         if self.settings["rho"] == "estimate":
             return self.fit.rho
-        self.run.stage = "fit"
         try:
             return float(self.settings["rho"])
         except ValueError:
             raise SchemaError(f"rho must be a number or 'estimate', got {self.settings['rho']!r}") from None
 
-    @cached_property
+    @_stage("prob")
     def untrimmed(self) -> pegmodel.ProbSeries:
         """Raw inversions: they feed the statistics and the regressions."""
-        aligned, rho, settings = self.aligned, self.rho, self.settings
-        self.run.stage = "prob"
+        settings = self.settings
         horizon, recovery, method = settings["horizon"], settings["recovery"], settings["annualization"]
-        return pegmodel.prob_series(aligned, rho, horizon, recovery, method=method)
+        return pegmodel.prob_series(self.aligned, self.rho, horizon, recovery, method=method)
 
-    @cached_property
+    @_stage("prob")
     def published(self) -> pegmodel.ProbSeries:
-        untrimmed = self.untrimmed
-        return pegmodel.trim_negative(untrimmed) if self.settings["trim"] else untrimmed
+        return pegmodel.trim_negative(self.untrimmed) if self.settings["trim"] else self.untrimmed
 
-    @cached_property
+    @_stage("features")
     def panel(self) -> features.Panel:
-        untrimmed, bars = self.untrimmed, self.bars
-        self.run.stage = "features"
-        # without an alternative USDT series, spot supplies its volatility
-        usdt = bars.get("usdt_alt", bars["spot"])
-        return features.build_feature_panel(untrimmed, bars["btc"], usdt, self.settings["estimator"])
+        bars = self.bars
+        usdt = bars.get("usdt_alt", bars["spot"])  # without an alternative USDT series, spot supplies its volatility
+        return features.build_feature_panel(self.untrimmed, bars["btc"], usdt, self.settings["estimator"])
 
-    @cached_property
+    @_stage("regress")
     def regressions(self) -> dict[str, econometrics.RegressionResult]:
-        panel = self.panel
-        self.run.stage = "regress"
-        return econometrics.run_panel_regressions(panel)
+        return econometrics.run_panel_regressions(self.panel)
 
-    @cached_property
+    @_stage("stats")
     def table3(self) -> list[econometrics.SummaryRow]:
         aligned, untrimmed = self.aligned, self.untrimmed
-        self.run.stage = "stats"
         return [
             econometrics.summary_stats("s", aligned.s),
             econometrics.summary_stats("f", aligned.f),
@@ -330,18 +290,60 @@ class _Stages:
             econometrics.summary_stats("p_annualized_bps", untrimmed.p_annualized_bps),
         ]
 
-    def write(self, names: tuple[str, ...], default_out: str | None = DEFAULT_OUT) -> dict:
-        """Build the named artifacts in ``ARTIFACTS`` order, then write them, if an output directory is set, as named.
+    @_stage("config")
+    def sim(self) -> simkit.SimConfig | simkit.FixtureConfig:
+        """simulate's ``SimConfig`` or fixture's ``FixtureConfig``, from the settings its fields name."""
+        cls = simkit.SimConfig if self.args.command == "simulate" else simkit.FixtureConfig
+        # unlike SimConfig's 0, a default that is planted can be recovered
+        settings = ({"p_default": 0.005} if cls is simkit.SimConfig else {}) | self.settings
+        named = {"horizon_days" if key == "horizon" else key: value for key, value in settings.items()}
+        values = {field.name: named[field.name] for field in dataclasses.fields(cls) if field.name in named}
+        try:
+            values["rho"] = float(values["rho"])
+        except ValueError as exc:
+            raise SchemaError(f"bad value for 'rho': {values['rho']!r} ({exc})") from exc
+        return cls(**values)
 
-        Returns each artifact's content: its text, or for a CSV its table.
-        ``self.out`` is the directory written, or None.
+    @_stage("simulate")
+    def recovered(self) -> simkit.RecoveredProb:
+        return simkit.roundtrip_invert(self.sim)
+
+    @_stage("fixture")
+    def fixture(self) -> simkit.FixtureSet:
+        return simkit.generate_fixture(self.sim)
+
+    def write(self, names: tuple[str, ...], default_out: str | None = DEFAULT_OUT) -> dict:
+        """Build the named artifacts in ``ARTIFACTS`` order, then write them, if an output directory is set, as named:
+        the tables as CSV through ``_each``, sized at about 16 bytes a cell, then each text file in order.
+
+        Returns each artifact's content: its text, or for a CSV its table. ``self.out`` is the directory, or None.
         """
         contents = {name: build(self) for name, build in ARTIFACTS.items() if name in names}
         self.out = self.settings.get("out", default_out)
         if self.out is not None:
-            self.run.stage = "write"
-            self.run.write({Path(self.out) / name: contents[name] for name in names})
+            self.stage = "write"
+            files = {Path(self.out) / name: contents[name] for name in names}
+            tables = [(path, (path, content)) for path, content in files.items() if not isinstance(content, str)]
+            Path(self.out).mkdir(parents=True, exist_ok=True)
+            self.written += [path for path, _ in tables]
+            _each(_write_table, tables, sum(len(table) * len(table.HEADER) * 16 for _, (_, table) in tables))
+            for path, content in files.items():
+                if isinstance(content, str):
+                    self.written.append(path)
+                    path.write_text(content, encoding="utf-8")
         return contents
+
+    def report(self, kind: str, name: str, message) -> None:
+        """Print one ``<kind> stage=... type=<name> msg="..."`` line on stderr."""
+        message = " ".join(str(message).split())
+        print(f'{kind} stage={self.stage} type={name} msg="{message}"', file=sys.stderr)
+
+    def discard_written(self) -> None:
+        for path in self.written:
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 PIPELINE_ARTIFACTS = (
@@ -370,7 +372,7 @@ def _manifest(stages: _Stages) -> str:
         full_fit = f"rho_full_sample = {fmt(stages.fit.rho)} (stderr {fmt(stages.fit.stderr)})"
     except EstimationError as exc:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it
         full_fit = f"full-sample fit unavailable: {exc}"
-    entries, settings = dict(stages.paths), stages.settings
+    entries, settings = {role: stages.settings[role] for role in stages.bars}, stages.settings
     venues = [flag.replace("-", "_") for flag in FLAGS if flag.endswith("-venue")]
     for key in [f"col_{role}" for role in marketdata.ROLES] + venues + list(MODEL_DEFAULTS):
         value = settings.get(key)
@@ -408,6 +410,9 @@ ARTIFACTS = {
     "table4.csv": lambda st: econometrics.regression_table_csv(st.regressions),
     "figure1.vl.json": lambda st: FIGURE1_STUB,
     "figure2.vl.json": lambda st: FIGURE2_STUB,
+    "spot.csv": lambda st: st.fixture.spot,
+    "futures.csv": lambda st: st.fixture.futures,
+    "btc.csv": lambda st: st.fixture.btc,
 }
 
 
@@ -467,11 +472,7 @@ def cmd_stats(stages: _Stages) -> int:
 
 
 def cmd_simulate(stages: _Stages) -> int:
-    # unlike SimConfig's 0, a default that is planted can be recovered
-    config = _config(simkit.SimConfig, {"p_default": 0.005} | stages.settings)
-
-    stages.run.stage = "simulate"
-    recovered = simkit.roundtrip_invert(config)
+    config, recovered = stages.sim, stages.recovered
     sim = recovered.sim
     rate = sim.default_count / config.n_paths
     print(f"mc_futures = {sim.mc_futures:.8f} +- {sim.mc_stderr:.2e}")
@@ -489,14 +490,8 @@ def cmd_simulate(stages: _Stages) -> int:
 
 
 def cmd_fixture(stages: _Stages) -> int:
-    config = _config(simkit.FixtureConfig, stages.settings)
-    outdir = Path(stages.settings.get("out", DEFAULT_OUT))
-
-    stages.run.stage = "fixture"
-    fixture = simkit.generate_fixture(config)
-
-    stages.run.stage = "write"
-    stages.run.write({outdir / f"{name}.csv": getattr(fixture, name) for name in ("spot", "futures", "btc")})
+    stages.write(("spot.csv", "futures.csv", "btc.csv"))
+    config = stages.sim
     annualized = pegmodel.annualize(config.p_default, config.horizon_days)
     print(
         f"wrote spot.csv futures.csv btc.csv ({config.n_days} days, seed {config.seed}); "
@@ -591,17 +586,17 @@ def main(argv: list[str] | None = None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    run = _Run()
+    stages = _Stages(args)
     in_main = threading.current_thread() is threading.main_thread()  # the one thread that may take signals
     previous = signal.signal(signal.SIGTERM, _terminate) if in_main else None
     try:
         with warnings.catch_warnings():  # each warning prints one line; under -W error it raises as an error does
-            warnings.showwarning = lambda message, category, *_: run.report("warning", category.__name__, message)
-            return args.func(_Stages(args, run))
+            warnings.showwarning = lambda message, category, *_: stages.report("warning", category.__name__, message)
+            return args.func(stages)
     except (PegRiskError, OSError, Warning, KeyboardInterrupt, Terminated) as exc:
-        run.discard_written()
+        stages.discard_written()
         interrupted = isinstance(exc, KeyboardInterrupt)
-        run.report("error", type(exc).__name__, "received SIGINT" if interrupted else exc)
+        stages.report("error", type(exc).__name__, "received SIGINT" if interrupted else exc)
         return 130 if interrupted else 143 if isinstance(exc, Terminated) else 1
     finally:
         if in_main:

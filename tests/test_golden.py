@@ -513,13 +513,13 @@ def test_write_on_a_full_disk_fails_alike_serial_and_forked(datasets, mode, requ
         return _FullDisk(stream, room=3) if path.name == "aligned.csv" else stream  # the header, then two chunks
 
     monkeypatch.setattr(Path, "open", open_on_a_full_disk)
-    alive, discard_written = [], cli._Run.discard_written
+    alive, discard_written = [], cli._Stages.discard_written
 
     def discard_written_once_joined(run):
         alive.append(multiprocessing.active_children())
         discard_written(run)
 
-    monkeypatch.setattr(cli._Run, "discard_written", discard_written_once_joined)
+    monkeypatch.setattr(cli._Stages, "discard_written", discard_written_once_joined)
     out = tmp_path / "out"
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     assert (code, err) == (1, 'error stage=write type=OSError msg="[Errno 28] No space left on device"\n')
