@@ -72,6 +72,8 @@ class SimConfig:
             raise DomainError(f"recovery must lie in [0, 1], got {self.recovery}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be at least 1, got {self.n_paths}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         _require_finite(**vars(self))
 
 
@@ -232,13 +234,15 @@ class FixtureConfig:
             raise DomainError(f"n_days must be at least 30, got {self.n_days}")
         if not 0.0 <= self.rho < 1.0:
             raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
+        if self.horizon_days < 1:
+            raise DomainError(f"horizon_days must be at least 1, got {self.horizon_days}")
         if not 0.0 <= self.p_default <= 1.0:
             raise DomainError(f"p_default must lie in [0, 1], got {self.p_default}")
         if not 0.0 <= self.recovery < 1.0:
             raise DomainError(f"recovery must lie in [0, 1), got {self.recovery}")
         if self.p_period_days < 1:
             raise DomainError(f"p_period_days must be at least 1, got {self.p_period_days}")
-        for name in ("innovation_sd", "futures_noise_sd", "intraday_range_sd"):
+        for name in ("innovation_sd", "futures_noise_sd", "intraday_range_sd", "seed"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be non-negative, got {getattr(self, name)}")
         _require_finite(**vars(self))

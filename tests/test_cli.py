@@ -800,6 +800,27 @@ def test_error_names_its_stage(fixture_dir, tmp_path, monkeypatch, capsys, comma
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("simulate", "seed", "-1", "seed must be non-negative, got -1"),
+        ("fixture", "seed", "-1", "seed must be non-negative, got -1"),
+        ("fixture", "horizon", "0", "horizon_days must be at least 1, got 0"),
+    ],
+    ids=["simulate-seed", "fixture-seed", "fixture-horizon"],
+)
+def test_setting_out_of_range_fails_at_config(tmp_path, capsys, source, command, key, value, message):
+    # as one error line, before any path is drawn or file written
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    given = ["--config", str(config)] if source == "config" else [f"--{key}", value]
+    assert main([command, *given, *(["--out", str(out)] if command == "fixture" else ["--n-paths", "10"])]) == 1
+    assert capsys.readouterr() == ("", f'error stage=config type=DomainError msg="{message}"\n')
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
