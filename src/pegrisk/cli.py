@@ -313,9 +313,9 @@ class _Stages:
         return simkit.generate_fixture(self.sim)
 
     def write(self, names: tuple[str, ...], default_out: str | None = DEFAULT_OUT) -> dict:
-        """Build the named artifacts in ``ARTIFACTS`` order, then write them, if an output directory is set, as named:
-        the tables as CSV through ``_each``, sized at about 16 bytes a cell, then each text file in order.
+        """Build the named artifacts in ``ARTIFACTS`` order, then write them, if an output directory is set, as named.
 
+        The tables go first, as CSV through ``_each``, sized at about 16 bytes a cell, then each text file in order.
         Returns each artifact's content: its text, or for a CSV its table. ``self.out`` is the directory, or None.
         """
         contents = {name: build(self) for name, build in ARTIFACTS.items() if name in names}

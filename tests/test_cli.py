@@ -19,7 +19,7 @@ import pegrisk
 from pegrisk import config as cfgmod
 from pegrisk import econometrics, features, marketdata, pegmodel, simkit
 from pegrisk.cli import FLAGS, MODEL_DEFAULTS, main
-from pegrisk.errors import ValidationError
+from pegrisk.errors import EstimationError, ValidationError
 from pegrisk.marketdata import write_table_csv
 from pegrisk.simkit import FixtureConfig, generate_fixture
 
@@ -798,6 +798,21 @@ def test_error_names_its_stage(fixture_dir, tmp_path, monkeypatch, capsys, comma
     assert main([command, *argv]) == 1
     assert capsys.readouterr() == ("", f'error stage={stage} type=ValidationError msg="{name} failed"\n')
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_failure_after_a_caught_fit_error_names_the_last_stage(fixture_dir, tmp_path, monkeypatch, capsys):
+    # with a fixed rho the manifest goes on without the full-sample fit; a later failure between stages names
+    # the last stage that ran, not the fit
+    def no_fit(*args):
+        raise EstimationError("no fit")
+
+    def broken(*args):
+        raise ValidationError("format failed")
+
+    monkeypatch.setattr(pegmodel, "fit_ar1", no_fit)
+    monkeypatch.setattr(econometrics, "format_summary_table", broken)
+    assert main(_pipeline_args(fixture_dir, tmp_path / "out")) == 1
+    assert capsys.readouterr() == ("", 'error stage=stats type=ValidationError msg="format failed"\n')
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
