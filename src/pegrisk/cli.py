@@ -197,7 +197,7 @@ class _Stages:
 
         It reads its flags but --config, with "_" for "-", and the column names. No flag has a default, so
         ``vars(args)`` holds the flags given. The config values are cast and checked in the command's flag order.
-        Each input whose flag the command takes is required, but usdt_alt.
+        Each input the command takes but usdt_alt must be given non-empty, as must out and each given input's venue.
         """
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
@@ -208,12 +208,15 @@ class _Stages:
         config = {key: _cast(key, raw[key]) for key in reads if key in raw and key not in given}
         settings = defaults | config | {key: given[key] for key in reads if key in given}
         for role in ("spot", "futures", "btc"):
-            if role in reads and role not in settings:
+            if role in reads and not settings.get(role):
                 raise SchemaError(f"missing required input {role!r} (flag --{role} or config)")
-        if settings.get("out") == "":  # Path("") would write into the working directory
-            raise SchemaError("empty value for 'out': name an output directory (flag --out or config)")
         if settings.get("usdt_alt") == "":  # names no input, as if not given
             del settings["usdt_alt"]
+        # Path("") would write into the working directory, and parse_bars takes no empty venue
+        for key in ["out"] + [f"{role}_venue" for role in ("spot", "futures", "btc", "usdt_alt") if role in settings]:
+            if settings.get(key) == "":
+                what = "an output directory" if key == "out" else "a venue"
+                raise SchemaError(f"empty value for {key!r}: name {what} (flag --{key.replace('_', '-')} or config)")
         return settings
 
     @_stage("parse")
@@ -241,12 +244,10 @@ class _Stages:
     @_stage("fit")
     def rolling(self) -> pegmodel.RollingAr1 | EstimationError:
         """The rolling fits of the spot deviations, or the error that makes them unavailable."""
-        spot, window = self.bars["spot"], self.settings["window"]
+        spot = self.bars["spot"]
         try:
-            return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, window)
-        except EstimationError as exc:
-            if window < 3:  # a bad setting, not bad data, so it fails the command
-                raise
+            return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, self.settings["window"])
+        except EstimationError as exc:  # bad data; a window below 3 is a DomainError, and fails the command
             return exc
 
     @_stage("fit")
@@ -294,9 +295,7 @@ class _Stages:
     def sim(self) -> simkit.SimConfig | simkit.FixtureConfig:
         """simulate's ``SimConfig`` or fixture's ``FixtureConfig``, from the settings its fields name."""
         cls = simkit.SimConfig if self.args.command == "simulate" else simkit.FixtureConfig
-        # unlike SimConfig's 0, a default that is planted can be recovered
-        settings = ({"p_default": 0.005} if cls is simkit.SimConfig else {}) | self.settings
-        named = {"horizon_days" if key == "horizon" else key: value for key, value in settings.items()}
+        named = {"horizon_days" if key == "horizon" else key: value for key, value in self.settings.items()}
         values = {field.name: named[field.name] for field in dataclasses.fields(cls) if field.name in named}
         try:
             values["rho"] = float(values["rho"])
@@ -416,23 +415,21 @@ ARTIFACTS = {
 }
 
 
-def cmd_pipeline(stages: _Stages) -> int:
+def cmd_pipeline(stages: _Stages) -> None:
     written = stages.write((*PIPELINE_ARTIFACTS, "run_manifest.txt"))  # the manifest, written last, marks a whole run
     print(f"wrote {len(written)} artifacts to {Path(stages.out)}")
     print(f"{_join_summary(stages.aligned)}; rho = {stages.rho:.4f}")
     untrimmed = stages.untrimmed
     mean_p = sum(untrimmed.p_annualized_bps.tolist()) / len(untrimmed)
     print(f"mean annualized default probability (untrimmed): {mean_p:.2f} bps over {len(untrimmed)} dates")
-    return 0
 
 
-def cmd_align(stages: _Stages) -> int:
+def cmd_align(stages: _Stages) -> None:
     stages.write(("aligned.csv",))
     print(_join_summary(stages.aligned))
-    return 0
 
 
-def cmd_fit(stages: _Stages) -> int:
+def cmd_fit(stages: _Stages) -> None:
     full_fit, rolling, window = stages.fit, stages.rolling, stages.settings["window"]
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
@@ -443,35 +440,30 @@ def cmd_fit(stages: _Stages) -> int:
         print(f"rolling fit unavailable: {rolling}")
     else:
         print(f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days")
-    return 0
 
 
-def cmd_prob(stages: _Stages) -> int:
+def cmd_prob(stages: _Stages) -> None:
     stages.write(("prob.csv",))
     published = stages.published
     mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
     series = "trimmed" if stages.settings["trim"] else "untrimmed"
     print(f"wrote {len(published)} points (rho {stages.rho:.4f}); mean {mean_p:.2f} bps annualized ({series})")
-    return 0
 
 
-def cmd_features(stages: _Stages) -> int:
+def cmd_features(stages: _Stages) -> None:
     stages.write(("features.csv",))
     print(f"wrote {len(stages.panel)} panel rows")
-    return 0
 
 
-def cmd_regress(stages: _Stages) -> int:
+def cmd_regress(stages: _Stages) -> None:
     print(stages.write(("table4.txt", "table4.csv"), default_out=None)["table4.txt"], end="")
-    return 0
 
 
-def cmd_stats(stages: _Stages) -> int:
+def cmd_stats(stages: _Stages) -> None:
     print(stages.write(("table3.txt", "table3.csv"), default_out=None)["table3.txt"], end="")
-    return 0
 
 
-def cmd_simulate(stages: _Stages) -> int:
+def cmd_simulate(stages: _Stages) -> None:
     config, recovered = stages.sim, stages.recovered
     sim = recovered.sim
     rate = sim.default_count / config.n_paths
@@ -486,10 +478,9 @@ def cmd_simulate(stages: _Stages) -> int:
         f"(planted {config.p_default}, |diff| = {gap_se:.2f} se)"
     )
     print(f"95% CI     = [{low:.8f}, {high:.8f}]")
-    return 0
 
 
-def cmd_fixture(stages: _Stages) -> int:
+def cmd_fixture(stages: _Stages) -> None:
     stages.write(("spot.csv", "futures.csv", "btc.csv"))
     config = stages.sim
     annualized = pegmodel.annualize(config.p_default, config.horizon_days)
@@ -497,7 +488,6 @@ def cmd_fixture(stages: _Stages) -> int:
         f"wrote spot.csv futures.csv btc.csv ({config.n_days} days, seed {config.seed}); "
         f"planted p = {config.p_default} per horizon ({annualized:.2f} bps annualized)"
     )
-    return 0
 
 
 # add_argument keywords of every flag; the dest is the flag name with "_" for "-"
@@ -592,7 +582,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():  # each warning prints one line; under -W error it raises as an error does
             warnings.showwarning = lambda message, category, *_: stages.report("warning", category.__name__, message)
-            return args.func(stages)
+            args.func(stages)
+            return 0
     except (PegRiskError, OSError, Warning, KeyboardInterrupt, Terminated) as exc:
         stages.discard_written()
         interrupted = isinstance(exc, KeyboardInterrupt)

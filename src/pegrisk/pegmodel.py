@@ -108,10 +108,10 @@ def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, 
     As in :func:`fit_ar1`, only pairs of consecutive calendar days enter a
     window's fit; the windows are still ``window`` rows each, so their count
     does not depend on the gaps. A window with no usable variation raises
-    :class:`EstimationError` naming its first date.
+    :class:`EstimationError` naming its first date, a ``window`` below 3 :class:`DomainError`.
     """
     if window < 3:
-        raise EstimationError(f"rolling window must be at least 3, got {window}")
+        raise DomainError(f"rolling window must be at least 3, got {window}")
     lagged, lead, _ = _consecutive_pairs(days, deviations)
     if window > lagged.size + 1:
         raise EstimationError(f"window {window} longer than series of length {lagged.size + 1}")

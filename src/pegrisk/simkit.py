@@ -48,28 +48,23 @@ def _require_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one Monte Carlo run."""
+    """Parameters of one Monte Carlo run that :func:`roundtrip_invert` can invert; the defaults are ``simulate``'s."""
 
     rho: float = 0.73
     innovation_sd: float = 5e-4
     delta0: float = 0.0
     horizon_days: int = 90
-    p_default: float = 0.0
+    p_default: float = 0.005
     recovery: float = 0.0
     n_paths: int = 100_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < 1.0:
-            raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
+        _check_inversion_domain(self.rho, self.horizon_days, self.recovery)
         if self.innovation_sd < 0.0:
             raise DomainError(f"innovation_sd must be non-negative, got {self.innovation_sd}")
-        if self.horizon_days < 1:
-            raise DomainError(f"horizon_days must be at least 1, got {self.horizon_days}")
         if not 0.0 <= self.p_default <= 1.0:
             raise DomainError(f"p_default must lie in [0, 1], got {self.p_default}")
-        if not 0.0 <= self.recovery <= 1.0:
-            raise DomainError(f"recovery must lie in [0, 1], got {self.recovery}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.seed < 0:
@@ -165,7 +160,6 @@ class RecoveredProb:
 
 def roundtrip_invert(config: SimConfig) -> RecoveredProb:
     """Invert the simulated futures price back to a default probability."""
-    _check_inversion_domain(config.rho, config.horizon_days, config.recovery)  # before the paths run
     sim = simulate_paths(config)
     s = 1.0 + config.delta0
     p = implied_default_prob(s, sim.mc_futures, config.rho, config.horizon_days, config.recovery)
@@ -230,16 +224,11 @@ class FixtureConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_inversion_domain(self.rho, self.horizon_days, self.recovery)
         if self.n_days < 30:
             raise DomainError(f"n_days must be at least 30, got {self.n_days}")
-        if not 0.0 <= self.rho < 1.0:
-            raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.horizon_days < 1:
-            raise DomainError(f"horizon_days must be at least 1, got {self.horizon_days}")
         if not 0.0 <= self.p_default <= 1.0:
             raise DomainError(f"p_default must lie in [0, 1], got {self.p_default}")
-        if not 0.0 <= self.recovery < 1.0:
-            raise DomainError(f"recovery must lie in [0, 1), got {self.recovery}")
         if self.p_period_days < 1:
             raise DomainError(f"p_period_days must be at least 1, got {self.p_period_days}")
         for name in ("innovation_sd", "futures_noise_sd", "intraday_range_sd", "seed"):

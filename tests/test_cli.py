@@ -399,20 +399,38 @@ class TestPipelineCommand:
         assert not out.exists() or not any(out.iterdir())
 
     def test_missing_btc_input_fails_at_config(self, fixture_dir, tmp_path, capsys):
+        # an empty value names no input either, by flag or by config
         args = _pipeline_args(fixture_dir, tmp_path / "run")
-        del args[args.index("--btc") : args.index("--btc") + 2]
-        assert main(args) == 1
-        message = "missing required input 'btc' (flag --btc or config)"
-        assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
+        no_btc = args[: args.index("--btc")] + args[args.index("--btc") + 2 :]
+        (tmp_path / "cfg.txt").write_text("spot =\n")
+        empty_spot_config = [args[0], "--config", str(tmp_path / "cfg.txt"), *args[3:]]
+        for argv, role in [(no_btc, "btc"), (args + ["--spot", ""], "spot"), (empty_spot_config, "spot")]:
+            assert main(argv) == 1
+            message = f"missing required input {role!r} (flag --{role} or config)"
+            assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command", ["stats", "fixture"])
-    def test_empty_output_directory_fails_at_config(self, fixture_dir, tmp_path, capsys, monkeypatch, command, source):
+    @pytest.mark.parametrize(
+        "command, key, what",
+        [
+            ("stats", "out", "an output directory"),
+            ("fixture", "out", "an output directory"),
+            ("pipeline", "futures_venue", "a venue"),
+            ("stats", "spot_venue", "a venue"),
+        ],
+        ids=["stats", "fixture", "pipeline-futures_venue", "stats-spot_venue"],
+    )
+    def test_empty_output_directory_fails_at_config(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, command, key, what, source
+    ):
+        # an empty venue fails here too, naming its setting, not later in the parse of its file
         monkeypatch.chdir(tmp_path)  # Path("") is the working directory
-        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", *(["out ="] if source == "config" else []))
-        args = [command, "--config", str(cfg)] + (["--out", ""] if source == "flag" else [])
+        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", *([f"{key} ="] if source == "config" else []))
+        flag = f"--{key.replace('_', '-')}"
+        args = [command, "--config", str(cfg)] + ([flag, ""] if source == "flag" else [])
         assert main(args) == 1
-        message = "empty value for 'out': name an output directory (flag --out or config)"
+        message = f"empty value for '{key}': name {what} (flag {flag} or config)"
         assert capsys.readouterr() == ("", f'error stage=config type=SchemaError msg="{message}"\n')
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.txt"]
 
@@ -421,7 +439,7 @@ class TestPipelineCommand:
         out = tmp_path / "run"
         assert main(_pipeline_args(fixture_dir, out) + ["--window", "2", *rho]) == 1
         err = capsys.readouterr().err
-        assert err == 'error stage=fit type=EstimationError msg="rolling window must be at least 3, got 2"\n'
+        assert err == 'error stage=fit type=DomainError msg="rolling window must be at least 3, got 2"\n'
         assert not out.exists() or not any(out.iterdir())
 
     def test_last_trim_flag_wins(self, fixture_dir, tmp_path):
@@ -555,7 +573,7 @@ class TestSingleStageCommands:
     def test_fit_window_below_three_fails_at_fit(self, fixture_dir, capsys):
         assert main(["fit", "--spot", str(fixture_dir / "spot.csv"), "--window", "2"]) == 1
         err = capsys.readouterr().err
-        assert err == 'error stage=fit type=EstimationError msg="rolling window must be at least 3, got 2"\n'
+        assert err == 'error stage=fit type=DomainError msg="rolling window must be at least 3, got 2"\n'
 
     def test_prob_writes_series(self, fixture_dir, tmp_path):
         out = tmp_path / "p"
@@ -702,7 +720,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(simkit, "simulate_paths", no_paths)
         assert main(["simulate", "--recovery", "1", "--n-paths", "2000000"]) == 1
         err = capsys.readouterr().err
-        assert err == 'error stage=simulate type=DomainError msg="recovery must lie in [0, 1), got 1.0"\n'
+        assert err == 'error stage=config type=DomainError msg="recovery must lie in [0, 1), got 1.0"\n'
 
     def test_invalid_rho_is_domain_error(self, capsys):
         code = main(["simulate", "--rho", "1.2", "--n-paths", "100"])
@@ -817,14 +835,16 @@ def test_failure_after_a_caught_fit_error_names_the_last_stage(fixture_dir, tmp_
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
-    "command, key, value, message",
+    "key, value, message",
     [
-        ("simulate", "seed", "-1", "seed must be non-negative, got -1"),
-        ("fixture", "seed", "-1", "seed must be non-negative, got -1"),
-        ("fixture", "horizon", "0", "horizon_days must be at least 1, got 0"),
+        ("seed", "-1", "seed must be non-negative, got -1"),
+        ("rho", "1", "rho must lie in [0, 1), got 1.0"),
+        ("horizon", "0", "horizon must be at least 1 day, got 0"),
+        ("recovery", "1", "recovery must lie in [0, 1), got 1.0"),
     ],
-    ids=["simulate-seed", "fixture-seed", "fixture-horizon"],
+    ids=["seed", "rho", "horizon", "recovery"],
 )
+@pytest.mark.parametrize("command", ["simulate", "fixture"])
 def test_setting_out_of_range_fails_at_config(tmp_path, capsys, source, command, key, value, message):
     # as one error line, before any path is drawn or file written
     config = tmp_path / "c.cfg"

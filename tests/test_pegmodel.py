@@ -99,7 +99,7 @@ class TestFitAr1:
             fit_ar1_rolling(_days(3), [1.0, 0.5, 0.25], window=4)
 
     def test_window_below_minimum(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(DomainError):
             fit_ar1_rolling(_days(4), [1.0, 0.5, 0.25, 0.1], window=2)
 
     # two runs of halving deviations, a week apart: the pair across the gap
