@@ -93,13 +93,16 @@ PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are ha
 DEFAULT_OUT = "out"
 
 
-def _cast(key: str, raw: str):
-    """A config value as argparse takes its flag's: by the flag's ``type`` and ``choices``, or as a boolean word."""
+def _cast(key: str, raw: str | bool, source: str):
+    """A setting's value from the flag or config file ``source``, cast and checked by its ``FLAGS`` entry."""
     spec = FLAGS.get(key.replace("_", "-"), {})
+    if raw == "" and key != "usdt_alt":  # an empty usdt_alt names no input
+        raise SchemaError(f"empty value for {key!r} (from {source})")
     if spec.get("action") is argparse.BooleanOptionalAction:
-        if raw.lower() not in _BOOLEANS:
+        word = str(raw).lower()  # a word from config; True or False from --trim and --no-trim
+        if word not in _BOOLEANS:
             raise SchemaError(f"expected a boolean for {key!r}, got {raw!r}")
-        return _BOOLEANS[raw.lower()]
+        return _BOOLEANS[word]
     try:
         value = spec.get("type", str)(raw)
         if value not in spec.get("choices", (value,)):
@@ -109,6 +112,13 @@ def _cast(key: str, raw: str):
     return value
 
 
+def _rho(text: str) -> str:
+    """A rho as given, a number or 'estimate', kept as text so that the manifest repeats it."""
+    if text != "estimate":
+        float(text)
+    return text
+
+
 def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.BarSeries:
     """The bars of one input file; module-level so that a worker process can be sent it."""
     try:
@@ -116,6 +126,8 @@ def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.Bar
             return marketdata.parse_bars(stream, schema=schema, venue=venue)
     except UnicodeDecodeError as exc:
         raise cfgmod.not_utf8(path, exc) from None
+    except PegRiskError as exc:  # name the input at fault, of up to four
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write_table(path: Path, table: marketdata.Table) -> None:
@@ -195,28 +207,26 @@ class _Stages:
     def settings(self) -> dict:
         """Each setting the command reads: the flag given, else the config value, else its ``MODEL_DEFAULTS`` entry.
 
-        It reads its flags but --config, with "_" for "-", and the column names. No flag has a default, so
-        ``vars(args)`` holds the flags given. The config values are cast and checked in the command's flag order.
-        Each input the command takes but usdt_alt must be given non-empty, as must out and each given input's venue.
+        It reads its flags but --config, with "_" for "-", and the column names, each value given through ``_cast``
+        in that order; no flag has a default, so ``vars(args)`` holds the flags given. Each input it reads but
+        usdt_alt must be given, as must the input of a venue.
         """
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
         allowed = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(columns)
-        raw = cfgmod.load_config(given["config"], allowed) if "config" in given else {}
+        raw = cfgmod.load_config(_cast("config", given["config"], "--config"), allowed) if "config" in given else {}
         reads = [flag.replace("-", "_") for flag in COMMANDS[given["command"]][1].split() if flag != "config"] + columns
-        defaults = {key: value for key, value in MODEL_DEFAULTS.items() if key in reads}
-        config = {key: _cast(key, raw[key]) for key in reads if key in raw and key not in given}
-        settings = defaults | config | {key: given[key] for key in reads if key in given}
+        settings = {key: value for key, value in MODEL_DEFAULTS.items() if key in reads}
+        values = raw | given  # a flag wins over its config line
+        sources = {key: given["config"] for key in raw} | {key: f"--{key.replace('_', '-')}" for key in given}
+        settings |= {key: _cast(key, values[key], sources[key]) for key in reads if key in values}
         for role in ("spot", "futures", "btc"):
-            if role in reads and not settings.get(role):
+            if role in reads and role not in settings:
                 raise SchemaError(f"missing required input {role!r} (flag --{role} or config)")
         if settings.get("usdt_alt") == "":  # names no input, as if not given
             del settings["usdt_alt"]
-        # Path("") would write into the working directory, and parse_bars takes no empty venue
-        for key in ["out"] + [f"{role}_venue" for role in ("spot", "futures", "btc", "usdt_alt") if role in settings]:
-            if settings.get(key) == "":
-                what = "an output directory" if key == "out" else "a venue"
-                raise SchemaError(f"empty value for {key!r}: name {what} (flag --{key.replace('_', '-')} or config)")
+        if "usdt_alt_venue" in settings and "usdt_alt" not in settings:
+            raise SchemaError("'usdt_alt_venue' is set, but its input 'usdt_alt' is not given")
         return settings
 
     @_stage("parse")
@@ -242,23 +252,14 @@ class _Stages:
         return pegmodel.fit_ar1(spot.date, spot.close - 1.0)
 
     @_stage("fit")
-    def rolling(self) -> pegmodel.RollingAr1 | EstimationError:
-        """The rolling fits of the spot deviations, or the error that makes them unavailable."""
+    def rolling(self) -> pegmodel.RollingAr1:
         spot = self.bars["spot"]
-        try:
-            return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, self.settings["window"])
-        except EstimationError as exc:  # bad data; a window below 3 is a DomainError, and fails the command
-            return exc
+        return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, self.settings["window"])
 
     @_stage("fit")
     def rho(self) -> float:
         """The rho of the inversion: the number given, or under 'estimate' that of the full-sample fit."""
-        if self.settings["rho"] == "estimate":
-            return self.fit.rho
-        try:
-            return float(self.settings["rho"])
-        except ValueError:
-            raise SchemaError(f"rho must be a number or 'estimate', got {self.settings['rho']!r}") from None
+        return self.fit.rho if self.settings["rho"] == "estimate" else float(self.settings["rho"])
 
     @_stage("prob")
     def untrimmed(self) -> pegmodel.ProbSeries:
@@ -297,10 +298,9 @@ class _Stages:
         cls = simkit.SimConfig if self.args.command == "simulate" else simkit.FixtureConfig
         named = {"horizon_days" if key == "horizon" else key: value for key, value in self.settings.items()}
         values = {field.name: named[field.name] for field in dataclasses.fields(cls) if field.name in named}
-        try:
-            values["rho"] = float(values["rho"])
-        except ValueError as exc:
-            raise SchemaError(f"bad value for 'rho': {values['rho']!r} ({exc})") from exc
+        if values["rho"] == "estimate":  # a data command's rho: there is no series here to fit
+            raise SchemaError("bad value for 'rho': 'estimate' (simulate and fixture take a number)")
+        values["rho"] = float(values["rho"])
         return cls(**values)
 
     @_stage("simulate")
@@ -359,14 +359,15 @@ PIPELINE_ARTIFACTS = (
 
 def _join_summary(aligned: marketdata.AlignedSeries) -> str:
     report = aligned.join_report
-    return (
-        f"aligned {report.matched} dates "
-        f"(dropped {report.dropped_spot} spot, {report.dropped_futures} futures)"
-    )
+    return f"aligned {report.matched} dates (dropped {report.dropped_spot} spot, {report.dropped_futures} futures)"
 
 
 def _manifest(stages: _Stages) -> str:
-    fmt, rolling = marketdata.fmt_float, stages.rolling
+    fmt = marketdata.fmt_float
+    try:
+        rolling_fit = f"rho_rolling_mean = {fmt(stages.rolling.rho_mean)} over {len(stages.rolling.fits)} windows"
+    except EstimationError as exc:  # bad data is reported; a window below 3 is a DomainError, and fails the command
+        rolling_fit = f"rolling fit unavailable: {exc}"
     try:
         full_fit = f"rho_full_sample = {fmt(stages.fit.rho)} (stderr {fmt(stages.fit.stderr)})"
     except EstimationError as exc:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it
@@ -384,11 +385,7 @@ def _manifest(stages: _Stages) -> str:
         "pegrisk run manifest; feed back via --config to reproduce",
         f"rho_effective = {fmt(stages.rho)}",
         full_fit,
-        (
-            f"rolling fit unavailable: {rolling}"
-            if isinstance(rolling, EstimationError)
-            else f"rho_rolling_mean = {fmt(rolling.rho_mean)} over {len(rolling.fits)} windows"
-        ),
+        rolling_fit,
         f"join: matched {report.matched}, "
         f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
         "artifacts: " + " ".join(PIPELINE_ARTIFACTS),
@@ -430,16 +427,18 @@ def cmd_align(stages: _Stages) -> None:
 
 
 def cmd_fit(stages: _Stages) -> None:
-    full_fit, rolling, window = stages.fit, stages.rolling, stages.settings["window"]
+    full_fit, window = stages.fit, stages.settings["window"]
+    try:
+        rolling = stages.rolling
+        rolling_fit = f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days"
+    except EstimationError as exc:
+        rolling_fit = f"rolling fit unavailable: {exc}"
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     if full_fit.is_stable:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
     else:
         print("fit is not stable (rho outside (0, 1)); no half-life")
-    if isinstance(rolling, EstimationError):
-        print(f"rolling fit unavailable: {rolling}")
-    else:
-        print(f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days")
+    print(rolling_fit)
 
 
 def cmd_prob(stages: _Stages) -> None:
@@ -471,13 +470,11 @@ def cmd_simulate(stages: _Stages) -> None:
     print(f"defaults   = {sim.default_count} / {config.n_paths} (rate {rate:.6f})")
     gap = abs(recovered.p - config.p_default)
     gap_se = gap / recovered.stderr if recovered.stderr > 0 else float("inf") if gap > 0 else 0.0
-    low = recovered.p - 1.96 * recovered.stderr
-    high = recovered.p + 1.96 * recovered.stderr
     print(
         f"recovered_p = {recovered.p:.8f} +- {recovered.stderr:.2e} "
         f"(planted {config.p_default}, |diff| = {gap_se:.2f} se)"
     )
-    print(f"95% CI     = [{low:.8f}, {high:.8f}]")
+    print(f"95% CI     = [{recovered.p - 1.96 * recovered.stderr:.8f}, {recovered.p + 1.96 * recovered.stderr:.8f}]")
 
 
 def cmd_fixture(stages: _Stages) -> None:
@@ -490,7 +487,7 @@ def cmd_fixture(stages: _Stages) -> None:
     )
 
 
-# add_argument keywords of every flag; the dest is the flag name with "_" for "-"
+# add_argument keywords of every flag, whose dest is its name with "_" for "-"; its type and choices are _cast's alone
 FLAGS: dict[str, dict] = {
     "config": {"help": "key=value config file; flags override it"},
     "spot": {"help": "spot OHLCV CSV"},
@@ -501,7 +498,7 @@ FLAGS: dict[str, dict] = {
     "btc-venue": {},
     "usdt-alt": {"help": "alternative USDT series for its volatility"},
     "usdt-alt-venue": {},
-    "rho": {"help": "mean-reversion coefficient, or 'estimate'"},
+    "rho": {"type": _rho, "help": "mean-reversion coefficient, or 'estimate'"},
     "horizon": {"type": int, "help": f"futures horizon in days (default {MODEL_DEFAULTS['horizon']})"},
     "recovery": {"type": float, "help": f"recovery rate in [0, 1) (default {MODEL_DEFAULTS['recovery']:g})"},
     "window": {"type": int, "help": f"rolling estimation window (default {MODEL_DEFAULTS['window']})"},
@@ -558,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         command.set_defaults(func=func)
         for flag in flags.split():
-            command.add_argument(f"--{flag}", **FLAGS[flag])
+            spec = {key: value for key, value in FLAGS[flag].items() if key not in ("type", "choices")}
+            choices = FLAGS[flag].get("choices")
+            command.add_argument(f"--{flag}", **spec, metavar="{%s}" % ",".join(choices) if choices else None)
     return parser
 
 

@@ -184,6 +184,32 @@ class TestFixtureCommand:
         assert not out.exists() or not list(out.iterdir())
 
 
+# case -> (command, key, value, message); the message's {source} is the flag, or the config file
+_BAD_VALUES = {
+    "stats": ("stats", "out", "", "empty value for 'out' (from {source})"),
+    "fixture": ("fixture", "out", "", "empty value for 'out' (from {source})"),
+    "pipeline-futures_venue": ("pipeline", "futures_venue", "", "empty value for 'futures_venue' (from {source})"),
+    "stats-spot_venue": ("stats", "spot_venue", "", "empty value for 'spot_venue' (from {source})"),
+    "pipeline-spot": ("pipeline", "spot", "", "empty value for 'spot' (from {source})"),
+    "pipeline-col_close": ("pipeline", "col_close", "", "empty value for 'col_close' (from {source})"),
+    "pipeline-config": ("pipeline", "config", "", "empty value for 'config' (from {source})"),
+    "pipeline-horizon": (
+        "pipeline", "horizon", "x", "bad value for 'horizon': 'x' (invalid literal for int() with base 10: 'x')"
+    ),
+    "pipeline-estimator": (
+        "pipeline", "estimator", "foo", "bad value for 'estimator': 'foo' (expected one of parkinson, range)"
+    ),
+    "pipeline-rho": (
+        "pipeline", "rho", "high", "bad value for 'rho': 'high' (could not convert string to float: 'high')"
+    ),
+    "pipeline-usdt_alt_venue": (
+        "pipeline", "usdt_alt_venue", "kraken", "'usdt_alt_venue' is set, but its input 'usdt_alt' is not given"
+    ),
+}
+# no flag names a column, and no config line the config file
+_ONE_SOURCE = {"pipeline-col_close": "config", "pipeline-config": "flag"}
+
+
 class TestPipelineCommand:
     def test_produces_all_artifacts(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -391,46 +417,44 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
 
-    def test_non_numeric_rho_fails_at_fit(self, fixture_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(_pipeline_args(fixture_dir, out) + ["--rho", "high"]) == 1
-        err = capsys.readouterr().err
-        assert err == "error stage=fit type=SchemaError msg=\"rho must be a number or 'estimate', got 'high'\"\n"
-        assert not out.exists() or not any(out.iterdir())
-
     def test_missing_btc_input_fails_at_config(self, fixture_dir, tmp_path, capsys):
-        # an empty value names no input either, by flag or by config
+        # an empty input fails too, by flag or by config, naming where its value came from
         args = _pipeline_args(fixture_dir, tmp_path / "run")
         no_btc = args[: args.index("--btc")] + args[args.index("--btc") + 2 :]
         (tmp_path / "cfg.txt").write_text("spot =\n")
         empty_spot_config = [args[0], "--config", str(tmp_path / "cfg.txt"), *args[3:]]
-        for argv, role in [(no_btc, "btc"), (args + ["--spot", ""], "spot"), (empty_spot_config, "spot")]:
+        cases = [
+            (no_btc, "missing required input 'btc' (flag --btc or config)"),
+            (args + ["--spot", ""], "empty value for 'spot' (from --spot)"),
+            (empty_spot_config, f"empty value for 'spot' (from {tmp_path / 'cfg.txt'})"),
+        ]
+        for argv, message in cases:
             assert main(argv) == 1
-            message = f"missing required input {role!r} (flag --{role} or config)"
             assert capsys.readouterr().err == f'error stage=config type=SchemaError msg="{message}"\n'
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
-        "command, key, what",
+        "command, key, value, message, source",
         [
-            ("stats", "out", "an output directory"),
-            ("fixture", "out", "an output directory"),
-            ("pipeline", "futures_venue", "a venue"),
-            ("stats", "spot_venue", "a venue"),
+            pytest.param(*case, source, id=f"{name}-{source}")
+            for name, case in _BAD_VALUES.items()
+            for source in ("flag", "config")
+            if _ONE_SOURCE.get(name, source) == source
         ],
-        ids=["stats", "fixture", "pipeline-futures_venue", "stats-spot_venue"],
     )
     def test_empty_output_directory_fails_at_config(
-        self, fixture_dir, tmp_path, capsys, monkeypatch, command, key, what, source
+        self, fixture_dir, tmp_path, capsys, monkeypatch, command, key, value, message, source
     ):
-        # an empty venue fails here too, naming its setting, not later in the parse of its file
+        # every bad setting value, empty or not, by flag or by config line, fails here through one check, not
+        # later where the value is used; so does a venue given without its input
         monkeypatch.chdir(tmp_path)  # Path("") is the working directory
-        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", *([f"{key} ="] if source == "config" else []))
+        cfg = tmp_path / "cfg.txt"
+        inputs = [f"{role} = {fixture_dir / f'{role}.csv'}" for role in ("spot", "futures", "btc") if role != key]
+        cfg.write_text("\n".join(inputs + ([f"{key} = {value}"] if source == "config" else [])) + "\n")
         flag = f"--{key.replace('_', '-')}"
-        args = [command, "--config", str(cfg)] + ([flag, ""] if source == "flag" else [])
+        args = [command, "--config", str(cfg)] + ([flag, value] if source == "flag" else [])
         assert main(args) == 1
-        message = f"empty value for '{key}': name {what} (flag {flag} or config)"
+        message = message.format(source=flag if source == "flag" else cfg)
         assert capsys.readouterr() == ("", f'error stage=config type=SchemaError msg="{message}"\n')
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.txt"]
 
@@ -551,7 +575,8 @@ class TestSingleStageCommands:
         spot = tmp_path / "spot.csv"
         spot.write_text("")
         assert main(["fit", "--spot", str(spot)]) == 1
-        assert capsys.readouterr().err == 'error stage=parse type=SchemaError msg="empty input: no header row"\n'
+        err = capsys.readouterr().err
+        assert err == f'error stage=parse type=SchemaError msg="{spot}: empty input: no header row"\n'
 
     def test_fit_skips_rolling_fit_on_short_series(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -640,7 +665,8 @@ class TestSingleStageCommands:
         spot.write_text("timestamp,open,high,low,close,volume\n2020-01-01,1,1,1,1," + "1" * 200_000 + "\n")
         assert main(["fit", "--spot", str(spot)]) == 1
         err = capsys.readouterr().err
-        assert err == 'error stage=parse type=ValidationError msg="line 2: field larger than field limit (131072)"\n'
+        message = f"{spot}: line 2: field larger than field limit (131072)"
+        assert err == f'error stage=parse type=ValidationError msg="{message}"\n'
 
     def test_stats_prints_table(self, fixture_dir, capsys):
         code = main(
@@ -728,6 +754,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "DomainError" in err
 
+    def test_rho_to_estimate_fails_at_config(self, capsys):
+        # a value the data commands take, with no series here to fit
+        assert main(["simulate", "--rho", "estimate", "--n-paths", "10"]) == 1
+        message = "bad value for 'rho': 'estimate' (simulate and fixture take a number)"
+        assert capsys.readouterr() == ("", f'error stage=config type=SchemaError msg="{message}"\n')
+
     def test_config_file_matches_flags(self, tmp_path, capsys):
         # every setting simulate takes, each away from its default
         settings = {
@@ -814,7 +846,8 @@ def test_error_names_its_stage(fixture_dir, tmp_path, monkeypatch, capsys, comma
         "fixture": ["--n-days", "60", "--out", str(out)],
     }[command]
     assert main([command, *argv]) == 1
-    assert capsys.readouterr() == ("", f'error stage={stage} type=ValidationError msg="{name} failed"\n')
+    message = f"{fixture_dir / 'spot.csv'}: {name} failed" if name == "parse_bars" else f"{name} failed"  # its file
+    assert capsys.readouterr() == ("", f'error stage={stage} type=ValidationError msg="{message}"\n')
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -874,6 +907,14 @@ def test_flag_the_command_ignores_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flag_without_its_value_is_a_usage_error(capsys):
+    # argparse only records which flags are given; a value it records is checked at stage=config
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--horizon"])
+    assert exc.value.code == 2
+    assert "argument --horizon: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["prob", "features", "regress", "stats"])

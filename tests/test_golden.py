@@ -441,7 +441,8 @@ def test_parallel_parse_fails_as_the_serial_parse(datasets, bad, tmp_path, monke
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
     parallel = _run(_command_args("pipeline", data, tmp_path / "parallel"), capsys)
     first = min(bad, key=("spot", "btc").index)  # the spot file is parsed first
-    expected = f'error stage=parse type=ValidationError msg="line {bad[first] + 2}: high 0.9 below low 1.1"\n'
+    message = f"{data / f'{first}.csv'}: line {bad[first] + 2}: high 0.9 below low 1.1"  # the error names its file
+    expected = f'error stage=parse type=ValidationError msg="{message}"\n'
     assert serial == parallel == (1, "", expected)
     assert multiprocessing.active_children() == []
 
@@ -593,7 +594,7 @@ def test_parse_error_comes_before_a_fit_error(pegged_data, either_parse, tmp_pat
     _with_bad_row(data / "btc.csv", 10)  # and the pegged spot series cannot be fitted
     code, _, err = _run(_command_args("pipeline", data, out) + ["--rho", "estimate"], capsys)
     _assert_failed(code, err, "parse", "ValidationError", out)
-    assert err.endswith('msg="line 12: high 0.9 below low 1.1"\n')
+    assert err.endswith(f'msg="{data / "btc.csv"}: line 12: high 0.9 below low 1.1"\n')
 
 
 def test_input_that_is_not_utf8_fails_at_parse(datasets, either_parse, tmp_path, capsys):
