@@ -209,7 +209,8 @@ class _Stages:
 
         It reads its flags but --config, with "_" for "-", and the column names, each value given through ``_cast``
         in that order; no flag has a default, so ``vars(args)`` holds the flags given. Each input it reads but
-        usdt_alt must be given, as must the input of a venue.
+        usdt_alt must be given, as must the input of a venue, and a data command's window, horizon, recovery and
+        numeric rho pass pegmodel's checks here, before any input is parsed.
         """
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
@@ -227,6 +228,11 @@ class _Stages:
             del settings["usdt_alt"]
         if "usdt_alt_venue" in settings and "usdt_alt" not in settings:
             raise SchemaError("'usdt_alt_venue' is set, but its input 'usdt_alt' is not given")
+        if "window" in settings:
+            pegmodel.check_window(settings["window"])
+        if {"spot", "horizon"} <= settings.keys():  # simulate's and fixture's are checked by their config class
+            rho = 0.0 if settings["rho"] == "estimate" else float(settings["rho"])  # a fitted rho is checked at prob
+            pegmodel.check_inversion_domain(rho, settings["horizon"], settings["recovery"])
         return settings
 
     @_stage("parse")
@@ -366,7 +372,7 @@ def _manifest(stages: _Stages) -> str:
     fmt = marketdata.fmt_float
     try:
         rolling_fit = f"rho_rolling_mean = {fmt(stages.rolling.rho_mean)} over {len(stages.rolling.fits)} windows"
-    except EstimationError as exc:  # bad data is reported; a window below 3 is a DomainError, and fails the command
+    except EstimationError as exc:  # bad data is reported; the window was checked at config
         rolling_fit = f"rolling fit unavailable: {exc}"
     try:
         full_fit = f"rho_full_sample = {fmt(stages.fit.rho)} (stderr {fmt(stages.fit.stderr)})"

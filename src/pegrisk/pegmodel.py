@@ -110,8 +110,7 @@ def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, 
     does not depend on the gaps. A window with no usable variation raises
     :class:`EstimationError` naming its first date, a ``window`` below 3 :class:`DomainError`.
     """
-    if window < 3:
-        raise DomainError(f"rolling window must be at least 3, got {window}")
+    check_window(window)
     lagged, lead, _ = _consecutive_pairs(days, deviations)
     if window > lagged.size + 1:
         raise EstimationError(f"window {window} longer than series of length {lagged.size + 1}")
@@ -125,6 +124,12 @@ def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, 
         raise EstimationError(f"rolling window starting {first_day}: {_DEGENERATE}")
     rhos = np.vecdot(lagged, lead) / sxx
     return RollingAr1(fits=rhos, rho_mean=float(np.mean(rhos)))
+
+
+def check_window(window: int) -> None:
+    """Raise :class:`DomainError` for a rolling window below 3 rows, too short to hold 2 pairs."""
+    if window < 3:
+        raise DomainError(f"rolling window must be at least 3, got {window}")
 
 
 def half_life(rho: float) -> float:
@@ -141,7 +146,8 @@ def _check_shared_domain(rho: float, h: int) -> None:
         raise DomainError(f"horizon must be at least 1 day, got {h}")
 
 
-def _check_inversion_domain(rho: float, h: int, recovery: float) -> None:
+def check_inversion_domain(rho: float, h: int, recovery: float) -> None:
+    """Raise :class:`DomainError` for a rho or recovery outside [0, 1), or a horizon below 1 day."""
     _check_shared_domain(rho, h)
     if not 0.0 <= recovery < 1.0:
         raise DomainError(f"recovery must lie in [0, 1), got {recovery}")
@@ -170,7 +176,7 @@ def implied_default_prob(s: float, f: float, rho: float, h: int, recovery: float
     form divides the futures shortfall by the survivor/recovery gap. Exact
     inverse of :func:`theoretical_futures` in the probability argument.
     """
-    _check_inversion_domain(rho, h, recovery)
+    check_inversion_domain(rho, h, recovery)
     survivor_value = 1.0 + rho**h * (s - 1.0)
     denominator = survivor_value - recovery
     if denominator <= 0.0:
@@ -240,7 +246,7 @@ def prob_series(
     inversion or annualization that fails names the first date it fails
     on; dates before it still warn. An unknown ``method`` fails first.
     """
-    _check_inversion_domain(rho, h, recovery)
+    check_inversion_domain(rho, h, recovery)
     if method not in ANNUALIZATIONS:
         raise DomainError(f"unknown annualization method {method!r}")
     survivor_value = 1.0 + rho**h * (aligned.s - 1.0)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .marketdata import BarSeries
-from .pegmodel import _check_inversion_domain, implied_default_prob, theoretical_futures
+from .pegmodel import check_inversion_domain, implied_default_prob, theoretical_futures
 
 
 def _require_finite(**values) -> None:
@@ -60,7 +60,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_inversion_domain(self.rho, self.horizon_days, self.recovery)
+        check_inversion_domain(self.rho, self.horizon_days, self.recovery)
         if self.innovation_sd < 0.0:
             raise DomainError(f"innovation_sd must be non-negative, got {self.innovation_sd}")
         if not 0.0 <= self.p_default <= 1.0:
@@ -224,7 +224,7 @@ class FixtureConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_inversion_domain(self.rho, self.horizon_days, self.recovery)
+        check_inversion_domain(self.rho, self.horizon_days, self.recovery)
         if self.n_days < 30:
             raise DomainError(f"n_days must be at least 30, got {self.n_days}")
         if not 0.0 <= self.p_default <= 1.0:

@@ -463,7 +463,7 @@ class TestPipelineCommand:
         out = tmp_path / "run"
         assert main(_pipeline_args(fixture_dir, out) + ["--window", "2", *rho]) == 1
         err = capsys.readouterr().err
-        assert err == 'error stage=fit type=DomainError msg="rolling window must be at least 3, got 2"\n'
+        assert err == 'error stage=config type=DomainError msg="rolling window must be at least 3, got 2"\n'
         assert not out.exists() or not any(out.iterdir())
 
     def test_last_trim_flag_wins(self, fixture_dir, tmp_path):
@@ -598,7 +598,7 @@ class TestSingleStageCommands:
     def test_fit_window_below_three_fails_at_fit(self, fixture_dir, capsys):
         assert main(["fit", "--spot", str(fixture_dir / "spot.csv"), "--window", "2"]) == 1
         err = capsys.readouterr().err
-        assert err == 'error stage=fit type=DomainError msg="rolling window must be at least 3, got 2"\n'
+        assert err == 'error stage=config type=DomainError msg="rolling window must be at least 3, got 2"\n'
 
     def test_prob_writes_series(self, fixture_dir, tmp_path):
         out = tmp_path / "p"
@@ -866,27 +866,42 @@ def test_failure_after_a_caught_fit_error_names_the_last_stage(fixture_dir, tmp_
     assert capsys.readouterr() == ("", 'error stage=stats type=ValidationError msg="format failed"\n')
 
 
+_OUT_OF_RANGE = {
+    "seed": ("-1", "seed must be non-negative, got -1"),
+    "rho": ("1", "rho must lie in [0, 1), got 1.0"),
+    "horizon": ("0", "horizon must be at least 1 day, got 0"),
+    "recovery": ("1", "recovery must lie in [0, 1), got 1.0"),
+    "window": ("2", "rolling window must be at least 3, got 2"),
+}
+# command -> its other arguments, each input a file that does not exist, and the settings set out of range in turn
+_RANGE_COMMANDS = {
+    "simulate": (["--n-paths", "10"], "seed rho horizon recovery"),
+    "fixture": (["--out", "out"], "seed rho horizon recovery"),
+    "pipeline": (
+        ["--spot", "no.csv", "--futures", "no.csv", "--btc", "no.csv", "--out", "out"],
+        "rho horizon recovery window",
+    ),
+    "prob": (["--spot", "no.csv", "--futures", "no.csv", "--out", "out"], "horizon"),
+    "stats": (["--spot", "no.csv", "--futures", "no.csv"], "recovery"),
+    "fit": (["--spot", "no.csv"], "window"),
+}
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("seed", "-1", "seed must be non-negative, got -1"),
-        ("rho", "1", "rho must lie in [0, 1), got 1.0"),
-        ("horizon", "0", "horizon must be at least 1 day, got 0"),
-        ("recovery", "1", "recovery must lie in [0, 1), got 1.0"),
-    ],
-    ids=["seed", "rho", "horizon", "recovery"],
+    "command, key",
+    [(command, key) for command, (_, keys) in _RANGE_COMMANDS.items() for key in keys.split()],
+    ids=lambda value: value,
 )
-@pytest.mark.parametrize("command", ["simulate", "fixture"])
-def test_setting_out_of_range_fails_at_config(tmp_path, capsys, source, command, key, value, message):
-    # as one error line, before any path is drawn or file written
-    config = tmp_path / "c.cfg"
-    config.write_text(f"{key} = {value}\n")
-    out = tmp_path / "out"
-    given = ["--config", str(config)] if source == "config" else [f"--{key}", value]
-    assert main([command, *given, *(["--out", str(out)] if command == "fixture" else ["--n-paths", "10"])]) == 1
+def test_setting_out_of_range_fails_at_config(tmp_path, monkeypatch, capsys, source, command, key):
+    # as one error line, before any input is parsed, any path drawn or any file written
+    monkeypatch.chdir(tmp_path)
+    value, message = _OUT_OF_RANGE[key]
+    Path("c.cfg").write_text(f"{key} = {value}\n")
+    given = ["--config", "c.cfg"] if source == "config" else [f"--{key}", value]
+    assert main([command, *given, *_RANGE_COMMANDS[command][0]]) == 1
     assert capsys.readouterr() == ("", f'error stage=config type=DomainError msg="{message}"\n')
-    assert not out.exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["c.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -975,6 +990,39 @@ def test_cli_import_starts_no_process_machinery():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "module, loads",
+    [
+        ("pegrisk", []),
+        ("pegrisk.simkit", ["pegrisk.errors", "pegrisk.marketdata", "pegrisk.pegmodel", "pegrisk.simkit"]),
+    ],
+    ids=["root", "simkit"],
+)
+def test_import_loads_only_the_modules_it_uses(module, loads):
+    """The package root imports no module, so a module loads only itself and the modules it imports."""
+    probe = f"import sys, {module}; print(sorted(name for name in sys.modules if name.startswith('pegrisk.')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{loads!r}\n"
+
+
+def test_readme_library_example_runs(tmp_path):
+    """README's "Library use" block runs on the default fixture and prints the prob.csv of `prob --rho estimate`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    data = tmp_path / "data"
+    assert main(["fixture", "--out", str(data)]) == 0
+    inputs = ["--spot", str(data / "spot.csv"), "--futures", str(data / "futures.csv")]
+    assert main(["prob", *inputs, "--rho", "estimate", "--out", str(tmp_path / "prob")]) == 0
+    done = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=_cli_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1] == ",".join(pegmodel.ProbSeries.HEADER)
+    assert done.stdout.split("\n", 1)[1] == (tmp_path / "prob" / "prob.csv").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
