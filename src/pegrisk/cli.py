@@ -78,11 +78,11 @@ FIGURE2_STUB = """\
 
 _BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
-# model setting -> its default, in the manifest's order; simulate and fixture take rho, horizon and recovery from it
+# model setting -> its default, in the manifest's order; rho, horizon and recovery, for every command, are SimConfig's
 MODEL_DEFAULTS = {
-    "rho": "0.73",  # a number, or "estimate"
-    "horizon": 90,
-    "recovery": 0.0,
+    "rho": str(simkit.SimConfig.rho),  # a number, or "estimate"
+    "horizon": simkit.SimConfig.horizon_days,
+    "recovery": simkit.SimConfig.recovery,
     "window": 60,
     "estimator": "parkinson",
     "annualization": "linear",
@@ -96,6 +96,7 @@ DEFAULT_OUT = "out"
 def _cast(key: str, raw: str | bool, source: str):
     """A setting's value from the flag or config file ``source``, cast and checked by its ``FLAGS`` entry."""
     spec = FLAGS.get(key.replace("_", "-"), {})
+    raw = raw.strip() if isinstance(raw, str) else raw  # a flag's value is stripped, as a config line's is
     if raw == "" and key != "usdt_alt":  # an empty usdt_alt names no input
         raise SchemaError(f"empty value for {key!r} (from {source})")
     if spec.get("action") is argparse.BooleanOptionalAction:

@@ -1,10 +1,10 @@
 """Plain-text key=value configuration of the CLI.
 
-A file is UTF-8 text, with or without a byte-order mark. Blank lines and
-``#`` comments are ignored; values keep everything after the first ``=``.
-Each key may appear once, and must be one the caller allows. The same
-format serves as run manifest: effective parameters as key=value entries,
-provenance as comment lines, so a manifest can be fed back as a config file.
+A file is UTF-8 text, with or without a byte-order mark. Blank lines and ``#`` comments are
+ignored; a value is what follows the first ``=``, with the white space around it stripped.
+Each key may appear once, and must be one the caller allows. The same format serves as run
+manifest: effective parameters as key=value entries, provenance as comment lines, so a
+manifest can be fed back as a config file.
 """
 
 from __future__ import annotations

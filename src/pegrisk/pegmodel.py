@@ -139,16 +139,18 @@ def half_life(rho: float) -> float:
     return math.log(2.0) / -math.log(rho)
 
 
-def _check_shared_domain(rho: float, h: int) -> None:
+def _check_shared_domain(h: int, rho: float = 0.0, method: str = "linear") -> None:
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     if h < 1:
         raise DomainError(f"horizon must be at least 1 day, got {h}")
+    if method not in ANNUALIZATIONS:
+        raise DomainError(f"unknown annualization method {method!r}")
 
 
 def check_inversion_domain(rho: float, h: int, recovery: float) -> None:
     """Raise :class:`DomainError` for a rho or recovery outside [0, 1), or a horizon below 1 day."""
-    _check_shared_domain(rho, h)
+    _check_shared_domain(h, rho)
     if not 0.0 <= recovery < 1.0:
         raise DomainError(f"recovery must lie in [0, 1), got {recovery}")
 
@@ -160,7 +162,7 @@ def theoretical_futures(delta, rho: float, h: int, p, recovery: float = 0.0):
     decayed deviation, defaults pay the recovery value. ``delta`` and ``p``
     may be floats or equal-length arrays.
     """
-    _check_shared_domain(rho, h)
+    _check_shared_domain(h, rho)
     in_range = (0.0 <= p) & (p <= 1.0)
     if not np.all(in_range):
         raise DomainError(f"default probability must lie in [0, 1], got {np.ravel(p)[np.argmin(in_range)]}")
@@ -195,10 +197,9 @@ def annualize(p_horizon: float | np.ndarray, h: int, method: str = "linear") -> 
 
     Takes one probability or an array of them. Small negative inputs pass
     through unchanged in sign so untrimmed diagnostic series can be
-    summarized; values above 1 are rejected.
+    summarized; values above 1 are rejected (an unknown ``method`` first).
     """
-    if h < 1:
-        raise DomainError(f"horizon must be at least 1 day, got {h}")
+    _check_shared_domain(h, method=method)
     values = np.ravel(p_horizon)
     for bad, what in ((values > 1.0, "above 1"), (values <= -1.0, "at or below -1")):
         if bad.any():
@@ -206,15 +207,13 @@ def annualize(p_horizon: float | np.ndarray, h: int, method: str = "linear") -> 
     periods = DAYS_PER_YEAR / h
     if method == "linear":
         return p_horizon * periods * 1e4
-    if method == "compounded":
-        if isinstance(p_horizon, np.ndarray):
-            # scalar libm pow, one value at a time: np.power differs from it
-            # in the last bit on some inputs, which would change prob.csv
-            survival = np.array([(1.0 - p) ** periods for p in p_horizon.tolist()])
-        else:
-            survival = (1.0 - p_horizon) ** periods
-        return (1.0 - survival) * 1e4
-    raise DomainError(f"unknown annualization method {method!r}")
+    if isinstance(p_horizon, np.ndarray):  # compounded
+        # scalar libm pow, one value at a time: np.power differs from it
+        # in the last bit on some inputs, which would change prob.csv
+        survival = np.array([(1.0 - p) ** periods for p in p_horizon.tolist()])
+    else:
+        survival = (1.0 - p_horizon) ** periods
+    return (1.0 - survival) * 1e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +246,7 @@ def prob_series(
     on; dates before it still warn. An unknown ``method`` fails first.
     """
     check_inversion_domain(rho, h, recovery)
-    if method not in ANNUALIZATIONS:
-        raise DomainError(f"unknown annualization method {method!r}")
+    _check_shared_domain(h, method=method)
     survivor_value = 1.0 + rho**h * (aligned.s - 1.0)
     denominator = survivor_value - recovery
     with np.errstate(divide="ignore", invalid="ignore"):

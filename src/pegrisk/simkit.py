@@ -46,9 +46,12 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Parameters of one Monte Carlo run that :func:`roundtrip_invert` can invert; the defaults are ``simulate``'s."""
+@dataclass(frozen=True, kw_only=True)
+class _ModelConfig:
+    """The peg model's parameters, their defaults and their rules, shared by ``SimConfig`` and ``FixtureConfig``."""
+
+    # field -> the least value it may take; a subclass adds its own fields
+    _AT_LEAST = {"innovation_sd": 0, "seed": 0}
 
     rho: float = 0.73
     innovation_sd: float = 5e-4
@@ -56,20 +59,25 @@ class SimConfig:
     horizon_days: int = 90
     p_default: float = 0.005
     recovery: float = 0.0
-    n_paths: int = 100_000
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_inversion_domain(self.rho, self.horizon_days, self.recovery)
-        if self.innovation_sd < 0.0:
-            raise DomainError(f"innovation_sd must be non-negative, got {self.innovation_sd}")
         if not 0.0 <= self.p_default <= 1.0:
             raise DomainError(f"p_default must lie in [0, 1], got {self.p_default}")
-        if self.n_paths < 1:
-            raise DomainError(f"n_paths must be at least 1, got {self.n_paths}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+        for name, least in self._AT_LEAST.items():
+            if (value := getattr(self, name)) < least:
+                raise DomainError(f"{name} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
         _require_finite(**vars(self))
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(_ModelConfig):
+    """Parameters of one Monte Carlo run that :func:`roundtrip_invert` can invert; the defaults are ``simulate``'s."""
+
+    _AT_LEAST = _ModelConfig._AT_LEAST | {"n_paths": 1}
+
+    n_paths: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,8 @@ _BTC_RANGE_SD = 0.02
 _VOLUME_SCALE = 5e6
 
 
-@dataclass(frozen=True)
-class FixtureConfig:
+@dataclass(frozen=True, kw_only=True)
+class FixtureConfig(_ModelConfig):
     """Synthetic-market settings for :func:`generate_fixture`.
 
     The planted per-horizon default probability follows a slow sinusoid
@@ -210,31 +218,16 @@ class FixtureConfig:
     ``intraday_range_sd`` only shapes the synthesized OHLC fields.
     """
 
+    _AT_LEAST = _ModelConfig._AT_LEAST | {
+        "n_days": 30, "p_period_days": 1, "futures_noise_sd": 0, "intraday_range_sd": 0
+    }
+
     n_days: int = 410
-    rho: float = 0.73
-    innovation_sd: float = 5e-4
-    delta0: float = 0.0
-    horizon_days: int = 90
-    p_default: float = 7.4e-4
+    p_default: float = 7.4e-4  # the planted level: the model's one default a fixture sets apart
     p_amplitude: float = 0.0
     p_period_days: int = 120
-    recovery: float = 0.0
     futures_noise_sd: float = 2e-4
     intraday_range_sd: float = 5e-4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_inversion_domain(self.rho, self.horizon_days, self.recovery)
-        if self.n_days < 30:
-            raise DomainError(f"n_days must be at least 30, got {self.n_days}")
-        if not 0.0 <= self.p_default <= 1.0:
-            raise DomainError(f"p_default must lie in [0, 1], got {self.p_default}")
-        if self.p_period_days < 1:
-            raise DomainError(f"p_period_days must be at least 1, got {self.p_period_days}")
-        for name in ("innovation_sd", "futures_noise_sd", "intraday_range_sd", "seed"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be non-negative, got {getattr(self, name)}")
-        _require_finite(**vars(self))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import codecs
 import csv
 import datetime
+import hashlib
 import io
 import os
 import re
@@ -233,6 +234,25 @@ class TestPipelineCommand:
         )
         assert code == 0
         assert _read_artifacts(out_a) == _read_artifacts(out_b)
+
+    def test_padded_flag_values_replay_from_the_manifest(self, fixture_dir, tmp_path):
+        # the white space around a flag value is stripped, as around a config line's value, so the manifest
+        # records the value itself and, fed back, rewrites all 9 artifacts byte for byte
+        args = _pipeline_args(fixture_dir, tmp_path / "a") + ["--rho", " 0.5", "--spot-venue", " x "]
+        assert main(args) == 0
+        manifest = tmp_path / "a" / "run_manifest.txt"
+        assert {"rho = 0.5", "spot_venue = x"} <= set(manifest.read_text().splitlines())
+        assert main(["pipeline", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 0
+        assert _read_artifacts(tmp_path / "b") == _read_artifacts(tmp_path / "a")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_usdt_alt_names_no_input(self, fixture_dir, tmp_path, source):
+        # an empty --usdt-alt, or usdt_alt line, is a run without one
+        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", *(["usdt_alt ="] if source == "config" else []))
+        given = ["--usdt-alt", ""] if source == "flag" else []
+        assert main(["pipeline", "--config", str(cfg), *given, "--out", str(tmp_path / "empty")]) == 0
+        assert main(_pipeline_args(fixture_dir, tmp_path / "without")) == 0
+        assert _read_artifacts(tmp_path / "empty") == _read_artifacts(tmp_path / "without")
 
     def test_missing_input_names_path(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -872,11 +892,14 @@ _OUT_OF_RANGE = {
     "horizon": ("0", "horizon must be at least 1 day, got 0"),
     "recovery": ("1", "recovery must lie in [0, 1), got 1.0"),
     "window": ("2", "rolling window must be at least 3, got 2"),
+    "p_default": ("1.5", "p_default must lie in [0, 1], got 1.5"),
+    "innovation_sd": ("-1", "innovation_sd must be non-negative, got -1.0"),
+    "p_period_days": ("0", "p_period_days must be at least 1, got 0"),
 }
 # command -> its other arguments, each input a file that does not exist, and the settings set out of range in turn
 _RANGE_COMMANDS = {
-    "simulate": (["--n-paths", "10"], "seed rho horizon recovery"),
-    "fixture": (["--out", "out"], "seed rho horizon recovery"),
+    "simulate": (["--n-paths", "10"], "seed rho horizon recovery p_default innovation_sd"),
+    "fixture": (["--out", "out"], "seed rho horizon recovery p_default innovation_sd p_period_days"),
     "pipeline": (
         ["--spot", "no.csv", "--futures", "no.csv", "--btc", "no.csv", "--out", "out"],
         "rho horizon recovery window",
@@ -898,7 +921,7 @@ def test_setting_out_of_range_fails_at_config(tmp_path, monkeypatch, capsys, sou
     monkeypatch.chdir(tmp_path)
     value, message = _OUT_OF_RANGE[key]
     Path("c.cfg").write_text(f"{key} = {value}\n")
-    given = ["--config", "c.cfg"] if source == "config" else [f"--{key}", value]
+    given = ["--config", "c.cfg"] if source == "config" else [f"--{key.replace('_', '-')}", value]
     assert main([command, *given, *_RANGE_COMMANDS[command][0]]) == 1
     assert capsys.readouterr() == ("", f'error stage=config type=DomainError msg="{message}"\n')
     assert [path.name for path in tmp_path.iterdir()] == ["c.cfg"]
@@ -946,6 +969,32 @@ def test_readme_lists_every_config_key():
     paragraph = next(text for text in readme.split("\n\n") if text.startswith("Every flag can instead be given"))
     keys = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(MODEL_DEFAULTS)
     assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []
+
+
+# SHA-256 of the --help text, at 80 columns, of pegrisk ("") and of each subcommand, as Python 3.11's argparse
+# (CI's) formats it; a change to any of these texts updates its hash and says why in CHANGES.md
+HELP_SHA256 = {
+    "": "76588ea651e6749414d90b52ceb7802a2fc62319cbc8cd84235dcdc926b38656",
+    "pipeline": "ec77106de63bf0eee936a7200191c0da2296554896ba078464de3e2064c36143",
+    "align": "752160b9acfefd7d36b17702aac1db8363217ab1b2a7bac2c776987dbe4f7753",
+    "fit": "8124c0ef0f772c269dfc98b83026f72209a8c705319174f362e8014438f3ffca",
+    "prob": "484f90f4b0df80afe055c402a22cc7357dbc2134ef688fa36c1e4e2a00c5c24b",
+    "features": "e6f82641271312af12489a80be6c685091a7795aa3989b0abb9725879cdffb91",
+    "regress": "9530ea97754f05d686d0ea349ccc5aa0f9a5219338b2b6bd8ee8d10c233265f2",
+    "stats": "be84befd0fb73cacea0321be9261147fcfe696c49d00865b6b91b03efb90a935",
+    "simulate": "aa5e8eaadb6a5aed8c60a7b539d487fa7c5b6227909ffd5ed95a5441d48d2d1f",
+    "fixture": "550982259d5856f735d61927f2186709ae694b97115a55d526db0506e73184d1",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda command: command or "pegrisk")
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    # the help of --horizon, --recovery and --window shows its default from MODEL_DEFAULTS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_no_subcommand_prints_help(capsys):

@@ -7,6 +7,7 @@ to high relative precision on small random designs.
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,20 @@ class TestOlsHc0:
         assert scaled.t_stats == pytest.approx(base.t_stats, rel=1e-12)
         assert scaled.coefficients[1] * scale == pytest.approx(base.coefficients[1], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "y, X, names, message",
+        [
+            (np.arange(10.0), np.arange(10.0), None, "design matrix must be two-dimensional"),
+            (np.arange(3.0), np.ones((10, 2)), None, "response length 3 does not match 10 design rows"),
+            (np.arange(10.0) % 3, np.column_stack([np.ones(10), np.arange(10.0)]), ["x"], "1 names for 2 columns"),
+        ],
+        ids=["one-dimensional-design", "response-length", "names"],
+    )
+    def test_malformed_input_rejected(self, y, X, names, message):
+        with pytest.raises(EstimationError) as caught:
+            ols_hc0(y, X, names)
+        assert str(caught.value) == message
+
     def test_insufficient_rows_rejected(self):
         with pytest.raises(EstimationError):
             ols_hc0([1.0, 2.0], np.ones((2, 2)))
@@ -256,6 +271,11 @@ class TestPanelRegressions:
         assert results["II"].n == 410
         assert results["III"].n == 409
         assert results["IV"].n == 409
+
+    def test_no_rows_with_a_return_rejected(self):
+        panel = replace(_panel(50), r_btc_bps=np.full(50, np.nan))
+        with pytest.raises(EstimationError, match="^no usable rows for regression III$"):
+            run_panel_regressions(panel)
 
     def test_constant_regressor_is_singular(self):
         with pytest.raises(EstimationError, match="singular"):

@@ -128,6 +128,10 @@ class TestBuildFeaturePanel:
         with pytest.raises(AlignmentError):
             build_feature_panel(late, btc, usdt)
 
+    def test_empty_probability_series_error(self):
+        with pytest.raises(AlignmentError, match="^probability series is empty$"):
+            build_feature_panel(_prob_points(0), _flat_series([1.0]), _flat_series([1.0]))
+
     def test_single_common_date_has_no_return(self):
         btc = _flat_series([1.0])
         usdt = _flat_series([1.0])

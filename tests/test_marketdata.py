@@ -186,6 +186,20 @@ class TestBarInvariants:
         with pytest.raises(ValidationError, match="differ in length"):
             BarSeries(date=[DAY], open=[1.0, 1.0], high=[1.0], low=[1.0], close=[1.0], volume=[1.0], venue="test")
 
+    @pytest.mark.parametrize(
+        "dates, s, message",
+        [
+            ([DAY, DAY - datetime.timedelta(days=1)], [1.0, 1.0], "dates out of order at 2020-03-11"),
+            ([DAY, DAY], [1.0, 1.0], "duplicate date 2020-03-12"),
+            ([DAY], [[1.0]], "column s must be one-dimensional"),
+        ],
+        ids=["out-of-order", "repeated", "two-dimensional"],
+    )
+    def test_table_rejects_bad_dates_and_columns(self, dates, s, message):
+        with pytest.raises(ValidationError) as caught:
+            AlignedSeries(date=dates, s=s, f=[1.0] * len(dates))
+        assert str(caught.value) == message
+
 
 class TestTableColumns:
     """Each table declares a column once, as a typed field; ``COLUMNS`` and ``HEADER`` follow from the fields."""

@@ -141,6 +141,10 @@ class TestFitAr1:
         with pytest.raises(EstimationError, match="3 dates for 4 deviations"):
             fit_ar1(_days(3), [1.0, 0.5, 0.25, 0.125])
 
+    def test_deviations_must_be_one_dimensional(self):
+        with pytest.raises(EstimationError, match="^deviations must be one-dimensional$"):
+            fit_ar1(_days(4), np.ones((4, 1)))
+
 
 class TestHalfLife:
     def test_one_step_halving(self):
@@ -327,6 +331,10 @@ class TestAnnualize:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             annualize(0.01, 90, "weekly")
+
+    def test_horizon_below_one_day(self):
+        with pytest.raises(DomainError, match="^horizon must be at least 1 day, got 0$"):
+            annualize(0.01, 0)
 
     @given(
         p=st.floats(min_value=0.0, max_value=0.05),

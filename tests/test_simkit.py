@@ -147,6 +147,10 @@ class TestSimulatePaths:
         with pytest.raises(DomainError):
             SimConfig(n_paths=0)
 
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            SimConfig(0.5)
+
 
 class TestPathBlocks:
     CONFIG = dict(rho=0.73, horizon_days=5, delta0=0.001, innovation_sd=5e-4, p_default=0.02, seed=7)
@@ -381,3 +385,14 @@ def ar1_series(**setting):
 def test_non_finite_setting_is_rejected(make, field, value):
     with pytest.raises(DomainError, match=field):
         make(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [({"rho": 1.0}, "rho must lie in [0, 1), got 1.0"), ({"n": 0}, "series length must be at least 1, got 0")],
+    ids=["rho", "n"],
+)
+def test_ar1_series_setting_out_of_range_is_rejected(setting, message):
+    with pytest.raises(DomainError) as caught:
+        ar1_series(**setting)
+    assert str(caught.value) == message
