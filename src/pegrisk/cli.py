@@ -34,7 +34,7 @@ from typing import Callable
 
 from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
-from .errors import EstimationError, PegRiskError, SchemaError
+from .errors import DomainError, EstimationError, PegRiskError, SchemaError
 
 FIGURE1_STUB = """\
 {
@@ -331,6 +331,8 @@ class _Stages:
             files = {Path(self.out) / name: contents[name] for name in names}
             tables = [(path, (path, content)) for path, content in files.items() if not isinstance(content, str)]
             Path(self.out).mkdir(parents=True, exist_ok=True)
+            if "run_manifest.txt" in names:  # until the new one is written last, no manifest claims a whole run
+                (Path(self.out) / "run_manifest.txt").unlink(missing_ok=True)
             self.written += [path for path, _ in tables]
             _each(_write_table, tables, sum(len(table) * len(table.HEADER) * 16 for _, (_, table) in tables))
             for path, content in files.items():
@@ -441,9 +443,9 @@ def cmd_fit(stages: _Stages) -> None:
     except EstimationError as exc:
         rolling_fit = f"rolling fit unavailable: {exc}"
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
-    if full_fit.is_stable:
+    try:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
-    else:
+    except DomainError:
         print("fit is not stable (rho outside (0, 1)); no half-life")
     print(rolling_fit)
 

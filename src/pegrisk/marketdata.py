@@ -223,20 +223,18 @@ def _read_blocks(stream: TextIO, width: int, t: int, *floats: int) -> list[np.nd
 
     The text is read a block at a time; ``_parse_day`` converts the dates,
     as in the row reader, and ``np.loadtxt`` the floats. None means the body
-    holds what only the row-by-row csv reader handles as it should: a quote,
-    a carriage return not ending a line, a row of another width (blank rows
-    included, which loadtxt would skip), a cell over the csv field limit, or
-    a cell either converter rejects, as loadtxt does ``1_000``, which float() reads.
+    holds what only the row-by-row csv reader handles as it should: a quote, a carriage
+    return not ending a line, an ASCII separator (FS, GS, RS or US), a row of another width
+    (blank rows included, which loadtxt would skip), a cell over the csv field limit, or a
+    cell either converter rejects, as loadtxt does ``1_000``, which float() reads.
     """
     days_read, values_read = [np.array([], dtype="datetime64[D]")], [np.empty((0, len(floats)))]
     while block := stream.read(BLOCK_CHARS):
         if not block.endswith("\n"):
             block += stream.readline()
         text = block.replace("\r\n", "\n").removesuffix("\n")
-        if '"' in text or "\r" in text:
+        if any(map(text.__contains__, '"\r\x1c\x1d\x1e\x1f')):  # loadtxt strips the separators, float() does not
             return None
-        if any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):  # loadtxt strips them, float() does not
-            text = text.translate(str.maketrans("\x1c\x1d\x1e\x1f", "\0\0\0\0"))  # NUL fails both
         lines = text.split("\n")
         if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
             return None

@@ -46,10 +46,6 @@ class Ar1Fit:
     stderr: float
     n: int
 
-    @property
-    def is_stable(self) -> bool:
-        return 0.0 < self.rho < 1.0
-
 
 @dataclass(frozen=True)
 class RollingAr1:

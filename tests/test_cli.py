@@ -3,6 +3,7 @@
 import codecs
 import csv
 import datetime
+import errno
 import hashlib
 import io
 import os
@@ -272,6 +273,27 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert err.startswith("error stage=write type=IsADirectoryError")
         assert [path.name for path in out.iterdir()] == ["table3.txt"]
+
+    def test_failed_rewrite_leaves_no_manifest(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main(_pipeline_args(fixture_dir, out)) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(_pipeline_args(fixture_dir, out)) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+        calls = []
+
+        def full_disk(table, stream):
+            calls.append(table)
+            if len(calls) == 2:  # prob.csv, after aligned.csv is rewritten
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_table_csv(table, stream)
+
+        monkeypatch.setattr(marketdata, "write_table_csv", full_disk)
+        capsys.readouterr()
+        assert main(_pipeline_args(fixture_dir, out)) == 1
+        assert capsys.readouterr().err.startswith("error stage=write type=OSError")
+        # the earlier run's other artifacts stay, but no manifest claims them a whole run
+        assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS[2:-1])
 
     # a trailing blank row sends the file to the row reader, which re-reads it from the start
     @pytest.mark.parametrize("tail", ["", "\n"], ids=["block", "row"])

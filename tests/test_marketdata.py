@@ -456,6 +456,15 @@ def test_cell_only_float_reads_takes_the_row_path():
     assert series.volume.tolist() == [float("1_000")]
 
 
+def test_ascii_separator_in_an_ignored_cell_takes_the_row_path():
+    rows = ["2020-01-01,1.0,1.1,0.9,1.0,1e6,{}", "2020-01-02,1.0,1.2,0.9,1.1,2e6,note"]
+    text = HEADER + ",extra\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(marketdata, "_read_body", wraps=marketdata._read_body) as read_body:
+        series = _series(text.format("\x1c"))
+    assert read_body.called
+    assert _bits(series.columns()) == _bits(_series(text.format("")).columns())
+
+
 @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f"])
 def test_cell_padded_with_an_ascii_separator_fails_as_float_does(pad):
     # str.isspace() holds for these, but float() does not strip them
@@ -505,8 +514,11 @@ def _reference_columns(text, schema, newline):
     return [np.array(days, dtype="datetime64[D]"), *(np.array(column, dtype=float) for column in values)]
 
 
-# one extra cell: anything but a separator, a quote or a line end
+# one extra cell: anything but a separator, a quote or a line end; a clean one holds no ASCII separator either
 extra_cell = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)), max_size=6)
+clean_extra_cell = st.text(
+    st.characters(blacklist_characters=',"\r\n\x1c\x1d\x1e\x1f', blacklist_categories=("Cs",)), max_size=6
+)
 
 # a float cell as float() reads it -> the same cell in another spelling float() reads the same
 FLOAT_SPELLINGS = {
@@ -521,7 +533,8 @@ def csv_layouts(draw, clean=False):
 
     ``clean`` leaves out what only the row reader takes: quoted cells,
     float cells spelled with ``_`` or Arabic-Indic digits, blank or
-    whitespace-only rows. Time-stamped dates stay: both readers take them.
+    whitespace-only rows, ASCII separators in extra cells. Time-stamped
+    dates stay: both readers take them.
     """
     rows = [row.split(",") for row in draw(bar_rows())]
     schema = {role: f"{role.upper()}_" for role in ROLES} if draw(st.booleans()) else {}
@@ -530,7 +543,7 @@ def csv_layouts(draw, clean=False):
     order = draw(st.permutations(range(len(names))))
     lines = [[names[k] for k in order]]
     for cells in rows:
-        cells = cells + [draw(extra_cell) for _ in range(n_extra)]
+        cells = cells + [draw(clean_extra_cell if clean else extra_cell) for _ in range(n_extra)]
         styles = ["plain", "padded", "stamped"] + ([] if clean else ["quoted", *FLOAT_SPELLINGS])
         style = draw(st.sampled_from(styles))
         if style == "stamped":

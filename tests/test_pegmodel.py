@@ -37,7 +37,6 @@ class TestFitAr1:
         assert fit.rho == pytest.approx(0.5, abs=1e-15)
         assert fit.stderr == pytest.approx(0.0, abs=1e-12)
         assert fit.n == 4
-        assert fit.is_stable
 
     @given(
         rho0=st.floats(min_value=0.05, max_value=0.95),

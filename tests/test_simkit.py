@@ -190,6 +190,12 @@ class TestPathBlocks:
             three.default_count,
         )
 
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(simkit.os, "sched_getaffinity", raising=False)  # as on platforms without CPU affinity
+        assert simkit._cpu_count() == simkit.os.cpu_count()
+        monkeypatch.setattr(simkit.os, "cpu_count", lambda: None)
+        assert simkit._cpu_count() == 1
+
     def test_first_block_does_not_depend_on_path_count(self, simulate_recorded):
         _, short, _ = simulate_recorded(SimConfig(n_paths=2 * PATH_BLOCK, **self.CONFIG))
         _, long, _ = simulate_recorded(SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG))
