@@ -1,10 +1,11 @@
 """Plain-text key=value configuration of the CLI.
 
-A file is UTF-8 text, with or without a byte-order mark. Blank lines and ``#`` comments are
-ignored; a value is what follows the first ``=``, with the white space around it stripped.
-Each key may appear once, and must be one the caller allows. The same format serves as run
-manifest: effective parameters as key=value entries, provenance as comment lines, so a
-manifest can be fed back as a config file.
+A file is UTF-8 text, with or without a byte-order mark. A line ends at a line feed, a carriage
+return or both, and at no other character. Blank lines and ``#`` comments are ignored; a value
+is what follows the first ``=``, with the white space around it stripped. Each key may appear
+once, and must be one the caller allows. The same format serves as run manifest: effective
+parameters as key=value entries, provenance as comment lines, so a manifest can be fed back as a
+config file.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ def load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # read_text turns \r\n and \r into \n; splitlines() would also end a line at \x0c, \x1c or \x85
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

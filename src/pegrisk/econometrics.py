@@ -229,44 +229,23 @@ def summary_table_csv(rows: Iterable[SummaryRow]) -> str:
     return _csv_text([header, *body])
 
 
-def _cell(value: float, stars: str) -> str:
-    return f"{value:.4f}{stars}"
-
-
 def format_regression_table(results: Mapping[str, RegressionResult]) -> str:
     """Render the regression columns side by side, stderrs in parentheses.
 
-    Regressors appear in panel order with the intercept last, then the
-    R-squared and observation-count rows.
+    Regressors appear in order of first appearance with the intercept last,
+    then the R-squared and observation-count rows. A regressor named twice
+    in one column shows its first coefficient.
     """
-    labels = list(results)
-    regressor_order: list[str] = []
-    for result in results.values():
-        for name in result.names:
-            if name != "intercept" and name not in regressor_order:
-                regressor_order.append(name)
-    regressor_order.append("intercept")
-
-    def column_cells(name: str) -> list[tuple[str, str]]:
-        cells = []
-        for label in labels:
-            result = results[label]
-            if name in result.names:
-                i = result.names.index(name)
-                cells.append(
-                    (_cell(result.coefficients[i], result.stars[i]), f"({result.hc0_stderr[i]:.4f})")
-                )
-            else:
-                cells.append(("", ""))
-        return cells
-
-    rows: list[tuple[str, ...]] = [("", *labels)]
-    for name in regressor_order:
-        cells = column_cells(name)
-        rows.append((name, *(c[0] for c in cells)))
-        rows.append(("", *(c[1] for c in cells)))
-    rows.append(("r_squared", *(f"{results[l].r_squared:.2f}" for l in labels)))
-    rows.append(("n_obs", *(f"{results[l].n}" for l in labels)))
+    cells: dict[tuple[str, str], tuple[str, str]] = {}
+    for label, result in results.items():
+        for name, coef, se, stars in zip(result.names, result.coefficients, result.hc0_stderr, result.stars):
+            cells.setdefault((label, name), (f"{coef:.4f}{stars}", f"({se:.4f})"))
+    rows: list[tuple[str, ...]] = [("", *results)]
+    for name in [*dict.fromkeys(name for _, name in cells if name != "intercept"), "intercept"]:
+        pairs = [cells.get((label, name), ("", "")) for label in results]
+        rows += [(name, *(coef for coef, _ in pairs)), ("", *(se for _, se in pairs))]
+    rows.append(("r_squared", *(f"{result.r_squared:.2f}" for result in results.values())))
+    rows.append(("n_obs", *(f"{result.n}" for result in results.values())))
     return _text_table(rows)
 
 

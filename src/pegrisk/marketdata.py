@@ -177,24 +177,24 @@ class BarSeries(Table):
 def _read_body(reader, convert) -> tuple[list[int], list[tuple], ValidationError | None]:
     """Convert each non-blank data row until one fails.
 
-    Returns the 1-based file line of every converted row, the converted
-    rows, and the error of the row that failed (None if all converted).
-    A row the csv reader cannot split, such as one with a cell over the
-    csv field limit, fails the same way.
+    Returns the 1-based file line every converted row starts on (a quoted
+    cell may span lines), the converted rows, and the error of the row that
+    failed (None if all converted). A row the csv reader cannot split, such
+    as one with a cell over the csv field limit, fails the same way.
     """
     lines, rows = [], []
-    lineno = 1
+    start = reader.line_num + 1
     try:
-        for lineno, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            try:
-                rows.append(convert(row))
-            except (ValueError, IndexError) as exc:
-                return lines, rows, ValidationError(f"line {lineno}: {exc}")
-            lines.append(lineno)
-    except csv.Error as exc:  # raised while reading the row after line ``lineno``
-        return lines, rows, ValidationError(f"line {lineno + 1}: {exc}")
+        for row in reader:
+            if any(map(str.strip, row)):
+                try:
+                    rows.append(convert(row))
+                except (ValueError, IndexError) as exc:
+                    return lines, rows, ValidationError(f"line {start}: {exc}")
+                lines.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:  # raised while reading the row that starts on line ``start``
+        return lines, rows, ValidationError(f"line {start}: {exc}")
     return lines, rows, None
 
 

@@ -451,8 +451,25 @@ class TestPipelineCommand:
             ("config = other.txt", "config line 4: no command reads the key 'config'"),
             ("annualization = weekly", "bad value for 'annualization': 'weekly' (expected one of linear, compounded)"),
             ("estimator = foo", "bad value for 'estimator': 'foo' (expected one of parkinson, range)"),
+            # only a line feed, a carriage return or both end a config line, not a form feed or a separator
+            ("window = 30\x0c\nbogus", "config line 5: expected key=value, got 'bogus'"),
+            (
+                "window = 30\x1chorizon = 30",
+                r"bad value for 'window': '30\x1chorizon = 30' "
+                r"(invalid literal for int() with base 10: '30\x1chorizon = 30')",
+            ),
         ],
-        ids=["no-equals", "empty-key", "repeated-key", "misspelt-key", "config-key", "annualization", "estimator"],
+        ids=[
+            "no-equals",
+            "empty-key",
+            "repeated-key",
+            "misspelt-key",
+            "config-key",
+            "annualization",
+            "estimator",
+            "form-feed",
+            "file-separator",
+        ],
     )
     def test_malformed_config_line(self, fixture_dir, tmp_path, capsys, line, message):
         cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", line)

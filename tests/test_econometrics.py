@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pegrisk.econometrics import (
+    RegressionResult,
     format_regression_table,
     format_summary_table,
     ols_hc0,
@@ -292,3 +293,73 @@ class TestPanelRegressions:
         table = format_summary_table(rows)
         assert "count" in table and table.startswith(" ")
         assert summary_table_csv(rows).splitlines()[0].startswith("name,count")
+
+
+# Table 4's text on hand-built columns, written out in full: regressors in the order they first appear, the
+# intercept last, a blank pair where a column lacks a regressor, and a repeated name's first coefficient
+TABLE4_TEXT = {
+    "disjoint": (
+        {
+            "A": RegressionResult(
+                ("intercept", "sigma_btc_bps"), (1.5, -0.25), (0.1, 0.05), (15.0, -5.0), ("***", "***"), 0.5, 100
+            ),
+            "B": RegressionResult(
+                ("intercept", "r_btc_bps"), (-2.0, 0.001), (1.0, 0.002), (-2.0, 0.5), ("**", ""), math.nan, 50
+            ),
+        },
+        "                        A          B\n"
+        "sigma_btc_bps  -0.2500***\n"
+        "                 (0.0500)\n"
+        "r_btc_bps                     0.0010\n"
+        "                            (0.0020)\n"
+        "intercept       1.5000***  -2.0000**\n"
+        "                 (0.1000)   (1.0000)\n"
+        "r_squared            0.50        nan\n"
+        "n_obs                 100         50\n",
+    ),
+    "no-intercept": (
+        {
+            "I": RegressionResult(("x", "y"), (0.12345, -3.0), (0.5, 1.0), (0.2469, -3.0), ("", "***"), 0.25, 10),
+            "II": RegressionResult(("intercept", "x"), (10.0, 1.75), (5.5, 1.0), (1.818, 1.75), ("*", "*"), 0.125, 11),
+        },
+        "                    I        II\n"
+        "x              0.1235   1.7500*\n"
+        "             (0.5000)  (1.0000)\n"
+        "y          -3.0000***\n"
+        "             (1.0000)\n"
+        "intercept              10.0000*\n"
+        "                       (5.5000)\n"
+        "r_squared        0.25      0.12\n"
+        "n_obs              10        11\n",
+    ),
+    "repeated-name": (
+        {
+            "R": RegressionResult(
+                ("intercept", "x", "x"), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3), (10.0,) * 3, ("***", "***", "*"), 0.9, 20
+            )
+        },
+        "                   R\n"
+        "x          2.0000***\n"
+        "            (0.2000)\n"
+        "intercept  1.0000***\n"
+        "            (0.1000)\n"
+        "r_squared       0.90\n"
+        "n_obs             20\n",
+    ),
+    "zero-stderr": (
+        {"Z": RegressionResult(("intercept", "x"), (1.0, 2.0), (0.5, 0.0), (2.0, math.inf), ("**", "***"), 1.0, 5)},
+        "                   Z\n"
+        "x          2.0000***\n"
+        "            (0.0000)\n"
+        "intercept   1.0000**\n"
+        "            (0.5000)\n"
+        "r_squared       1.00\n"
+        "n_obs              5\n",
+    ),
+    "empty": ({}, "\nintercept\n\nr_squared\nn_obs\n"),
+}
+
+
+@pytest.mark.parametrize("results, text", TABLE4_TEXT.values(), ids=TABLE4_TEXT)
+def test_regression_table_text(results, text):
+    assert format_regression_table(results) == text

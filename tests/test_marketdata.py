@@ -424,6 +424,12 @@ def test_every_invalid_row_named_by_file_line(bad):
         _series(_bars_csv(["2015-01-01,1.0,1.1,0.9,1.0,1e6", bad, "2015-01-02,1.0,1.1,0.9,1.0,1e6"]))
 
 
+def _note_csv(day="2020-01-02", high="1.1", volume="5"):
+    """Three bars whose first spans lines 2 and 3 in a quoted note; ``day`` is line 4's date, the rest line 5's."""
+    rows = ['2020-01-01,1,1.1,0.9,1,5,"a\nb"', f"{day},1,1.1,0.9,1,5,x", f"2020-01-03,1,{high},0.9,1,{volume},x"]
+    return "timestamp,open,high,low,close,volume,note\n" + "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -436,8 +442,21 @@ def test_every_invalid_row_named_by_file_line(bad):
         ('"timestamp",open,high,low,close,volume\n2020-01-01,1,1,1,1,1\n', 1),
         # a blank row, which loadtxt would skip, before a date that is not the first cell
         ("open,timestamp,high,low,close,volume\n\n1,2020-01-01,1,1,1,1\n", 1),
+        # after a quoted cell spans lines 2 and 3, an error names the line its row starts on
+        (_note_csv(high="0.8"), "line 5: high 0.8 below low 0.9"),
+        (_note_csv(volume="zz"), "line 5: could not convert string to float: 'zz'"),
+        (_note_csv(day="2020-01-01"), "line 4: duplicate date 2020-01-01, first on line 2"),
     ],
-    ids=["quoted-line-feed", "realigned-cells", "carriage-return", "quoted-header", "blank-row"],
+    ids=[
+        "quoted-line-feed",
+        "realigned-cells",
+        "carriage-return",
+        "quoted-header",
+        "blank-row",
+        "bad-bar-after-quoted-line-feed",
+        "bad-cell-after-quoted-line-feed",
+        "repeated-date-after-quoted-line-feed",
+    ],
 )
 def test_rows_only_the_row_reader_reads(text, expected):
     stream = io.StringIO(text, newline="")  # as the CLI opens files
