@@ -241,7 +241,7 @@ def format_regression_table(results: Mapping[str, RegressionResult]) -> str:
         for name, coef, se, stars in zip(result.names, result.coefficients, result.hc0_stderr, result.stars):
             cells.setdefault((label, name), (f"{coef:.4f}{stars}", f"({se:.4f})"))
     rows: list[tuple[str, ...]] = [("", *results)]
-    for name in [*dict.fromkeys(name for _, name in cells if name != "intercept"), "intercept"]:
+    for name in [*dict.fromkeys(regressor for _, regressor in cells if regressor != "intercept"), "intercept"]:
         pairs = [cells.get((label, name), ("", "")) for label in results]
         rows += [(name, *(coef for coef, _ in pairs)), ("", *(se for _, se in pairs))]
     rows.append(("r_squared", *(f"{result.r_squared:.2f}" for result in results.values())))
