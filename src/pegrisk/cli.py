@@ -13,7 +13,7 @@ innermost stage running, or the last that ran, and removes what was written,
 also on SIGTERM (exit 143) and SIGINT (130); a warning prints one ``warning
 stage=...`` line. Inputs are parsed first, in role order, and CSV tables
 written before text, the run manifest last. Both go through one rule
-(``_each``): on two or more CPUs, two or more files of ``PARALLEL_BYTES`` or
+(``_each``): on two or more CPUs, two or more files of ``_PARALLEL_BYTES`` or
 more in all are parsed, or written, by forked workers, one per file. So a
 long ``pipeline`` writes ``aligned.csv`` and ``prob.csv`` side by side, and a
 command that writes one table writes it in its own process. Bytes and errors
@@ -36,7 +36,7 @@ from . import config as cfgmod
 from . import econometrics, features, marketdata, pegmodel, simkit
 from .errors import DomainError, EstimationError, PegRiskError, SchemaError
 
-FIGURE1_STUB = """\
+_FIGURE1_STUB = """\
 {
   "$schema": "https://vega.github.io/schema/vega-lite/v5.json",
   "description": "Spot and futures closes (top) and futures-spot basis (bottom)",
@@ -63,7 +63,7 @@ FIGURE1_STUB = """\
 }
 """
 
-FIGURE2_STUB = """\
+_FIGURE2_STUB = """\
 {
   "$schema": "https://vega.github.io/schema/vega-lite/v5.json",
   "description": "Annualized implied default probability, basis points",
@@ -79,7 +79,7 @@ FIGURE2_STUB = """\
 _BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 # model setting -> its default, in the manifest's order; rho, horizon and recovery, for every command, are SimConfig's
-MODEL_DEFAULTS = {
+_MODEL_DEFAULTS = {
     "rho": str(simkit.SimConfig.rho),  # a number, or "estimate"
     "horizon": simkit.SimConfig.horizon_days,
     "recovery": simkit.SimConfig.recovery,
@@ -89,13 +89,12 @@ MODEL_DEFAULTS = {
     "trim": True,
 }
 
-PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are handled by forked workers
-DEFAULT_OUT = "out"
+_PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are handled by forked workers
 
 
 def _cast(key: str, raw: str | bool, source: str):
-    """A setting's value from the flag or config file ``source``, cast and checked by its ``FLAGS`` entry."""
-    spec = FLAGS.get(key.replace("_", "-"), {})
+    """A setting's value from the flag or config file ``source``, cast and checked by its ``_FLAGS`` entry."""
+    spec = _FLAGS.get(key.replace("_", "-"), {})
     raw = raw.strip() if isinstance(raw, str) else raw  # a flag's value is stripped, as a config line's is
     if raw == "" and key != "usdt_alt":  # an empty usdt_alt names no input
         raise SchemaError(f"empty value for {key!r} (from {source})")
@@ -140,11 +139,11 @@ def _write_table(path: Path, table: marketdata.Table) -> None:
 def _each(func: Callable, jobs: list[tuple], size: int) -> list:
     """``func(*args)`` of each ``(name, args)`` job, in job order; the jobs' files come to ``size`` bytes.
 
-    Two or more jobs of ``PARALLEL_BYTES`` or more, on two or more CPUs, run side by side in forked workers, one
+    Two or more jobs of ``_PARALLEL_BYTES`` or more, on two or more CPUs, run side by side in forked workers, one
     per job; others in this process. Either way the first failed job, in job order, raises its own error, or a
     ``ChildProcessError`` naming it if its worker died.
     """
-    if size < PARALLEL_BYTES or len(jobs) < 2 or simkit._cpu_count() < 2:
+    if size < _PARALLEL_BYTES or len(jobs) < 2 or simkit._cpu_count() < 2:
         return [func(*args) for _, args in jobs]
     return _in_workers(func, jobs)
 
@@ -206,7 +205,7 @@ class _Stages:
 
     @_stage("config")
     def settings(self) -> dict:
-        """Each setting the command reads: the flag given, else the config value, else its ``MODEL_DEFAULTS`` entry.
+        """Each setting the command reads: the flag given, else the config value, else its ``_MODEL_DEFAULTS`` entry.
 
         It reads its flags but --config, with "_" for "-", and the column names, each value given through ``_cast``
         in that order; no flag has a default, so ``vars(args)`` holds the flags given. Each input it reads but
@@ -215,13 +214,13 @@ class _Stages:
         """
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
-        allowed = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(columns)
+        allowed = {flag.replace("-", "_") for flag in _FLAGS if flag != "config"} | set(columns)
         raw = cfgmod.load_config(_cast("config", given["config"], "--config"), allowed) if "config" in given else {}
-        reads = [flag.replace("-", "_") for flag in COMMANDS[given["command"]][1].split() if flag != "config"] + columns
-        settings = {key: value for key, value in MODEL_DEFAULTS.items() if key in reads}
+        reads = [flag.replace("-", "_") for flag in _COMMANDS[given["command"]][1].split() if flag != "config"]
+        settings = {key: value for key, value in _MODEL_DEFAULTS.items() if key in reads}
         values = raw | given  # a flag wins over its config line
         sources = {key: given["config"] for key in raw} | {key: f"--{key.replace('_', '-')}" for key in given}
-        settings |= {key: _cast(key, values[key], sources[key]) for key in reads if key in values}
+        settings |= {key: _cast(key, values[key], sources[key]) for key in reads + columns if key in values}
         for role in ("spot", "futures", "btc"):
             if role in reads and role not in settings:
                 raise SchemaError(f"missing required input {role!r} (flag --{role} or config)")
@@ -318,13 +317,13 @@ class _Stages:
     def fixture(self) -> simkit.FixtureSet:
         return simkit.generate_fixture(self.sim)
 
-    def write(self, names: tuple[str, ...], default_out: str | None = DEFAULT_OUT) -> dict:
-        """Build the named artifacts in ``ARTIFACTS`` order, then write them, if an output directory is set, as named.
+    def write(self, names: tuple[str, ...], default_out: str | None = "out") -> dict:
+        """Build the named artifacts in ``_ARTIFACTS`` order, then write them, if an output directory is set, as named.
 
         The tables go first, as CSV through ``_each``, sized at about 16 bytes a cell, then each text file in order.
         Returns each artifact's content: its text, or for a CSV its table. ``self.out`` is the directory, or None.
         """
-        contents = {name: build(self) for name, build in ARTIFACTS.items() if name in names}
+        contents = {name: build(self) for name, build in _ARTIFACTS.items() if name in names}
         self.out = self.settings.get("out", default_out)
         if self.out is not None:
             self.stage = "write"
@@ -354,7 +353,7 @@ class _Stages:
                 pass
 
 
-PIPELINE_ARTIFACTS = (
+_PIPELINE_ARTIFACTS = (
     "aligned.csv",
     "prob.csv",
     "table3.txt",
@@ -382,8 +381,8 @@ def _manifest(stages: _Stages) -> str:
     except EstimationError as exc:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it
         full_fit = f"full-sample fit unavailable: {exc}"
     entries, settings = {role: stages.settings[role] for role in stages.bars}, stages.settings
-    venues = [flag.replace("-", "_") for flag in FLAGS if flag.endswith("-venue")]
-    for key in [f"col_{role}" for role in marketdata.ROLES] + venues + list(MODEL_DEFAULTS):
+    venues = [flag.replace("-", "_") for flag in _FLAGS if flag.endswith("-venue")]
+    for key in [f"col_{role}" for role in marketdata.ROLES] + venues + list(_MODEL_DEFAULTS):
         value = settings.get(key)
         if isinstance(value, bool):
             value = "true" if value else "false"
@@ -397,14 +396,14 @@ def _manifest(stages: _Stages) -> str:
         rolling_fit,
         f"join: matched {report.matched}, "
         f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
-        "artifacts: " + " ".join(PIPELINE_ARTIFACTS),
+        "artifacts: " + " ".join(_PIPELINE_ARTIFACTS),
     ]
     return cfgmod.format_kv(entries, comments)
 
 
 # artifact name -> its text, or for a CSV its table, built from the stages it needs, in this order:
 # the manifest first, so that a fit that fails under 'estimate' fails before prob runs
-ARTIFACTS = {
+_ARTIFACTS = {
     "run_manifest.txt": _manifest,
     "aligned.csv": lambda st: st.aligned,
     "prob.csv": lambda st: st.published,
@@ -413,16 +412,16 @@ ARTIFACTS = {
     "table3.csv": lambda st: econometrics.summary_table_csv(st.table3),
     "table4.txt": lambda st: econometrics.format_regression_table(st.regressions),
     "table4.csv": lambda st: econometrics.regression_table_csv(st.regressions),
-    "figure1.vl.json": lambda st: FIGURE1_STUB,
-    "figure2.vl.json": lambda st: FIGURE2_STUB,
+    "figure1.vl.json": lambda st: _FIGURE1_STUB,
+    "figure2.vl.json": lambda st: _FIGURE2_STUB,
     "spot.csv": lambda st: st.fixture.spot,
     "futures.csv": lambda st: st.fixture.futures,
     "btc.csv": lambda st: st.fixture.btc,
 }
 
 
-def cmd_pipeline(stages: _Stages) -> None:
-    written = stages.write((*PIPELINE_ARTIFACTS, "run_manifest.txt"))  # the manifest, written last, marks a whole run
+def _cmd_pipeline(stages: _Stages) -> None:
+    written = stages.write((*_PIPELINE_ARTIFACTS, "run_manifest.txt"))  # the manifest, written last, marks a whole run
     print(f"wrote {len(written)} artifacts to {Path(stages.out)}")
     print(f"{_join_summary(stages.aligned)}; rho = {stages.rho:.4f}")
     untrimmed = stages.untrimmed
@@ -430,12 +429,12 @@ def cmd_pipeline(stages: _Stages) -> None:
     print(f"mean annualized default probability (untrimmed): {mean_p:.2f} bps over {len(untrimmed)} dates")
 
 
-def cmd_align(stages: _Stages) -> None:
+def _cmd_align(stages: _Stages) -> None:
     stages.write(("aligned.csv",))
     print(_join_summary(stages.aligned))
 
 
-def cmd_fit(stages: _Stages) -> None:
+def _cmd_fit(stages: _Stages) -> None:
     full_fit, window = stages.fit, stages.settings["window"]
     try:
         rolling = stages.rolling
@@ -450,7 +449,7 @@ def cmd_fit(stages: _Stages) -> None:
     print(rolling_fit)
 
 
-def cmd_prob(stages: _Stages) -> None:
+def _cmd_prob(stages: _Stages) -> None:
     stages.write(("prob.csv",))
     published = stages.published
     mean_p = sum(published.p_annualized_bps.tolist()) / len(published)
@@ -458,20 +457,20 @@ def cmd_prob(stages: _Stages) -> None:
     print(f"wrote {len(published)} points (rho {stages.rho:.4f}); mean {mean_p:.2f} bps annualized ({series})")
 
 
-def cmd_features(stages: _Stages) -> None:
+def _cmd_features(stages: _Stages) -> None:
     stages.write(("features.csv",))
     print(f"wrote {len(stages.panel)} panel rows")
 
 
-def cmd_regress(stages: _Stages) -> None:
+def _cmd_regress(stages: _Stages) -> None:
     print(stages.write(("table4.txt", "table4.csv"), default_out=None)["table4.txt"], end="")
 
 
-def cmd_stats(stages: _Stages) -> None:
+def _cmd_stats(stages: _Stages) -> None:
     print(stages.write(("table3.txt", "table3.csv"), default_out=None)["table3.txt"], end="")
 
 
-def cmd_simulate(stages: _Stages) -> None:
+def _cmd_simulate(stages: _Stages) -> None:
     config, recovered = stages.sim, stages.recovered
     sim = recovered.sim
     rate = sim.default_count / config.n_paths
@@ -486,7 +485,7 @@ def cmd_simulate(stages: _Stages) -> None:
     print(f"95% CI     = [{recovered.p - 1.96 * recovered.stderr:.8f}, {recovered.p + 1.96 * recovered.stderr:.8f}]")
 
 
-def cmd_fixture(stages: _Stages) -> None:
+def _cmd_fixture(stages: _Stages) -> None:
     stages.write(("spot.csv", "futures.csv", "btc.csv"))
     config = stages.sim
     annualized = pegmodel.annualize(config.p_default, config.horizon_days)
@@ -497,7 +496,7 @@ def cmd_fixture(stages: _Stages) -> None:
 
 
 # add_argument keywords of every flag, whose dest is its name with "_" for "-"; its type and choices are _cast's alone
-FLAGS: dict[str, dict] = {
+_FLAGS: dict[str, dict] = {
     "config": {"help": "key=value config file; flags override it"},
     "spot": {"help": "spot OHLCV CSV"},
     "spot-venue": {},
@@ -508,9 +507,9 @@ FLAGS: dict[str, dict] = {
     "usdt-alt": {"help": "alternative USDT series for its volatility"},
     "usdt-alt-venue": {},
     "rho": {"type": _rho, "help": "mean-reversion coefficient, or 'estimate'"},
-    "horizon": {"type": int, "help": f"futures horizon in days (default {MODEL_DEFAULTS['horizon']})"},
-    "recovery": {"type": float, "help": f"recovery rate in [0, 1) (default {MODEL_DEFAULTS['recovery']:g})"},
-    "window": {"type": int, "help": f"rolling estimation window (default {MODEL_DEFAULTS['window']})"},
+    "horizon": {"type": int, "help": f"futures horizon in days (default {_MODEL_DEFAULTS['horizon']})"},
+    "recovery": {"type": float, "help": f"recovery rate in [0, 1) (default {_MODEL_DEFAULTS['recovery']:g})"},
+    "window": {"type": int, "help": f"rolling estimation window (default {_MODEL_DEFAULTS['window']})"},
     "annualization": {"choices": pegmodel.ANNUALIZATIONS},
     "estimator": {"choices": features.ESTIMATORS, "help": "intraday volatility estimator"},
     "trim": {"action": argparse.BooleanOptionalAction, "help": "clamp negative probabilities to 0 (default on)"},
@@ -533,39 +532,39 @@ _MODEL = "rho horizon recovery annualization"
 _SIM = "config rho innovation-sd delta0 horizon p-default recovery seed"
 
 # subcommand -> (handler, the flags it reads, help)
-COMMANDS = {
+_COMMANDS = {
     "pipeline": (
-        cmd_pipeline,
+        _cmd_pipeline,
         f"{_PANEL} {_MODEL} window estimator trim out",
         "run everything and write all artifacts",
     ),
-    "align": (cmd_align, f"{_MARKET} out", "align spot and futures into a daily panel"),
-    "fit": (cmd_fit, "config spot spot-venue window", "estimate the mean-reversion coefficient"),
-    "prob": (cmd_prob, f"{_MARKET} {_MODEL} trim out", "write the default-probability series"),
-    "features": (cmd_features, f"{_PANEL} {_MODEL} estimator out", "write the regression panel"),
-    "regress": (cmd_regress, f"{_PANEL} {_MODEL} estimator out", "run the panel regressions"),
-    "stats": (cmd_stats, f"{_MARKET} {_MODEL} out", "summary statistics of the panel"),
-    "simulate": (cmd_simulate, f"{_SIM} n-paths", "Monte Carlo check of the pricing identity"),
+    "align": (_cmd_align, f"{_MARKET} out", "align spot and futures into a daily panel"),
+    "fit": (_cmd_fit, "config spot spot-venue window", "estimate the mean-reversion coefficient"),
+    "prob": (_cmd_prob, f"{_MARKET} {_MODEL} trim out", "write the default-probability series"),
+    "features": (_cmd_features, f"{_PANEL} {_MODEL} estimator out", "write the regression panel"),
+    "regress": (_cmd_regress, f"{_PANEL} {_MODEL} estimator out", "run the panel regressions"),
+    "stats": (_cmd_stats, f"{_MARKET} {_MODEL} out", "summary statistics of the panel"),
+    "simulate": (_cmd_simulate, f"{_SIM} n-paths", "Monte Carlo check of the pricing identity"),
     "fixture": (
-        cmd_fixture,
+        _cmd_fixture,
         f"{_SIM} out n-days p-amplitude p-period-days futures-noise-sd intraday-range-sd",
         "generate a synthetic dataset",
     ),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pegrisk",
         description="Market-implied peg-break probabilities from stablecoin spot and futures prices",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, (func, flags, help_text) in COMMANDS.items():
+    for name, (func, flags, help_text) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         command.set_defaults(func=func)
         for flag in flags.split():
-            spec = {key: value for key, value in FLAGS[flag].items() if key not in ("type", "choices")}
-            choices = FLAGS[flag].get("choices")
+            spec = {key: value for key, value in _FLAGS[flag].items() if key not in ("type", "choices")}
+            choices = _FLAGS[flag].get("choices")
             command.add_argument(f"--{flag}", **spec, metavar="{%s}" % ",".join(choices) if choices else None)
     return parser
 
@@ -579,7 +578,7 @@ def _terminate(signum, frame) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()

@@ -22,10 +22,10 @@ import numpy as np
 from .errors import EstimationError
 from .features import Panel
 
-STAR_THRESHOLDS = ((2.576, "***"), (1.960, "**"), (1.645, "*"))
+_STAR_THRESHOLDS = ((2.576, "***"), (1.960, "**"), (1.645, "*"))
 
 # Regressor sets for the four panel regressions, keyed by column label.
-REGRESSOR_SETS: dict[str, tuple[str, ...]] = {
+_REGRESSOR_SETS: dict[str, tuple[str, ...]] = {
     "I": ("sigma_btc_bps",),
     "II": ("sigma_usdt_bps",),
     "III": ("r_btc_bps",),
@@ -93,7 +93,7 @@ def summary_stats(name: str, values: Sequence[float] | np.ndarray) -> SummaryRow
 
 def _stars(t: float) -> str:
     magnitude = abs(t)
-    for threshold, mark in STAR_THRESHOLDS:
+    for threshold, mark in _STAR_THRESHOLDS:
         if magnitude >= threshold:
             return mark
     return ""
@@ -188,7 +188,7 @@ def run_panel_regressions(panel: Panel) -> dict[str, RegressionResult]:
     """
     has_return = ~np.isnan(panel.r_btc_bps)
     results = {}
-    for label, regressors in REGRESSOR_SETS.items():
+    for label, regressors in _REGRESSOR_SETS.items():
         rows = has_return if "r_btc_bps" in regressors else np.ones(len(panel), dtype=bool)
         if not rows.any():
             raise EstimationError(f"no usable rows for regression {label}")

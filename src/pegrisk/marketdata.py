@@ -268,8 +268,8 @@ def parse_bars(
     checked, so physical row order in the file does not matter. The first
     bad row in file order raises :class:`ValidationError` naming its 1-based
     line number, and after the rows are checked, so does the first row that
-    repeats an earlier row's date; a header missing a mapped column raises
-    :class:`SchemaError`.
+    repeats an earlier row's date; a header missing or repeating a mapped
+    column raises :class:`SchemaError`.
     """
     mapping = dict(DEFAULT_SCHEMA)
     if schema:
@@ -282,6 +282,9 @@ def parse_bars(
         missing = [mapping[role] for role in ROLES if mapping[role] not in header]
         if missing:
             raise SchemaError(f"missing columns {missing} in header {header}")
+        for name in mapping.values():  # a repeated column would be read from its first occurrence alone
+            if header.count(name) > 1:
+                raise SchemaError(f"column {name!r} appears {header.count(name)} times in header {header}")
         return [header.index(mapping[role]) for role in ROLES]
 
     # a seekable stream is read in blocks; where that reader declines, and for

@@ -20,7 +20,7 @@ import pytest
 import pegrisk
 from pegrisk import config as cfgmod
 from pegrisk import econometrics, features, marketdata, pegmodel, simkit
-from pegrisk.cli import FLAGS, MODEL_DEFAULTS, main
+from pegrisk.cli import _FLAGS, _MODEL_DEFAULTS, main
 from pegrisk.errors import EstimationError, ValidationError
 from pegrisk.marketdata import write_table_csv
 from pegrisk.simkit import FixtureConfig, generate_fixture
@@ -1006,7 +1006,7 @@ def test_window_is_a_flag_of_pipeline_and_fit_only(command, capsys):
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = next(text for text in readme.split("\n\n") if text.startswith("Every flag can instead be given"))
-    keys = {flag.replace("-", "_") for flag in FLAGS if flag != "config"} | set(MODEL_DEFAULTS)
+    keys = {flag.replace("-", "_") for flag in _FLAGS if flag != "config"} | set(_MODEL_DEFAULTS)
     assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []
 
 
@@ -1028,7 +1028,7 @@ HELP_SHA256 = {
 
 @pytest.mark.parametrize("command", HELP_SHA256, ids=lambda command: command or "pegrisk")
 def test_help_text_is_pinned(command, monkeypatch, capsys):
-    # the help of --horizon, --recovery and --window shows its default from MODEL_DEFAULTS
+    # the help of --horizon, --recovery and --window shows its default from _MODEL_DEFAULTS
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"] if command else ["--help"])
@@ -1159,7 +1159,7 @@ from pegrisk import cli, simkit
 
 signal.signal(signal.SIGINT, signal.default_int_handler)  # as in a process started from a terminal
 pids, name, quick = sys.argv[1:4]
-cli.PARALLEL_BYTES, simkit._cpu_count, job = 0, lambda: 2, getattr(cli, name)
+cli._PARALLEL_BYTES, simkit._cpu_count, job = 0, lambda: 2, getattr(cli, name)
 
 
 def slow_job(path, *args):

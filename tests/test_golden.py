@@ -9,14 +9,21 @@ stdout of one ``simulate`` run pins the Monte Carlo draw stream. Inputs
 are passed as paths relative to the dataset directory, which keeps the
 paths recorded in the run manifest the same on every run. A deliberate
 change to any of these bytes updates ``GOLDEN`` or ``SIMULATE_STDOUT``
-and says why in CHANGES.md.
+and says why in CHANGES.md. Apart from the bytes, ``table4.csv`` is checked
+against exact OLS and HC0 arithmetic on ``features.csv``, within stated
+bounds, so a hash that fails on another machine can be told from a wrong
+number.
 """
 
+import csv
 import hashlib
 import multiprocessing
 import os
 import re
 import shutil
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -379,7 +386,7 @@ def at_once(monkeypatch):
 
     Yields a spy on the forked half of ``cli._each``; ``_forked(spy)`` lists the function each call ran.
     """
-    monkeypatch.setattr(cli, "PARALLEL_BYTES", 0)
+    monkeypatch.setattr(cli, "_PARALLEL_BYTES", 0)
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
     spy = mock.Mock(wraps=cli._in_workers)
     monkeypatch.setattr(cli, "_in_workers", spy)
@@ -437,7 +444,7 @@ def test_parallel_parse_fails_as_the_serial_parse(datasets, bad, tmp_path, monke
     for role, index in bad.items():
         _with_bad_row(data / f"{role}.csv", index)
     serial = _run(_command_args("pipeline", data, tmp_path / "serial"), capsys)
-    monkeypatch.setattr(cli, "PARALLEL_BYTES", 0)
+    monkeypatch.setattr(cli, "_PARALLEL_BYTES", 0)
     monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
     parallel = _run(_command_args("pipeline", data, tmp_path / "parallel"), capsys)
     first = min(bad, key=("spot", "btc").index)  # the spot file is parsed first
@@ -546,7 +553,7 @@ def test_tables_come_first_and_the_manifest_last(datasets, where, request, tmp_p
     assert code == 0, err
     order = created.read_text(encoding="utf-8").split()
     assert sorted(order[:2]) == ["aligned.csv", "prob.csv"]  # side by side when forked
-    assert order[2:] == [*cli.PIPELINE_ARTIFACTS[2:], "run_manifest.txt"]
+    assert order[2:] == [*cli._PIPELINE_ARTIFACTS[2:], "run_manifest.txt"]
     assert spy is None or _forked(spy) == [cli._parse_file, cli._write_table]
 
 
@@ -563,7 +570,7 @@ def test_write_workers_see_only_artifacts(datasets, at_once, tmp_path, monkeypat
     code, _, err = _run(_command_args("pipeline", datasets["full"] / "data", out), capsys)
     assert code == 0, err
     listed = {name for line in seen.read_text(encoding="utf-8").splitlines() for name in line.split()}
-    assert {"aligned.csv", "prob.csv"} <= listed <= {"run_manifest.txt", *cli.PIPELINE_ARTIFACTS}
+    assert {"aligned.csv", "prob.csv"} <= listed <= {"run_manifest.txt", *cli._PIPELINE_ARTIFACTS}
     assert multiprocessing.active_children() == []
 
 
@@ -605,3 +612,87 @@ def test_input_that_is_not_utf8_fails_at_parse(datasets, either_parse, tmp_path,
     code, _, err = _run(_command_args("pipeline", data, out), capsys)
     _assert_failed(code, err, "parse", "ValidationError", out)
     assert err.endswith(f'msg="{spot}: not UTF-8 text (invalid start byte, byte 0xff)"\n')
+
+
+# Table 4's designs, each regressed with an intercept, which comes first
+TABLE4_DESIGNS = {
+    "I": ("sigma_btc_bps",),
+    "II": ("sigma_usdt_bps",),
+    "III": ("r_btc_bps",),
+    "IV": ("sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps"),
+}
+
+
+def _solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The x of a x = b, for a square a, by Gauss-Jordan elimination in exact arithmetic."""
+    k, rows = len(a), [[*row_a, *row_b] for row_a, row_b in zip(a, b)]
+    for i in range(k):
+        pivot = next(r for r in range(i, k) if rows[r][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [value / rows[i][i] for value in rows[i]]
+        for r in range(k):
+            factor = rows[r][i]
+            if r != i and factor != 0:
+                rows[r] = [value - factor * lead for value, lead in zip(rows[r], rows[i])]
+    return [row[k:] for row in rows]
+
+
+def _exact_ols_hc0(y: list[float], regressors: list[list[float]]) -> tuple[list, list, Fraction]:
+    """Coefficients and R-squared in exact arithmetic, and HC0 standard errors as 50-digit Decimals.
+
+    The normal equations are solved exactly, and R-squared is 1 - SSR / SST with SSR = y'y - b'X'y, also exact.
+    The sandwich (X'X)^-1 X' diag(e^2) X (X'X)^-1 is summed at 50 digits from the residuals of the exact b.
+    """
+    columns = [[1.0] * len(y), *regressors]
+    exact = [[Fraction(value) for value in column] for column in columns]
+    y_exact = [Fraction(value) for value in y]
+    k, xty = len(columns), [sum(map(mul, a, y_exact)) for a in exact]
+    xtx = [[sum(map(mul, a, b)) for b in exact] for a in exact]
+    solved = _solve(xtx, [[xty[i], *(Fraction(i == j) for j in range(k))] for i in range(k)])  # b, then (X'X)^-1
+    beta, inverse = [row[0] for row in solved], [row[1:] for row in solved]
+    yty, total = sum(map(mul, y_exact, y_exact)), sum(y_exact)
+    ssr = yty - sum(map(mul, beta, xty))
+    r_squared = 1 - ssr / (yty - total * total / len(y))
+    with localcontext(prec=50):
+        beta_d = [Decimal(b.numerator) / b.denominator for b in beta]
+        inverse_d = [[Decimal(v.numerator) / v.denominator for v in row] for row in inverse]
+        rows = [[Decimal(value) for value in row] for row in zip(*columns)]
+        residuals = [Decimal(value) - sum(map(mul, row, beta_d)) for value, row in zip(y, rows)]
+        meat = [[sum(e * e * row[i] * row[j] for e, row in zip(residuals, rows)) for j in range(k)] for i in range(k)]
+        left = [[sum(inverse_d[i][m] * meat[m][j] for m in range(k)) for j in range(k)] for i in range(k)]
+        stderr = [sum(left[i][m] * inverse_d[m][i] for m in range(k)).sqrt() for i in range(k)]
+    return beta, stderr, r_squared
+
+
+def _relative_gap(value: str, exact) -> Fraction:
+    exact = Fraction(exact)
+    return abs(Fraction(float(value)) - exact) / abs(exact)
+
+
+@pytest.mark.parametrize("dataset", ("full", "gaps"))
+def test_table4_is_within_bounds_of_exact_ols(datasets, dataset, tmp_path, capsys):
+    """Each number of table4.csv against OLS and HC0 of features.csv, in exact or 50-digit arithmetic.
+
+    Coefficients, standard errors and t statistics must be within 1e-13 relative; R-squared, near zero for
+    regression III, within 1e-12 absolute.
+    """
+    data = datasets[dataset] / "data"
+    for command in ("features", "regress"):
+        assert _run(_command_args(command, data, tmp_path), capsys)[0] == 0
+    with (tmp_path / "features.csv").open(newline="", encoding="utf-8") as stream:
+        panel = list(csv.DictReader(stream))
+    with (tmp_path / "table4.csv").open(newline="", encoding="utf-8") as stream:
+        table = list(csv.DictReader(stream))
+    designs = [(label, name) for label, names in TABLE4_DESIGNS.items() for name in ("intercept", *names)]
+    assert [(row["column"], row["regressor"]) for row in table] == designs
+    for label, names in TABLE4_DESIGNS.items():
+        rows = [row for row in panel if all(row[name] for name in names)]  # an empty cell is an undefined return
+        y = [float(row["p_annualized_bps"]) for row in rows]
+        beta, stderr, r_squared = _exact_ols_hc0(y, [[float(row[name]) for row in rows] for name in names])
+        published = [row for row in table if row["column"] == label]
+        for row, b, se in zip(published, beta, stderr):
+            assert row["n_obs"] == str(len(rows))
+            assert _relative_gap(row["coefficient"], b) <= Fraction(1, 10**13), (label, row["regressor"])
+            assert _relative_gap(row["hc0_stderr"], se) <= Fraction(1, 10**13), (label, row["regressor"])
+            assert _relative_gap(row["t_stat"], b / Fraction(se)) <= Fraction(1, 10**13), (label, row["regressor"])
+            assert abs(Fraction(float(row["r_squared"])) - r_squared) <= Fraction(1, 10**12), label

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pegrisk import marketdata
+from pegrisk.cli import main
 from pegrisk.errors import AlignmentError, SchemaError, ValidationError
 from pegrisk.features import Panel
 from pegrisk.marketdata import (
@@ -64,6 +65,29 @@ class TestParseBars:
         text = "timestamp,open,high,low,volume\n2020-03-12,1,1,1,1\n"
         with pytest.raises(SchemaError, match="close"):
             _series(text)
+
+    def test_repeated_mapped_column_is_schema_error(self):
+        text = HEADER + ",close\n2020-03-12,1.0,1.1,0.9,1.0,1e6,70\n"
+        message = f"column 'close' appears 2 times in header {[*ROLES, 'close']}"
+        for source in (io.StringIO(text), text.splitlines(keepends=True)):  # the block reader, then the row reader
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                parse_bars(source)
+
+    def test_repeated_unmapped_column_and_one_column_for_two_roles_read(self):
+        series = _series(HEADER + ",note,note\n2020-03-12,1.0,1.1,0.9,1.0,1e6,a,b\n")
+        assert series.close.tolist() == [1.0]
+        schema = {"timestamp": "t", "open": "p", "high": "p", "low": "p", "close": "p", "volume": "v"}
+        series = parse_bars(io.StringIO("t,p,v\n2020-03-12,1.0,1e6\n"), schema=schema)
+        assert series.open.tolist() == series.close.tolist() == [1.0]
+
+    def test_repeated_mapped_column_fails_the_command_at_parse(self, tmp_path, capsys):
+        spot, futures, out = tmp_path / "spot.csv", tmp_path / "futures.csv", tmp_path / "out"
+        spot.write_text(HEADER + ",close\n2020-03-12,1.0,1.1,0.9,1.0,1e6,70\n")
+        futures.write_text(_bars_csv(["2020-03-12,1.0,1.1,0.9,1.0,1e6"]))
+        assert main(["align", "--spot", str(spot), "--futures", str(futures), "--out", str(out)]) == 1
+        message = f"{spot}: column 'close' appears 2 times in header {[*ROLES, 'close']}"
+        assert capsys.readouterr().err == f'error stage=parse type=SchemaError msg="{message}"\n'
+        assert not out.exists()
 
     def test_malformed_float_names_line(self):
         text = _bars_csv(["2020-03-12,1.0,1.1,0.9,oops,1e6"])
