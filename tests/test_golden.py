@@ -7,9 +7,12 @@ whose futures file lacks every 37th row, so the join drops dates. A
 estimate`` on inputs larger than one block of the CSV reader, and the
 stdout of one ``simulate`` run pins the Monte Carlo draw stream. Inputs
 are passed as paths relative to the dataset directory, which keeps the
-paths recorded in the run manifest the same on every run. A deliberate
-change to any of these bytes updates ``GOLDEN`` or ``SIMULATE_STDOUT``
-and says why in CHANGES.md. Apart from the bytes, ``table4.csv`` is checked
+paths recorded in the run manifest the same on every run. The three files
+of one ``fixture`` run with every setting away from its default pin the
+planted sine and the start of the AR(1) path, which the datasets above
+leave at zero. A deliberate change to any of these bytes updates
+``GOLDEN``, ``SIMULATE_STDOUT`` or ``FIXTURE_FILES`` and says why in
+CHANGES.md. Apart from the bytes, ``table4.csv`` is checked
 against exact OLS and HC0 arithmetic on ``features.csv``, within stated
 bounds, so a hash that fails on another machine can be told from a wrong
 number.
@@ -186,6 +189,19 @@ GOLDEN = {
 SIMULATE = ["simulate", "--n-paths", "200000", "--seed", "5"]
 SIMULATE_STDOUT = "f6c5eaf9d144f986d98b94f1a9c44be57165451d904d946bed8d079710f6ce57"
 
+# every fixture setting away from its default: the golden datasets plant p_amplitude = 0 and
+# delta0 = 0, so only this pin covers the planted sine and the start of the AR(1) recursion
+FIXTURE_SETTINGS = [
+    "--n-days", "60", "--rho", "0.8", "--innovation-sd", "4e-4", "--delta0", "0.001", "--horizon", "30",
+    "--p-default", "0.002", "--p-amplitude", "0.5", "--p-period-days", "20", "--recovery", "0.25",
+    "--futures-noise-sd", "3e-4", "--intraday-range-sd", "6e-4", "--seed", "4",
+]
+FIXTURE_FILES = {
+    "spot.csv": "82d2d2058280f505a421bfbdb7dcd706af116c6d8d9ca868df9d655cfbf7e624",
+    "futures.csv": "6f281f18de1e94a2e8e8933a7da08d0f6af3a38f9ff74fceb199297d586c7bc5",
+    "btc.csv": "10df1f039c07359b22582a3d4eab475ce1bbe65da309ef83a6ec028dfde42d2d",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -235,6 +251,12 @@ def test_simulate_stdout_matches_pinned_hash(capsys):
     code, out, err = _run(SIMULATE, capsys)
     assert code == 0, err
     assert _sha(out.encode()) == SIMULATE_STDOUT
+
+
+def test_fixture_with_every_setting_changed_matches_pinned_hashes(tmp_path, capsys):
+    code, _, err = _run(["fixture", *FIXTURE_SETTINGS, "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert {path.name: _sha(path.read_bytes()) for path in tmp_path.iterdir()} == FIXTURE_FILES
 
 
 @pytest.mark.parametrize("model", ([], ESTIMATE, SHORT), ids=("fixed", "estimate", "trimmed"))
