@@ -39,13 +39,6 @@ from .marketdata import BarSeries
 from .pegmodel import check_inversion_domain, implied_default_prob, theoretical_futures
 
 
-def _require_finite(**values) -> None:
-    """Reject a float that is NaN or infinite, naming it."""
-    for name, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True, kw_only=True)
 class _ModelConfig:
     """The peg model's parameters, their defaults and their rules, shared by ``SimConfig`` and ``FixtureConfig``."""
@@ -68,7 +61,9 @@ class _ModelConfig:
         for name, least in self._AT_LEAST.items():
             if (value := getattr(self, name)) < least:
                 raise DomainError(f"{name} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
-        _require_finite(**vars(self))
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -175,31 +170,6 @@ def roundtrip_invert(config: SimConfig) -> RecoveredProb:
     return RecoveredProb(p=p, stderr=sim.mc_stderr / sensitivity, sim=sim)
 
 
-def simulate_ar1_series(
-    rho: float,
-    innovation_sd: float,
-    n: int,
-    delta0: float = 0.0,
-    *,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One daily mean-reverting deviation path, for fixtures and estimator checks."""
-    if not 0.0 <= rho < 1.0:
-        raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    if innovation_sd < 0.0:
-        raise DomainError(f"innovation_sd must be non-negative, got {innovation_sd}")
-    if n < 1:
-        raise DomainError(f"series length must be at least 1, got {n}")
-    _require_finite(innovation_sd=innovation_sd, delta0=delta0)
-    innovations = rng.normal(0.0, innovation_sd, n)
-    out = np.empty(n, dtype=float)
-    prev = delta0
-    for t in range(n):
-        prev = rho * prev + innovations[t]
-        out[t] = prev
-    return out
-
-
 # the same in every fixture: its first date, BTC's path and range, and the volume scale
 _FIXTURE_START = np.datetime64("2020-02-28")
 _BTC_START = 20_000.0
@@ -262,15 +232,6 @@ def _bars_from_closes(
     )
 
 
-def planted_prob_path(config: FixtureConfig) -> np.ndarray:
-    """Per-day planted default probabilities (deterministic in the config).
-
-    Not clamped: a path that leaves [0, 1] fails in :func:`theoretical_futures`.
-    """
-    t = np.arange(config.n_days, dtype=float)
-    return config.p_default * (1.0 + config.p_amplitude * np.sin(2.0 * math.pi * t / config.p_period_days))
-
-
 def generate_fixture(config: FixtureConfig) -> FixtureSet:
     """Generate paired spot/futures bar series, plus a BTC series.
 
@@ -283,12 +244,17 @@ def generate_fixture(config: FixtureConfig) -> FixtureSet:
     rng = np.random.default_rng(config.seed)
     days = _FIXTURE_START + np.arange(config.n_days)
 
-    deviations = simulate_ar1_series(
-        config.rho, config.innovation_sd, config.n_days, config.delta0, rng=rng
-    )
+    innovations = rng.normal(0.0, config.innovation_sd, config.n_days)
+    deviations = np.empty(config.n_days)
+    prev = config.delta0
+    for t in range(config.n_days):
+        prev = config.rho * prev + innovations[t]
+        deviations[t] = prev
     spot_closes = 1.0 + deviations
 
-    p_path = planted_prob_path(config)
+    # not clamped: a planted path that leaves [0, 1] fails in theoretical_futures
+    phase = 2.0 * math.pi * np.arange(config.n_days, dtype=float) / config.p_period_days
+    p_path = config.p_default * (1.0 + config.p_amplitude * np.sin(phase))
     futures_noise = rng.normal(0.0, config.futures_noise_sd, config.n_days)
     futures_closes = theoretical_futures(deviations, config.rho, config.horizon_days, p_path, config.recovery)
     futures_closes = futures_closes + futures_noise

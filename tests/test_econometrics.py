@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pegrisk import econometrics
 from pegrisk.econometrics import (
     RegressionResult,
     format_regression_table,
@@ -167,6 +168,16 @@ class TestOlsHc0:
         result = ols_hc0(np.full(59, 29.99), X)
         assert math.isnan(result.r_squared)
 
+    def test_nearly_constant_response_has_r_squared(self):
+        # a centered sum of squares near 1e-14 of y @ y is above the constant-response cut, which is 1e-24
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=59)
+        y = 1000.0 + 1e-4 * (x + rng.normal(size=59))
+        sst = float(((y - y.mean()) ** 2).sum())
+        assert 1e-15 < sst / float(y @ y) < 1e-13
+        result = ols_hc0(y, np.column_stack([np.ones(59), x]))
+        assert 0.0 < result.r_squared < 1.0
+
     def test_singular_design_rejected(self):
         X = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(EstimationError, match="singular"):
@@ -236,6 +247,10 @@ class TestOlsHc0:
         assert strong.stars[1] == "***"
         noise = ols_hc0(rng.normal(size=500), X)
         assert noise.stars[1] in ("", "*", "**")
+
+    @pytest.mark.parametrize("t, stars", [(1.645, "*"), (1.960, "**"), (2.576, "***")])
+    def test_t_exactly_at_a_threshold_earns_its_stars(self, t, stars):
+        assert econometrics._stars(t) == econometrics._stars(-t) == stars
 
 
 def _panel(n, seed=0, beta=0.04, constant_usdt=False):

@@ -19,11 +19,21 @@ from pegrisk.pegmodel import (
     theoretical_futures,
     trim_negative,
 )
-from pegrisk.simkit import simulate_ar1_series
 
 
 def _days(n):
     return np.datetime64("2020-01-01") + np.arange(n)
+
+
+def _ar1(rho, innovation_sd, n, seed):
+    """A mean-reverting path from 0 with Gaussian innovations, drawn from one seed."""
+    innovations = np.random.default_rng(seed).normal(0.0, innovation_sd, n)
+    out = np.empty(n)
+    prev = 0.0
+    for t in range(n):
+        prev = rho * prev + innovations[t]
+        out[t] = prev
+    return out
 
 
 def _aligned(pairs):
@@ -63,7 +73,7 @@ class TestFitAr1:
         rho0 = 0.73
         hits = 0
         for seed in range(100):
-            deviations = simulate_ar1_series(rho0, 5e-4, 400, rng=np.random.default_rng(seed))
+            deviations = _ar1(rho0, 5e-4, 400, seed)
             fit = fit_ar1(_days(400), deviations)
             if abs(fit.rho - rho0) <= 2.0 * fit.stderr:
                 hits += 1
@@ -77,7 +87,7 @@ class TestFitAr1:
         rho0, window, seeds = 0.73, 60, range(10)
         rolling_means = []
         for seed in seeds:
-            deviations = simulate_ar1_series(rho0, 5e-4, 20_000, rng=np.random.default_rng(seed))
+            deviations = _ar1(rho0, 5e-4, 20_000, seed)
             fit = fit_ar1(_days(20_000), deviations)
             assert abs(fit.rho - rho0) < 3.0 * fit.stderr, seed
             rolling_means.append(fit_ar1_rolling(_days(20_000), deviations, window).rho_mean)
@@ -362,6 +372,12 @@ class TestProbSeries:
         assert points.p_horizon[0] == 0.0
         assert points.p_annualized_bps[0] == 0.0
         assert points.trimmed[0]
+
+    def test_zero_raw_probability_is_not_trimmed(self):
+        # spot and futures both at par, as four-decimal quotes often are, imply a raw probability of exactly 0
+        points = trim_negative(prob_series(_aligned([(1.0, 1.0)]), rho=0.73, h=90))
+        assert points.p_horizon[0] == 0.0
+        assert not points.trimmed[0]
 
     def test_untrimmed_keeps_negative_values(self):
         aligned = _aligned([(1.0, 1.002)])

@@ -82,9 +82,7 @@ PUBLIC = {
         "SimConfig",
         "SimResult",
         "generate_fixture",
-        "planted_prob_path",
         "roundtrip_invert",
-        "simulate_ar1_series",
         "simulate_paths",
     },
 }
@@ -107,4 +105,4 @@ def test_each_module_has_its_pinned_public_names():
     modules = sorted(Path(pegrisk.__file__).parent.glob("*.py"))
     found = {path.stem: _public_names(path) for path in modules}
     assert found == PUBLIC
-    assert sum(map(len, found.values())) == 72
+    assert sum(map(len, found.values())) == 70

@@ -18,7 +18,6 @@ from pegrisk.simkit import (
     SimConfig,
     generate_fixture,
     roundtrip_invert,
-    simulate_ar1_series,
     simulate_paths,
 )
 
@@ -283,22 +282,6 @@ class TestRoundtripInvert:
         assert abs(plain.p - 0.01) < 3.0 * plain.stderr
 
 
-class TestSimulateAr1Series:
-    def test_reproducible(self):
-        a = simulate_ar1_series(0.73, 5e-4, 100, rng=np.random.default_rng(5))
-        b = simulate_ar1_series(0.73, 5e-4, 100, rng=np.random.default_rng(5))
-        assert np.array_equal(a, b)
-
-    def test_zero_noise_decays_geometrically(self):
-        series = simulate_ar1_series(0.5, 0.0, 5, delta0=1.0, rng=np.random.default_rng(0))
-        assert series == pytest.approx([0.5, 0.25, 0.125, 0.0625, 0.03125])
-
-    def test_fit_recovers_coefficient(self):
-        series = simulate_ar1_series(0.6, 1e-3, 2000, rng=np.random.default_rng(1))
-        fit = fit_ar1(np.datetime64("2020-01-01") + np.arange(series.size), series)
-        assert abs(fit.rho - 0.6) < 3.0 * fit.stderr
-
-
 def _fixture_csv_bytes(config):
     fixture = generate_fixture(config)
     chunks = []
@@ -350,6 +333,19 @@ class TestGenerateFixture:
         for p_horizon in points.p_horizon.tolist():
             assert p_horizon == pytest.approx(0.001, abs=1e-12)
 
+    def test_zero_noise_spot_decays_from_delta0(self):
+        # rho = 0.5 and delta0 = 2**-7 keep every product exact, so the closes are exactly 1 + delta0 * rho**(t+1)
+        config = FixtureConfig(n_days=40, rho=0.5, innovation_sd=0.0, delta0=2.0**-7, seed=1)
+        closes = generate_fixture(config).spot.close
+        t = np.arange(config.n_days)
+        assert np.array_equal(closes, 1.0 + config.delta0 * config.rho ** (t + 1))
+
+    def test_fit_covers_planted_rho(self):
+        config = FixtureConfig(n_days=2000, rho=0.6, innovation_sd=1e-3, seed=1)
+        spot = generate_fixture(config).spot
+        fit = fit_ar1(spot.date, spot.close - 1.0)
+        assert abs(fit.rho - config.rho) < 3.0 * fit.stderr
+
     def test_planted_level_recovered_through_model(self):
         config = FixtureConfig(n_days=410, p_default=7.4e-4, seed=6)
         fixture = generate_fixture(config)
@@ -368,11 +364,6 @@ class TestGenerateFixture:
             FixtureConfig(n_days=10)
 
 
-def ar1_series(**setting):
-    setting = {"rho": 0.5, "innovation_sd": 1e-3, "n": 10, **setting}
-    return simulate_ar1_series(**setting, rng=np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "make, field",
@@ -383,22 +374,9 @@ def ar1_series(**setting):
         (FixtureConfig, "delta0"),
         (FixtureConfig, "p_amplitude"),
         (FixtureConfig, "futures_noise_sd"),
-        (ar1_series, "innovation_sd"),
-        (ar1_series, "delta0"),
     ],
     ids=lambda arg: getattr(arg, "__name__", arg),
 )
 def test_non_finite_setting_is_rejected(make, field, value):
     with pytest.raises(DomainError, match=field):
         make(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "setting, message",
-    [({"rho": 1.0}, "rho must lie in [0, 1), got 1.0"), ({"n": 0}, "series length must be at least 1, got 0")],
-    ids=["rho", "n"],
-)
-def test_ar1_series_setting_out_of_range_is_rejected(setting, message):
-    with pytest.raises(DomainError) as caught:
-        ar1_series(**setting)
-    assert str(caught.value) == message
