@@ -24,17 +24,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
+import importlib
 import signal
 import sys
 import threading
 import warnings
 from functools import cached_property, wraps
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import config as cfgmod
-from . import econometrics, features, marketdata, pegmodel, simkit
 from .errors import DomainError, EstimationError, PegRiskError, SchemaError
+
+if TYPE_CHECKING:  # a command imports the library modules its _COMMANDS entry names, and no other
+    from . import config, econometrics, features, marketdata, pegmodel, simkit
 
 _FIGURE1_STUB = """\
 {
@@ -78,23 +81,15 @@ _FIGURE2_STUB = """\
 
 _BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
-# model setting -> its default, in the manifest's order; rho, horizon and recovery, for every command, are SimConfig's
-_MODEL_DEFAULTS = {
-    "rho": str(simkit.SimConfig.rho),  # a number, or "estimate"
-    "horizon": simkit.SimConfig.horizon_days,
-    "recovery": simkit.SimConfig.recovery,
-    "window": 60,
-    "estimator": "parkinson",
-    "annualization": "linear",
-    "trim": True,
-}
+# model setting -> its default, in the manifest's order after pegmodel.DEFAULTS (rho, horizon, recovery)
+_MODEL_DEFAULTS = {"window": 60, "estimator": "parkinson", "annualization": "linear", "trim": True}
 
 _PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are handled by forked workers
 
 
 def _cast(key: str, raw: str | bool, source: str):
     """A setting's value from the flag or config file ``source``, cast and checked by its ``_FLAGS`` entry."""
-    spec = _FLAGS.get(key.replace("_", "-"), {})
+    spec = _spec(key.replace("_", "-"))
     raw = raw.strip() if isinstance(raw, str) else raw  # a flag's value is stripped, as a config line's is
     if raw == "" and key != "usdt_alt":  # an empty usdt_alt names no input
         raise SchemaError(f"empty value for {key!r} (from {source})")
@@ -112,6 +107,12 @@ def _cast(key: str, raw: str | bool, source: str):
     return value
 
 
+def _spec(flag: str) -> dict:
+    """A flag's ``_FLAGS`` keywords; a help or choices owned by a library module is a function there, called here."""
+    spec = _FLAGS.get(flag, {})
+    return {key: value() if key in ("help", "choices") and callable(value) else value for key, value in spec.items()}
+
+
 def _rho(text: str) -> str:
     """A rho as given, a number or 'estimate', kept as text so that the manifest repeats it."""
     if text != "estimate":
@@ -125,7 +126,7 @@ def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.Bar
         with open(path, newline="", encoding="utf-8-sig") as stream:
             return marketdata.parse_bars(stream, schema=schema, venue=venue)
     except UnicodeDecodeError as exc:
-        raise cfgmod.not_utf8(path, exc) from None
+        raise config.not_utf8(path, exc) from None
     except PegRiskError as exc:  # name the input at fault, of up to four
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -143,7 +144,7 @@ def _each(func: Callable, jobs: list[tuple], size: int) -> list:
     per job; others in this process. Either way the first failed job, in job order, raises its own error, or a
     ``ChildProcessError`` naming it if its worker died.
     """
-    if size < _PARALLEL_BYTES or len(jobs) < 2 or simkit._cpu_count() < 2:
+    if size < _PARALLEL_BYTES or len(jobs) < 2 or marketdata._cpu_count() < 2:
         return [func(*args) for _, args in jobs]
     return _in_workers(func, jobs)
 
@@ -205,7 +206,7 @@ class _Stages:
 
     @_stage("config")
     def settings(self) -> dict:
-        """Each setting the command reads: the flag given, else the config value, else its ``_MODEL_DEFAULTS`` entry.
+        """Each setting the command reads: the flag given, else the config value, else its default.
 
         It reads its flags but --config, with "_" for "-", and the column names, each value given through ``_cast``
         in that order; no flag has a default, so ``vars(args)`` holds the flags given. Each input it reads but
@@ -215,9 +216,11 @@ class _Stages:
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
         allowed = {flag.replace("-", "_") for flag in _FLAGS if flag != "config"} | set(columns)
-        raw = cfgmod.load_config(_cast("config", given["config"], "--config"), allowed) if "config" in given else {}
-        reads = [flag.replace("-", "_") for flag in _COMMANDS[given["command"]][1].split() if flag != "config"]
+        raw = config.load_config(_cast("config", given["config"], "--config"), allowed) if "config" in given else {}
+        reads = [flag.replace("-", "_") for flag in _COMMANDS[given["command"]][2].split() if flag != "config"]
         settings = {key: value for key, value in _MODEL_DEFAULTS.items() if key in reads}
+        if "horizon" in reads:  # as do rho and recovery, whose defaults, and horizon's, are pegmodel's
+            settings |= pegmodel.DEFAULTS | {"rho": str(pegmodel.DEFAULTS["rho"])}  # rho as text, as a flag gives it
         values = raw | given  # a flag wins over its config line
         sources = {key: given["config"] for key in raw} | {key: f"--{key.replace('_', '-')}" for key in given}
         settings |= {key: _cast(key, values[key], sources[key]) for key in reads + columns if key in values}
@@ -382,7 +385,7 @@ def _manifest(stages: _Stages) -> str:
         full_fit = f"full-sample fit unavailable: {exc}"
     entries, settings = {role: stages.settings[role] for role in stages.bars}, stages.settings
     venues = [flag.replace("-", "_") for flag in _FLAGS if flag.endswith("-venue")]
-    for key in [f"col_{role}" for role in marketdata.ROLES] + venues + list(_MODEL_DEFAULTS):
+    for key in [f"col_{role}" for role in marketdata.ROLES] + venues + [*pegmodel.DEFAULTS, *_MODEL_DEFAULTS]:
         value = settings.get(key)
         if isinstance(value, bool):
             value = "true" if value else "false"
@@ -398,7 +401,7 @@ def _manifest(stages: _Stages) -> str:
         f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
         "artifacts: " + " ".join(_PIPELINE_ARTIFACTS),
     ]
-    return cfgmod.format_kv(entries, comments)
+    return config.format_kv(entries, comments)
 
 
 # artifact name -> its text, or for a CSV its table, built from the stages it needs, in this order:
@@ -507,11 +510,11 @@ _FLAGS: dict[str, dict] = {
     "usdt-alt": {"help": "alternative USDT series for its volatility"},
     "usdt-alt-venue": {},
     "rho": {"type": _rho, "help": "mean-reversion coefficient, or 'estimate'"},
-    "horizon": {"type": int, "help": f"futures horizon in days (default {_MODEL_DEFAULTS['horizon']})"},
-    "recovery": {"type": float, "help": f"recovery rate in [0, 1) (default {_MODEL_DEFAULTS['recovery']:g})"},
+    "horizon": {"type": int, "help": lambda: f"futures horizon in days (default {pegmodel.DEFAULTS['horizon']})"},
+    "recovery": {"type": float, "help": lambda: f"recovery rate in [0, 1) (default {pegmodel.DEFAULTS['recovery']:g})"},
     "window": {"type": int, "help": f"rolling estimation window (default {_MODEL_DEFAULTS['window']})"},
-    "annualization": {"choices": pegmodel.ANNUALIZATIONS},
-    "estimator": {"choices": features.ESTIMATORS, "help": "intraday volatility estimator"},
+    "annualization": {"choices": lambda: pegmodel.ANNUALIZATIONS},
+    "estimator": {"choices": lambda: features.ESTIMATORS, "help": "intraday volatility estimator"},
     "trim": {"action": argparse.BooleanOptionalAction, "help": "clamp negative probabilities to 0 (default on)"},
     "out": {"help": "output directory"},
     "innovation-sd": {"type": float},
@@ -530,41 +533,46 @@ _MARKET = "config spot spot-venue futures futures-venue"
 _PANEL = _MARKET + " btc btc-venue usdt-alt usdt-alt-venue"
 _MODEL = "rho horizon recovery annualization"
 _SIM = "config rho innovation-sd delta0 horizon p-default recovery seed"
+# library modules: every command reads its settings through config and marketdata, and all but align the model
+_LOADS = "config marketdata pegmodel"
+_TABLES = _LOADS + " features econometrics"
 
-# subcommand -> (handler, the flags it reads, help)
+# subcommand -> (handler, the library modules it imports, the flags it reads, help)
 _COMMANDS = {
     "pipeline": (
         _cmd_pipeline,
+        _TABLES,
         f"{_PANEL} {_MODEL} window estimator trim out",
         "run everything and write all artifacts",
     ),
-    "align": (_cmd_align, f"{_MARKET} out", "align spot and futures into a daily panel"),
-    "fit": (_cmd_fit, "config spot spot-venue window", "estimate the mean-reversion coefficient"),
-    "prob": (_cmd_prob, f"{_MARKET} {_MODEL} trim out", "write the default-probability series"),
-    "features": (_cmd_features, f"{_PANEL} {_MODEL} estimator out", "write the regression panel"),
-    "regress": (_cmd_regress, f"{_PANEL} {_MODEL} estimator out", "run the panel regressions"),
-    "stats": (_cmd_stats, f"{_MARKET} {_MODEL} out", "summary statistics of the panel"),
-    "simulate": (_cmd_simulate, f"{_SIM} n-paths", "Monte Carlo check of the pricing identity"),
+    "align": (_cmd_align, "config marketdata", f"{_MARKET} out", "align spot and futures into a daily panel"),
+    "fit": (_cmd_fit, _LOADS, "config spot spot-venue window", "estimate the mean-reversion coefficient"),
+    "prob": (_cmd_prob, _LOADS, f"{_MARKET} {_MODEL} trim out", "write the default-probability series"),
+    "features": (_cmd_features, f"{_LOADS} features", f"{_PANEL} {_MODEL} estimator out", "write the regression panel"),
+    "regress": (_cmd_regress, _TABLES, f"{_PANEL} {_MODEL} estimator out", "run the panel regressions"),
+    "stats": (_cmd_stats, f"{_LOADS} econometrics", f"{_MARKET} {_MODEL} out", "summary statistics of the panel"),
+    "simulate": (_cmd_simulate, f"{_LOADS} simkit", f"{_SIM} n-paths", "Monte Carlo check of the pricing identity"),
     "fixture": (
         _cmd_fixture,
+        f"{_LOADS} simkit",
         f"{_SIM} out n-days p-amplitude p-period-days futures-noise-sd intraday-range-sd",
         "generate a synthetic dataset",
     ),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pegrisk",
         description="Market-implied peg-break probabilities from stablecoin spot and futures prices",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, (func, flags, help_text) in _COMMANDS.items():
+    for name, (func, _, flags, help_text) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         command.set_defaults(func=func)
-        for flag in flags.split():
-            spec = {key: value for key, value in _FLAGS[flag].items() if key not in ("type", "choices")}
-            choices = _FLAGS[flag].get("choices")
+        for flag in flags.split() if name == invoked else ():  # no other subcommand's flags are read
+            spec = {key: value for key, value in _spec(flag).items() if key != "type"}
+            choices = spec.pop("choices", None)
             command.add_argument(f"--{flag}", **spec, metavar="{%s}" % ",".join(choices) if choices else None)
     return parser
 
@@ -578,7 +586,21 @@ def _terminate(signum, frame) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code; ``main(argv)`` leaves the garbage collector as it found it.
+
+    ``main()`` runs this process's one command, as a program does, with the cyclic collector off, and freezes it on
+    return: the process ends next, and the interpreter's exit then walks none of the objects the command loaded.
+    """
+    if argv is None:
+        gc.disable()
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
+    command = next((arg for arg in argv if not arg.startswith("-")), None)  # the subcommand, if argparse finds one
+    for module in _COMMANDS[command][1].split() if command in _COMMANDS else ():
+        globals()[module] = importlib.import_module(f".{module}", __package__)  # as if imported at the top
+    parser = _build_parser(command)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()

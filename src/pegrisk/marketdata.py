@@ -15,6 +15,7 @@ write/read cycle is lossless.
 from __future__ import annotations
 
 import csv
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -37,6 +38,14 @@ WRITE_ROWS = 1 << 14
 Dates = Annotated[np.ndarray, "datetime64[D]"]
 Floats = Annotated[np.ndarray, "float64"]
 Flags = Annotated[np.ndarray, "bool"]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: a command's forked parse and write, and simkit's threads, use no more."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def fmt_float(x: float) -> str:

@@ -37,6 +37,9 @@ RAW_PROB_FLOOR = -0.05
 
 ANNUALIZATIONS = ("linear", "compounded")
 
+# the model's defaults, by setting: SimConfig's and FixtureConfig's, and every command's that reads the setting
+DEFAULTS = {"rho": 0.73, "horizon": 90, "recovery": 0.0}
+
 
 @dataclass(frozen=True)
 class Ar1Fit:

@@ -29,14 +29,13 @@ change gave the same seed other draws than before it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import marketdata
 from .errors import DomainError
-from .marketdata import BarSeries
-from .pegmodel import check_inversion_domain, implied_default_prob, theoretical_futures
+from .pegmodel import DEFAULTS, check_inversion_domain, implied_default_prob, theoretical_futures
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -46,12 +45,12 @@ class _ModelConfig:
     # field -> the least value it may take; a subclass adds its own fields
     _AT_LEAST = {"innovation_sd": 0, "seed": 0}
 
-    rho: float = 0.73
+    rho: float = DEFAULTS["rho"]
     innovation_sd: float = 5e-4
     delta0: float = 0.0
-    horizon_days: int = 90
+    horizon_days: int = DEFAULTS["horizon"]
     p_default: float = 0.005
-    recovery: float = 0.0
+    recovery: float = DEFAULTS["recovery"]
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -85,14 +84,6 @@ class SimResult:
 
 
 PATH_BLOCK = 65_536  # paths per block; part of the draw stream, not a setting
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _simulate_block(
@@ -136,7 +127,7 @@ def simulate_paths(config: SimConfig) -> SimResult:
     from concurrent.futures import ThreadPoolExecutor
 
     # leaving the pool joins its threads; iterating map re-raises a block's error
-    with ThreadPoolExecutor(min(n_blocks, _cpu_count())) as pool:
+    with ThreadPoolExecutor(min(n_blocks, marketdata._cpu_count())) as pool:
         blocks = list(pool.map(run_block, range(n_blocks)))
     mean = math.fsum(total for _, total, _, _ in blocks) / n
     m2 = math.fsum(m2_i + m * (total / m - mean) ** 2 for m, total, m2_i, _ in blocks)
@@ -204,9 +195,9 @@ class FixtureConfig(_ModelConfig):
 class FixtureSet:
     """Paired synthetic series: stablecoin spot and futures, plus BTC."""
 
-    spot: BarSeries
-    futures: BarSeries
-    btc: BarSeries
+    spot: marketdata.BarSeries
+    futures: marketdata.BarSeries
+    btc: marketdata.BarSeries
 
 
 def _bars_from_closes(
@@ -215,13 +206,13 @@ def _bars_from_closes(
     rng: np.random.Generator,
     range_sd: float,
     volume_scale: float,
-) -> BarSeries:
+) -> marketdata.BarSeries:
     n = closes.size
     hi_off = np.abs(rng.normal(0.0, range_sd, n))
     lo_off = np.abs(rng.normal(0.0, range_sd, n))
     volumes = volume_scale * rng.lognormal(0.0, 0.5, n)
     opens = np.concatenate((closes[:1], closes[:-1]))  # each bar opens at the previous close
-    return BarSeries(
+    return marketdata.BarSeries(
         date=days,
         open=opens,
         high=np.maximum(opens, closes) * (1.0 + hi_off),

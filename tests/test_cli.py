@@ -1084,16 +1084,61 @@ def test_cli_import_starts_no_process_machinery():
     "module, loads",
     [
         ("pegrisk", []),
-        ("pegrisk.simkit", ["pegrisk.errors", "pegrisk.marketdata", "pegrisk.pegmodel", "pegrisk.simkit"]),
+        ("pegrisk.cli", ["pegrisk.cli", "pegrisk.errors"]),
+        ("pegrisk.simkit", ["numpy", "pegrisk.errors", "pegrisk.marketdata", "pegrisk.pegmodel", "pegrisk.simkit"]),
     ],
-    ids=["root", "simkit"],
+    ids=["root", "cli", "simkit"],
 )
 def test_import_loads_only_the_modules_it_uses(module, loads):
-    """The package root imports no module, so a module loads only itself and the modules it imports."""
-    probe = f"import sys, {module}; print(sorted(name for name in sys.modules if name.startswith('pegrisk.')))"
+    """The package root imports no module, so a module loads only itself and the modules it imports.
+
+    ``pegrisk.cli`` loads no library module and no numpy: each command imports the modules it runs.
+    """
+    loaded = "name.startswith('pegrisk.') or name == 'numpy'"
+    probe = f"import sys, {module}; print(sorted(name for name in sys.modules if {loaded}))"
     done = subprocess.run([sys.executable, "-c", probe], env=_cli_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{loads!r}\n"
+
+
+# the pegrisk modules a command loads when run as a program: no data command loads simkit, and stats loads features
+# because econometrics imports it
+_TABLE_LOADS = ["cli", "config", "econometrics", "errors", "features", "marketdata", "pegmodel"]
+COMMAND_LOADS = {
+    "align": ["cli", "config", "errors", "marketdata"],
+    "fit": ["cli", "config", "errors", "marketdata", "pegmodel"],
+    "prob": ["cli", "config", "errors", "marketdata", "pegmodel"],
+    "features": ["cli", "config", "errors", "features", "marketdata", "pegmodel"],
+    "regress": _TABLE_LOADS,
+    "stats": _TABLE_LOADS,
+    "pipeline": _TABLE_LOADS,
+    "simulate": ["cli", "config", "errors", "marketdata", "pegmodel", "simkit"],
+    "fixture": ["cli", "config", "errors", "marketdata", "pegmodel", "simkit"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LOADS)
+def test_a_command_loads_only_the_modules_it_runs(command, fixture_dir, tmp_path):
+    """A fresh process runs one command as the console script does, ``sys.exit(main())``, then prints at exit the
+    pegrisk modules it loaded, and whether the cyclic garbage collector is on and any object frozen."""
+    inputs = {role: ["--" + role, str(fixture_dir / f"{role}.csv")] for role in ("spot", "futures", "btc")}
+    market, out = inputs["spot"] + inputs["futures"], ["--out", str(tmp_path / "out")]
+    args = {
+        "align": market + out,
+        "fit": inputs["spot"],
+        "prob": market + out,
+        "stats": market + out,
+        "simulate": ["--n-paths", "1000"],
+        "fixture": ["--n-days", "30", *out],
+    }.get(command, market + inputs["btc"] + out)
+    loaded = "sorted(name[8:] for name in sys.modules if name.startswith('pegrisk.'))"
+    report = f"atexit.register(lambda: print({loaded}, gc.isenabled(), gc.get_freeze_count() > 0))"
+    probe = f"import atexit, gc, sys; {report}; from pegrisk.cli import main; sys.exit(main())"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, command, *args], env=_cli_env(), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{COMMAND_LOADS[command]!r} False True"
 
 
 def test_readme_library_example_runs(tmp_path):
@@ -1155,11 +1200,11 @@ def test_main_runs_outside_the_main_thread(fixture_dir, capsys):
 # except the job of the file named in argv[3]
 SLOW_JOBS = """
 import os, signal, sys, time
-from pegrisk import cli, simkit
+from pegrisk import cli, marketdata
 
 signal.signal(signal.SIGINT, signal.default_int_handler)  # as in a process started from a terminal
 pids, name, quick = sys.argv[1:4]
-cli._PARALLEL_BYTES, simkit._cpu_count, job = 0, lambda: 2, getattr(cli, name)
+cli._PARALLEL_BYTES, marketdata._cpu_count, job = 0, lambda: 2, getattr(cli, name)
 
 
 def slow_job(path, *args):

@@ -19,11 +19,14 @@ number.
 """
 
 import csv
+import gc
 import hashlib
 import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
@@ -32,7 +35,7 @@ from unittest import mock
 
 import pytest
 
-from pegrisk import cli, marketdata, simkit
+from pegrisk import cli, marketdata
 from pegrisk.cli import main
 
 P_DEFAULT = 30.0 * 90.0 / (365.0 * 1e4)
@@ -247,6 +250,57 @@ def test_outputs_match_pinned_hashes(datasets, dataset, name, monkeypatch, capsy
     assert digests == GOLDEN[dataset][name]
 
 
+# how the console script, ``python -m pegrisk.cli`` and the benchmark's fresh processes call pegrisk
+AS_A_PROGRAM = "import sys; from pegrisk.cli import main; sys.exit(main())"
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    """Every file under the output directory ``out``, by its path within it."""
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("name", [*GOLDEN["full"], "write-fails"])
+def test_a_program_writes_what_main_argv_writes(datasets, name, tmp_path, monkeypatch, capsys):
+    """``main()`` in a fresh process, the path users and the benchmark take, against ``main(argv)`` in this one.
+
+    Both give the same exit code, stdout, stderr and files, and ``main(argv)`` leaves the garbage collector as it
+    found it. ``write-fails`` is ``pipeline`` into a directory whose ``table3.txt`` is a directory: it fails at
+    stage=write, after the first tables were written, and leaves no artifact.
+    """
+    shutil.copytree(datasets["full"] / "data", tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    argv = INVOCATIONS["pipeline" if name == "write-fails" else name]
+    out = None if name == "fit" else Path(argv[-1])
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = []
+    for in_process in (True, False):
+        if out is not None:
+            shutil.rmtree(out, ignore_errors=True)
+            if name == "write-fails":
+                (out / "table3.txt").mkdir(parents=True)
+        if in_process:
+            collector = gc.isenabled(), gc.get_freeze_count()
+            run = _run(argv, capsys)
+            assert (gc.isenabled(), gc.get_freeze_count()) == collector
+        else:
+            done = subprocess.run(
+                [sys.executable, "-c", AS_A_PROGRAM, *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+            run = done.returncode, done.stdout, done.stderr
+        runs.append((*run, _files(out) if out is not None else {}))
+    assert runs[0] == runs[1]
+    code, stdout, err, files = runs[0]
+    if name == "write-fails":
+        message = f"[Errno 21] Is a directory: {str(out / 'table3.txt')!r}"
+        assert err == f'error stage=write type=IsADirectoryError msg="{message}"\n'
+        assert (code, files) == (1, {})
+    else:
+        assert code == 0, err
+        digests = {"stdout": _sha(stdout.encode()), **{artifact: _sha(data) for artifact, data in files.items()}}
+        assert digests == GOLDEN["full"][name]
+
+
 def test_simulate_stdout_matches_pinned_hash(capsys):
     code, out, err = _run(SIMULATE, capsys)
     assert code == 0, err
@@ -409,7 +463,7 @@ def at_once(monkeypatch):
     Yields a spy on the forked half of ``cli._each``; ``_forked(spy)`` lists the function each call ran.
     """
     monkeypatch.setattr(cli, "_PARALLEL_BYTES", 0)
-    monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(marketdata, "_cpu_count", lambda: 2)
     spy = mock.Mock(wraps=cli._in_workers)
     monkeypatch.setattr(cli, "_in_workers", spy)
     return spy
@@ -439,10 +493,10 @@ def test_parallel_parse_writes_the_pinned_bytes(datasets, dataset, name, at_once
 
 def test_parallel_fixture_writes_the_serial_bytes(tmp_path, at_once, monkeypatch):
     args = ["fixture", "--n-days", "300", "--seed", "3", "--out"]
-    monkeypatch.setattr(simkit, "_cpu_count", lambda: 1)  # one CPU: no worker
+    monkeypatch.setattr(marketdata, "_cpu_count", lambda: 1)  # one CPU: no worker
     assert main(args + [str(tmp_path / "serial")]) == 0
     assert _forked(at_once) == []
-    monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(marketdata, "_cpu_count", lambda: 2)
     assert main(args + [str(tmp_path / "forked")]) == 0
     assert _forked(at_once) == [cli._write_table]
     assert _forked_jobs(at_once, cli._write_table) == [["spot.csv", "futures.csv", "btc.csv"]]
@@ -467,7 +521,7 @@ def test_parallel_parse_fails_as_the_serial_parse(datasets, bad, tmp_path, monke
         _with_bad_row(data / f"{role}.csv", index)
     serial = _run(_command_args("pipeline", data, tmp_path / "serial"), capsys)
     monkeypatch.setattr(cli, "_PARALLEL_BYTES", 0)
-    monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(marketdata, "_cpu_count", lambda: 2)
     parallel = _run(_command_args("pipeline", data, tmp_path / "parallel"), capsys)
     first = min(bad, key=("spot", "btc").index)  # the spot file is parsed first
     message = f"{data / f'{first}.csv'}: line {bad[first] + 2}: high 0.9 below low 1.1"  # the error names its file
@@ -718,3 +772,80 @@ def test_table4_is_within_bounds_of_exact_ols(datasets, dataset, tmp_path, capsy
             assert _relative_gap(row["hc0_stderr"], se) <= Fraction(1, 10**13), (label, row["regressor"])
             assert _relative_gap(row["t_stat"], b / Fraction(se)) <= Fraction(1, 10**13), (label, row["regressor"])
             assert abs(Fraction(float(row["r_squared"])) - r_squared) <= Fraction(1, 10**12), label
+
+
+# bounds of prob.csv and table3.csv against exact arithmetic. A per-horizon probability is a difference of prices
+# near 1, so its bound is on that absolute scale: 8 units in the last place of 1.0. A mean is bounded on the scale of
+# its terms, the mean of |x|; a standard deviation, which is not near zero here, relative to itself; a quartile on the
+# scale of the two values it lies between
+P_BOUND = Fraction(8, 2**52)
+MEAN_BOUND = Fraction(4, 10**15)
+STD_BOUND = Fraction(4, 10**15)
+QUARTILE_BOUND = Fraction(4, 2**52)
+
+
+def _csv_rows(path: Path) -> list[dict[str, str]]:
+    with path.open(newline="", encoding="utf-8") as stream:
+        return list(csv.DictReader(stream))
+
+
+def _setting(manifest: str, key: str) -> Fraction:
+    """A number of the run manifest, a ``key = value`` line or comment, as the exact value of its float."""
+    return Fraction(float(re.search(rf"^(?:# )?{key} = (\S+)", manifest, re.MULTILINE).group(1)))
+
+
+def _check_summary(row: dict[str, str], cells: list[str]) -> None:
+    """One row of table3.csv against the count, extremes, mean, sample standard deviation and linearly interpolated
+    quartiles of ``cells``, taken in exact arithmetic, the square root at 50 digits."""
+    x = sorted(Fraction(float(cell)) for cell in cells)
+    n, name = len(x), row["name"]
+    assert int(row["count"]) == n, name
+    assert (Fraction(float(row["min"])), Fraction(float(row["max"]))) == (x[0], x[-1]), name
+    mean = sum(x) / n
+    assert abs(Fraction(float(row["mean"])) - mean) <= MEAN_BOUND * sum(map(abs, x)) / n, name
+    variance = sum((value - mean) ** 2 for value in x) / (n - 1)
+    with localcontext(prec=50):
+        std = Fraction((Decimal(variance.numerator) / variance.denominator).sqrt())
+    assert abs(Fraction(float(row["std"])) - std) <= STD_BOUND * std, name
+    for key, q in (("q25", Fraction(1, 4)), ("q50", Fraction(1, 2)), ("q75", Fraction(3, 4))):
+        low = int((n - 1) * q)  # the sorted value at or below the quartile's position, and the one after it
+        below, above = x[low], x[min(low + 1, n - 1)]
+        exact = below + (above - below) * ((n - 1) * q - low)
+        assert abs(Fraction(float(row[key])) - exact) <= QUARTILE_BOUND * max(abs(below), abs(above)), (name, key)
+
+
+@pytest.mark.parametrize("model", ([], ESTIMATE, SHORT), ids=("fixed", "estimate", "trimmed"))
+@pytest.mark.parametrize("dataset", ("full", "gaps"))
+def test_prob_and_table3_are_within_bounds_of_exact_arithmetic(datasets, dataset, model, tmp_path, capsys):
+    """prob.csv against the inversion of aligned.csv, and table3.csv against its columns, in exact arithmetic.
+
+    The inversion takes rho as the float the manifest records, and the compounded annualization a 50-digit power.
+    ``p_annualized_bps`` is bounded by ``P_BOUND`` carried through the annualization, doubled. Table 3's
+    probability row is checked where prob.csv holds the untrimmed series it summarizes.
+    """
+    assert _run(_command_args("pipeline", datasets[dataset] / "data", tmp_path) + model, capsys)[0] == 0
+    aligned, prob = _csv_rows(tmp_path / "aligned.csv"), _csv_rows(tmp_path / "prob.csv")
+    manifest = (tmp_path / "run_manifest.txt").read_text(encoding="utf-8")
+    rho, horizon, recovery = (_setting(manifest, key) for key in ("rho_effective", "horizon", "recovery"))
+    decay, periods, compounded = rho ** int(horizon), 365 / horizon, "compounded" in model
+    assert [row["date"] for row in aligned] == [row["date"] for row in prob]
+    for row, published in zip(aligned, prob):
+        survivor = 1 + decay * (Fraction(float(row["s"])) - 1)
+        p = (survivor - Fraction(float(row["f"]))) / (survivor - recovery)
+        if compounded:
+            with localcontext(prec=50):
+                survival = (1 - Decimal(p.numerator) / p.denominator) ** (Decimal(365) / int(horizon))
+            bps = (1 - Fraction(survival)) * 10**4
+        else:
+            bps = p * periods * 10**4
+        if published["trimmed"] == "true":  # a negative raw value, published as 0
+            assert p < P_BOUND and float(published["p_horizon"]) == float(published["p_annualized_bps"]) == 0.0
+            continue
+        assert abs(Fraction(float(published["p_horizon"])) - p) <= P_BOUND, row["date"]
+        assert abs(Fraction(float(published["p_annualized_bps"])) - bps) <= 2 * P_BOUND * periods * 10**4, row["date"]
+    table3 = {row["name"]: row for row in _csv_rows(tmp_path / "table3.csv")}
+    columns = {"s": "s", "f": "f", "f_minus_s_bps": "basis_bps"}
+    for name, column in columns.items():
+        _check_summary(table3[name], [row[column] for row in aligned])
+    if all(row["trimmed"] == "false" for row in prob):
+        _check_summary(table3["p_annualized_bps"], [row["p_annualized_bps"] for row in prob])

@@ -10,7 +10,7 @@ import pytest
 
 from pegrisk.errors import DomainError
 from pegrisk.marketdata import align_daily, write_table_csv
-from pegrisk import simkit
+from pegrisk import marketdata, simkit
 from pegrisk.pegmodel import fit_ar1, prob_series, theoretical_futures
 from pegrisk.simkit import (
     PATH_BLOCK,
@@ -178,7 +178,7 @@ class TestPathBlocks:
         config = SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG)
         results = []
         for cpus in (1, 3):
-            monkeypatch.setattr(simkit, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(marketdata, "_cpu_count", lambda: cpus)
             results.append(simulate_recorded(config))
         (one, one_terminal, one_defaulted), (three, three_terminal, three_defaulted) = results
         assert np.array_equal(one_terminal, three_terminal)
@@ -190,10 +190,10 @@ class TestPathBlocks:
         )
 
     def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(simkit.os, "sched_getaffinity", raising=False)  # as on platforms without CPU affinity
-        assert simkit._cpu_count() == simkit.os.cpu_count()
-        monkeypatch.setattr(simkit.os, "cpu_count", lambda: None)
-        assert simkit._cpu_count() == 1
+        monkeypatch.delattr(marketdata.os, "sched_getaffinity", raising=False)  # as on platforms without CPU affinity
+        assert marketdata._cpu_count() == marketdata.os.cpu_count()
+        monkeypatch.setattr(marketdata.os, "cpu_count", lambda: None)
+        assert marketdata._cpu_count() == 1
 
     def test_first_block_does_not_depend_on_path_count(self, simulate_recorded):
         _, short, _ = simulate_recorded(SimConfig(n_paths=2 * PATH_BLOCK, **self.CONFIG))
@@ -210,7 +210,7 @@ class TestPathBlocks:
     @pytest.mark.parametrize("n_blocks", [2, 16])
     def test_memory_does_not_grow_with_path_count(self, monkeypatch, n_blocks):
         # numpy reports its array buffers to tracemalloc; two workers hold two blocks at a time
-        monkeypatch.setattr(simkit, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(marketdata, "_cpu_count", lambda: 2)
         config = SimConfig(n_paths=n_blocks * PATH_BLOCK, **dict(self.CONFIG, horizon_days=5))
         simulate_paths(config)  # the first call with threads imports concurrent.futures
         tracemalloc.start()
@@ -222,13 +222,13 @@ class TestPathBlocks:
         assert peak < 3 * 2**20
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
-        monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(marketdata, "_cpu_count", lambda: 3)
         before = threading.active_count()
         simulate_paths(SimConfig(n_paths=4 * PATH_BLOCK, **self.CONFIG))
         assert threading.active_count() == before
 
     def test_block_error_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(simkit, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(marketdata, "_cpu_count", lambda: 3)
         block = simkit._simulate_block
 
         def failing(config, stream, *args):
