@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EstimationError
-from .features import Panel
+
+if TYPE_CHECKING:  # an annotation only: stats runs no feature code
+    from .features import Panel
 
 _STAR_THRESHOLDS = ((2.576, "***"), (1.960, "**"), (1.645, "*"))
 

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AlignmentError, DomainError, EstimationError
 from .marketdata import BarSeries, Dates, Floats, Table
-from .pegmodel import ProbSeries
+
+if TYPE_CHECKING:  # an annotation only
+    from .pegmodel import ProbSeries
 
 PARKINSON_FACTOR = 2.0 * math.sqrt(math.log(2.0))
 

@@ -138,20 +138,16 @@ def half_life(rho: float) -> float:
     return math.log(2.0) / -math.log(rho)
 
 
-def _check_shared_domain(h: int, rho: float = 0.0, method: str = "linear") -> None:
+def check_inversion_domain(rho: float, h: int, recovery: float = 0.0, method: str = "linear") -> None:
+    """Raise :class:`DomainError`, checking in this order: rho in [0, 1), h >= 1 day, recovery in [0, 1), method."""
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     if h < 1:
         raise DomainError(f"horizon must be at least 1 day, got {h}")
-    if method not in ANNUALIZATIONS:
-        raise DomainError(f"unknown annualization method {method!r}")
-
-
-def check_inversion_domain(rho: float, h: int, recovery: float) -> None:
-    """Raise :class:`DomainError` for a rho or recovery outside [0, 1), or a horizon below 1 day."""
-    _check_shared_domain(h, rho)
     if not 0.0 <= recovery < 1.0:
         raise DomainError(f"recovery must lie in [0, 1), got {recovery}")
+    if method not in ANNUALIZATIONS:
+        raise DomainError(f"unknown annualization method {method!r}")
 
 
 def theoretical_futures(delta, rho: float, h: int, p, recovery: float = 0.0):
@@ -161,12 +157,10 @@ def theoretical_futures(delta, rho: float, h: int, p, recovery: float = 0.0):
     decayed deviation, defaults pay the recovery value. ``delta`` and ``p``
     may be floats or equal-length arrays.
     """
-    _check_shared_domain(h, rho)
+    check_inversion_domain(rho, h, recovery)
     in_range = (0.0 <= p) & (p <= 1.0)
     if not np.all(in_range):
         raise DomainError(f"default probability must lie in [0, 1], got {np.ravel(p)[np.argmin(in_range)]}")
-    if not 0.0 <= recovery <= 1.0:
-        raise DomainError(f"recovery must lie in [0, 1], got {recovery}")
     return (1.0 - p) * (1.0 + rho**h * delta) + p * recovery
 
 
@@ -198,7 +192,7 @@ def annualize(p_horizon: float | np.ndarray, h: int, method: str = "linear") -> 
     through unchanged in sign so untrimmed diagnostic series can be
     summarized; values above 1 are rejected (an unknown ``method`` first).
     """
-    _check_shared_domain(h, method=method)
+    check_inversion_domain(0.0, h, method=method)
     values = np.ravel(p_horizon)
     for bad, what in ((values > 1.0, "above 1"), (values <= -1.0, "at or below -1")):
         if bad.any():
@@ -206,12 +200,9 @@ def annualize(p_horizon: float | np.ndarray, h: int, method: str = "linear") -> 
     periods = DAYS_PER_YEAR / h
     if method == "linear":
         return p_horizon * periods * 1e4
-    if isinstance(p_horizon, np.ndarray):  # compounded
-        # scalar libm pow, one value at a time: np.power differs from it
-        # in the last bit on some inputs, which would change prob.csv
-        survival = np.array([(1.0 - p) ** periods for p in p_horizon.tolist()])
-    else:
-        survival = (1.0 - p_horizon) ** periods
+    # compounded: scalar libm pow, one value at a time: np.power differs
+    # from it in the last bit on some inputs, which would change prob.csv
+    survival = np.array([(1.0 - p) ** periods for p in values.tolist()]).reshape(np.shape(p_horizon))
     return (1.0 - survival) * 1e4
 
 
@@ -231,8 +222,8 @@ class ProbSeries(Table):
 def prob_series(
     aligned: AlignedSeries,
     rho: float,
-    h: int = 90,
-    recovery: float = 0.0,
+    h: int = DEFAULTS["horizon"],
+    recovery: float = DEFAULTS["recovery"],
     method: str = "linear",
 ) -> ProbSeries:
     """Raw implied default probabilities for every aligned observation.
@@ -244,8 +235,7 @@ def prob_series(
     inversion or annualization that fails names the first date it fails
     on; dates before it still warn. An unknown ``method`` fails first.
     """
-    check_inversion_domain(rho, h, recovery)
-    _check_shared_domain(h, method=method)
+    check_inversion_domain(rho, h, recovery, method)
     survivor_value = 1.0 + rho**h * (aligned.s - 1.0)
     denominator = survivor_value - recovery
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -5,6 +5,7 @@ import csv
 import datetime
 import errno
 import hashlib
+import inspect
 import io
 import os
 import re
@@ -1003,6 +1004,20 @@ def test_window_is_a_flag_of_pipeline_and_fit_only(command, capsys):
     assert "unrecognized arguments: --window 30" in capsys.readouterr().err
 
 
+def test_model_defaults_are_the_library_defaults():
+    """The defaults a command reads are those of the library functions it calls."""
+
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    for func in (pegmodel.prob_series, pegmodel.annualize, pegmodel.check_inversion_domain):
+        assert default(func, "method") == _MODEL_DEFAULTS["annualization"], func.__name__
+    for func in (features.build_feature_panel, features.intraday_vol):
+        assert default(func, "estimator") == _MODEL_DEFAULTS["estimator"], func.__name__
+    assert default(pegmodel.prob_series, "h") == pegmodel.DEFAULTS["horizon"]
+    assert default(pegmodel.prob_series, "recovery") == pegmodel.DEFAULTS["recovery"]
+
+
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = next(text for text in readme.split("\n\n") if text.startswith("Every flag can instead be given"))
@@ -1028,7 +1043,7 @@ HELP_SHA256 = {
 
 @pytest.mark.parametrize("command", HELP_SHA256, ids=lambda command: command or "pegrisk")
 def test_help_text_is_pinned(command, monkeypatch, capsys):
-    # the help of --horizon, --recovery and --window shows its default from _MODEL_DEFAULTS
+    # the help of --horizon and --recovery shows its default from pegmodel.DEFAULTS, that of --window from _MODEL_DEFAULTS
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"] if command else ["--help"])
@@ -1085,9 +1100,11 @@ def test_cli_import_starts_no_process_machinery():
     [
         ("pegrisk", []),
         ("pegrisk.cli", ["pegrisk.cli", "pegrisk.errors"]),
+        ("pegrisk.econometrics", ["numpy", "pegrisk.econometrics", "pegrisk.errors"]),
+        ("pegrisk.features", ["numpy", "pegrisk.errors", "pegrisk.features", "pegrisk.marketdata"]),
         ("pegrisk.simkit", ["numpy", "pegrisk.errors", "pegrisk.marketdata", "pegrisk.pegmodel", "pegrisk.simkit"]),
     ],
-    ids=["root", "cli", "simkit"],
+    ids=["root", "cli", "econometrics", "features", "simkit"],
 )
 def test_import_loads_only_the_modules_it_uses(module, loads):
     """The package root imports no module, so a module loads only itself and the modules it imports.
@@ -1101,8 +1118,8 @@ def test_import_loads_only_the_modules_it_uses(module, loads):
     assert done.stdout == f"{loads!r}\n"
 
 
-# the pegrisk modules a command loads when run as a program: no data command loads simkit, and stats loads features
-# because econometrics imports it
+# the pegrisk modules a command loads when run as a program: no data command loads simkit, and stats does not load
+# features, which econometrics imports for an annotation only
 _TABLE_LOADS = ["cli", "config", "econometrics", "errors", "features", "marketdata", "pegmodel"]
 COMMAND_LOADS = {
     "align": ["cli", "config", "errors", "marketdata"],
@@ -1110,7 +1127,7 @@ COMMAND_LOADS = {
     "prob": ["cli", "config", "errors", "marketdata", "pegmodel"],
     "features": ["cli", "config", "errors", "features", "marketdata", "pegmodel"],
     "regress": _TABLE_LOADS,
-    "stats": _TABLE_LOADS,
+    "stats": ["cli", "config", "econometrics", "errors", "marketdata", "pegmodel"],
     "pipeline": _TABLE_LOADS,
     "simulate": ["cli", "config", "errors", "marketdata", "pegmodel", "simkit"],
     "fixture": ["cli", "config", "errors", "marketdata", "pegmodel", "simkit"],

@@ -11,6 +11,7 @@ from pegrisk.errors import DataQualityWarning, DomainError, EstimationError, Inv
 from pegrisk.marketdata import AlignedSeries
 from pegrisk.pegmodel import (
     annualize,
+    check_inversion_domain,
     fit_ar1,
     fit_ar1_rolling,
     half_life,
@@ -210,6 +211,40 @@ class TestTheoreticalFutures:
             theoretical_futures(np.zeros(410), 0.5, 30, p)
         assert str(exc.value) == "default probability must lie in [0, 1], got nan"
 
+    def test_recovery_one_rejected(self):
+        # fails at 97968df, where theoretical_futures took recovery in [0, 1]
+        with pytest.raises(DomainError) as caught:
+            theoretical_futures(0.0, 0.5, 30, 0.1, recovery=1.0)
+        assert str(caught.value) == "recovery must lie in [0, 1), got 1.0"
+
+    def test_recovery_is_checked_before_probability(self):
+        # fails at 97968df, which checked the probability first
+        with pytest.raises(DomainError) as caught:
+            theoretical_futures(0.0, 0.5, 30, 1.5, recovery=-0.1)
+        assert str(caught.value) == "recovery must lie in [0, 1), got -0.1"
+
+
+class TestCheckInversionDomain:
+    @pytest.mark.parametrize(
+        "rho, h, recovery, message",
+        [
+            (1.0, 0, 1.0, "rho must lie in [0, 1), got 1.0"),
+            (0.5, 0, 1.0, "horizon must be at least 1 day, got 0"),
+            (0.5, 30, 1.0, "recovery must lie in [0, 1), got 1.0"),
+            (0.5, 30, 0.0, "unknown annualization method 'weekly'"),
+        ],
+        ids=("rho", "horizon", "recovery", "method"),
+    )
+    def test_first_failure_follows_rho_horizon_recovery_method(self, rho, h, recovery, message):
+        # every case fails at 97968df, whose check_inversion_domain took no method; its prob_series
+        # already made the same checks in this order, in two calls
+        with pytest.raises(DomainError) as caught:
+            check_inversion_domain(rho, h, recovery, "weekly")
+        assert str(caught.value) == message
+        with pytest.raises(DomainError) as caught:
+            prob_series(_aligned([(1.0, 0.999)]), rho, h, recovery, method="weekly")
+        assert str(caught.value) == message
+
 
 class TestImpliedDefaultProb:
     def test_typical_discount(self):
@@ -340,6 +375,13 @@ class TestAnnualize:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             annualize(0.01, 90, "weekly")
+
+    def test_compounded_float_is_the_scalar_formula(self):
+        # passes at 97968df too, which returned a float where this returns an np.float64 of the same bits
+        value = annualize(0.0123, 90, "compounded")
+        assert isinstance(value, float)
+        assert value == (1.0 - (1.0 - 0.0123) ** (365.0 / 90)) * 1e4
+        assert value == annualize(np.array([0.0123]), 90, "compounded")[0]
 
     def test_horizon_below_one_day(self):
         with pytest.raises(DomainError, match="^horizon must be at least 1 day, got 0$"):
