@@ -14,8 +14,7 @@ stars use two-sided normal critical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ _REGRESSOR_SETS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     """Distribution summary of one named series."""
 
     name: str
@@ -101,8 +99,7 @@ def _stars(t: float) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     """OLS estimates with HC0 standard errors.
 
     ``names`` follows the column order of the design matrix (intercept

@@ -20,7 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import repeat
-from typing import Annotated, ClassVar, Iterable, Mapping, TextIO, get_type_hints
+from typing import Annotated, ClassVar, Iterable, Mapping, NamedTuple, TextIO, get_type_hints
 
 import numpy as np
 
@@ -330,8 +330,7 @@ def parse_bars(
     return BarSeries(days, *(column[order] for column in values), venue=venue)
 
 
-@dataclass(frozen=True)
-class JoinReport:
+class JoinReport(NamedTuple):
     """Counts from the date join: matched rows and one-sided drops."""
 
     matched: int

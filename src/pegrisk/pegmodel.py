@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,8 +41,7 @@ ANNUALIZATIONS = ("linear", "compounded")
 DEFAULTS = {"rho": 0.73, "horizon": 90, "recovery": 0.0}
 
 
-@dataclass(frozen=True)
-class Ar1Fit:
+class Ar1Fit(NamedTuple):
     """One estimated mean-reversion coefficient."""
 
     rho: float
@@ -50,8 +49,7 @@ class Ar1Fit:
     n: int
 
 
-@dataclass(frozen=True)
-class RollingAr1:
+class RollingAr1(NamedTuple):
     """The coefficient of every window (``fits``) and their mean."""
 
     fits: np.ndarray
@@ -138,7 +136,7 @@ def half_life(rho: float) -> float:
     return math.log(2.0) / -math.log(rho)
 
 
-def check_inversion_domain(rho: float, h: int, recovery: float = 0.0, method: str = "linear") -> None:
+def check_inversion_domain(rho: float, h: int, recovery: float = DEFAULTS["recovery"], method: str = "linear"):
     """Raise :class:`DomainError`, checking in this order: rho in [0, 1), h >= 1 day, recovery in [0, 1), method."""
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
@@ -150,7 +148,7 @@ def check_inversion_domain(rho: float, h: int, recovery: float = 0.0, method: st
         raise DomainError(f"unknown annualization method {method!r}")
 
 
-def theoretical_futures(delta, rho: float, h: int, p, recovery: float = 0.0):
+def theoretical_futures(delta, rho: float, h: int, p, recovery: float = DEFAULTS["recovery"]):
     """Futures price for a given default probability and recovery rate.
 
     (1 - p) * (1 + rho**h * delta) + p * recovery: survivors carry the
@@ -164,7 +162,7 @@ def theoretical_futures(delta, rho: float, h: int, p, recovery: float = 0.0):
     return (1.0 - p) * (1.0 + rho**h * delta) + p * recovery
 
 
-def implied_default_prob(s: float, f: float, rho: float, h: int, recovery: float = 0.0) -> float:
+def implied_default_prob(s: float, f: float, rho: float, h: int, recovery: float = DEFAULTS["recovery"]) -> float:
     """Invert the futures price to a per-horizon default probability.
 
     With recovery 0 this is 1 - f / (1 + rho**h * (s - 1)); the general

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ class SimConfig(_ModelConfig):
     n_paths: int = 100_000
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """First two moments of the terminal prices, and the number of defaults."""
 
     mc_futures: float
@@ -138,8 +138,7 @@ def simulate_paths(config: SimConfig) -> SimResult:
     )
 
 
-@dataclass(frozen=True)
-class RecoveredProb:
+class RecoveredProb(NamedTuple):
     """Default probability recovered from a Monte Carlo futures price.
 
     ``stderr`` propagates the Monte Carlo standard error through the
@@ -191,8 +190,7 @@ class FixtureConfig(_ModelConfig):
     intraday_range_sd: float = 5e-4
 
 
-@dataclass(frozen=True)
-class FixtureSet:
+class FixtureSet(NamedTuple):
     """Paired synthetic series: stablecoin spot and futures, plus BTC."""
 
     spot: marketdata.BarSeries

@@ -1015,7 +1015,10 @@ def test_model_defaults_are_the_library_defaults():
     for func in (features.build_feature_panel, features.intraday_vol):
         assert default(func, "estimator") == _MODEL_DEFAULTS["estimator"], func.__name__
     assert default(pegmodel.prob_series, "h") == pegmodel.DEFAULTS["horizon"]
-    assert default(pegmodel.prob_series, "recovery") == pegmodel.DEFAULTS["recovery"]
+    recovery = (pegmodel.prob_series, pegmodel.check_inversion_domain, pegmodel.theoretical_futures,
+                pegmodel.implied_default_prob)
+    for func in recovery:
+        assert default(func, "recovery") == pegmodel.DEFAULTS["recovery"], func.__name__
 
 
 def test_readme_lists_every_config_key():

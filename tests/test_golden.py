@@ -13,9 +13,10 @@ planted sine and the start of the AR(1) path, which the datasets above
 leave at zero. A deliberate change to any of these bytes updates
 ``GOLDEN``, ``SIMULATE_STDOUT`` or ``FIXTURE_FILES`` and says why in
 CHANGES.md. Apart from the bytes, ``table4.csv`` is checked
-against exact OLS and HC0 arithmetic on ``features.csv``, within stated
-bounds, so a hash that fails on another machine can be told from a wrong
-number.
+against exact OLS and HC0 arithmetic on ``features.csv``, and the
+volatility columns of ``features.csv`` against the Parkinson formula on
+the input bars, within stated bounds, so a hash that fails on another
+machine can be told from a wrong number.
 """
 
 import csv
@@ -849,3 +850,30 @@ def test_prob_and_table3_are_within_bounds_of_exact_arithmetic(datasets, dataset
         _check_summary(table3[name], [row[column] for row in aligned])
     if all(row["trimmed"] == "false" for row in prob):
         _check_summary(table3["p_annualized_bps"], [row["p_annualized_bps"] for row in prob])
+
+
+# the Parkinson volatility of features.csv against its formula, on the absolute scale of the log: a double holds
+# high / low only to half a unit in the last place of 1.0, and the log carries that error through. Worst measured:
+# 0.55 of that unit, on full and gaps alike; the bound is one unit
+LOG_RANGE_BOUND = Fraction(1, 2**52)
+
+
+@pytest.mark.parametrize("dataset", ("full", "gaps"))
+def test_parkinson_volatility_is_within_bounds_of_exact_logs(datasets, dataset, tmp_path, capsys):
+    """sigma_btc_bps and sigma_usdt_bps of features.csv against ln(high / low) / (2 sqrt(ln 2)) * 1e4 at 50 digits.
+
+    The high and low are those of the BTC and spot bars the run read, on each panel date. Each published value,
+    taken back to its log, must lie within ``LOG_RANGE_BOUND`` of the 50-digit ``Decimal.ln`` of high / low.
+    """
+    data = datasets[dataset] / "data"
+    assert _run(_command_args("features", data, tmp_path), capsys)[0] == 0
+    panel = _csv_rows(tmp_path / "features.csv")
+    with localcontext(prec=50):
+        factor = 2 * Decimal(2).ln().sqrt()
+        for column, role in (("sigma_btc_bps", "btc"), ("sigma_usdt_bps", "spot")):
+            bars = {bar["timestamp"]: bar for bar in _csv_rows(data / f"{role}.csv")}
+            for row in panel:
+                bar = bars[row["date"]]
+                log = (Decimal(float(bar["high"])) / Decimal(float(bar["low"]))).ln()
+                published = Decimal(float(row[column])) * factor / 10**4
+                assert abs(Fraction(published - log)) <= LOG_RANGE_BOUND, (column, row["date"])
