@@ -1,23 +1,28 @@
 """Command-line driver: align, estimate, invert, regress, simulate.
 
-Every parameter can come from a ``key=value`` config file (``--config``),
-with command-line flags taking precedence. ``pipeline`` writes its
-artifacts plus a run manifest that doubles as a config file, so
+Every parameter can come from a ``key=value`` config file (``--config``); a
+flag wins over its config line. ``pipeline`` writes its artifacts and a run
+manifest, settings as key=value lines and provenance as ``#`` comments, so
 
     pegrisk pipeline --config run_manifest.txt --out elsewhere
 
-reproduces a run exactly. A command is one ``_Stages``: its settings (stage
-``config``), then each stage it reads, run once. An error exits nonzero with
-one line on stderr (``error stage=... type=... msg="..."``) that names the
-innermost stage running, or the last that ran, and removes what was written,
-also on SIGTERM (exit 143) and SIGINT (130); a warning prints one ``warning
-stage=...`` line. Inputs are parsed first, in role order, and CSV tables
-written before text, the run manifest last. Both go through one rule
-(``_each``): on two or more CPUs, two or more files of ``_PARALLEL_BYTES`` or
-more in all are parsed, or written, by forked workers, one per file. So a
-long ``pipeline`` writes ``aligned.csv`` and ``prob.csv`` side by side, and a
-command that writes one table writes it in its own process. Bytes and errors
-are those of the serial path.
+reproduces a run exactly. A config file is UTF-8 text, with or without a
+byte-order mark; its lines end at a line feed, a carriage return or both, and
+at no other character. Blank lines and ``#`` comments are ignored, a value is
+what follows the first ``=``, stripped of white space, and each key may appear
+once and must be one that a command reads.
+
+A command is one ``_Stages``: its settings (stage ``config``), then each stage
+it reads, run once. An error exits nonzero with one line on stderr (``error
+stage=... type=... msg="..."``) that names the innermost stage running, or the
+last that ran, and removes what was written, also on SIGTERM (exit 143) and
+SIGINT (130); a warning prints one ``warning stage=...`` line. Inputs are
+parsed first, in role order, and CSV tables written before text, the run
+manifest last. Both go through one rule (``_each``): on two or more CPUs, two
+or more files of ``_PARALLEL_BYTES`` or more in all are parsed, or written, by
+forked workers, one per file. So a long ``pipeline`` writes ``aligned.csv`` and
+``prob.csv`` side by side, and a command that writes one table writes it in its
+own process. Bytes and errors are those of the serial path.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from functools import cached_property, wraps
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, EstimationError, PegRiskError, SchemaError
+from .errors import DomainError, EstimationError, PegRiskError, SchemaError, ValidationError
 
 if TYPE_CHECKING:  # a command imports the library modules its _COMMANDS entry names, and no other
-    from . import config, econometrics, features, marketdata, pegmodel, simkit
+    from . import econometrics, features, marketdata, pegmodel, simkit
 
 _FIGURE1_STUB = """\
 {
@@ -120,13 +125,42 @@ def _rho(text: str) -> str:
     return text
 
 
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValidationError:
+    return ValidationError(f"{path}: not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#x})")
+
+
+def _load_config(path: str | Path, keys: set[str]) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    out: dict[str, str] = {}
+    # read_text turns \r\n and \r into \n; splitlines() would also end a line at \x0c, \x1c or \x85
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SchemaError(f"config line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise SchemaError(f"config line {lineno}: empty key")
+        if key not in keys:
+            raise SchemaError(f"config line {lineno}: no command reads the key {key!r}")
+        if key in out:
+            raise SchemaError(f"config line {lineno}: repeated key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
 def _parse_file(path: str, schema: dict[str, str], venue: str) -> marketdata.BarSeries:
     """The bars of one input file; module-level so that a worker process can be sent it."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as stream:
             return marketdata.parse_bars(stream, schema=schema, venue=venue)
     except UnicodeDecodeError as exc:
-        raise config.not_utf8(path, exc) from None
+        raise _not_utf8(path, exc) from None
     except PegRiskError as exc:  # name the input at fault, of up to four
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -216,7 +250,7 @@ class _Stages:
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
         allowed = {flag.replace("-", "_") for flag in _FLAGS if flag != "config"} | set(columns)
-        raw = config.load_config(_cast("config", given["config"], "--config"), allowed) if "config" in given else {}
+        raw = _load_config(_cast("config", given["config"], "--config"), allowed) if "config" in given else {}
         reads = [flag.replace("-", "_") for flag in _COMMANDS[given["command"]][2].split() if flag != "config"]
         settings = {key: value for key, value in _MODEL_DEFAULTS.items() if key in reads}
         if "horizon" in reads:  # as do rho and recovery, whose defaults, and horizon's, are pegmodel's
@@ -401,7 +435,8 @@ def _manifest(stages: _Stages) -> str:
         f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
         "artifacts: " + " ".join(_PIPELINE_ARTIFACTS),
     ]
-    return config.format_kv(entries, comments)
+    lines = [f"# {comment}" for comment in comments] + [f"{key} = {value}" for key, value in entries.items()]
+    return "\n".join(lines) + "\n"
 
 
 # artifact name -> its text, or for a CSV its table, built from the stages it needs, in this order:
@@ -533,8 +568,8 @@ _MARKET = "config spot spot-venue futures futures-venue"
 _PANEL = _MARKET + " btc btc-venue usdt-alt usdt-alt-venue"
 _MODEL = "rho horizon recovery annualization"
 _SIM = "config rho innovation-sd delta0 horizon p-default recovery seed"
-# library modules: every command reads its settings through config and marketdata, and all but align the model
-_LOADS = "config marketdata pegmodel"
+# library modules: every command reads its settings through marketdata, and all but align the model
+_LOADS = "marketdata pegmodel"
 _TABLES = _LOADS + " features econometrics"
 
 # subcommand -> (handler, the library modules it imports, the flags it reads, help)
@@ -545,7 +580,7 @@ _COMMANDS = {
         f"{_PANEL} {_MODEL} window estimator trim out",
         "run everything and write all artifacts",
     ),
-    "align": (_cmd_align, "config marketdata", f"{_MARKET} out", "align spot and futures into a daily panel"),
+    "align": (_cmd_align, "marketdata", f"{_MARKET} out", "align spot and futures into a daily panel"),
     "fit": (_cmd_fit, _LOADS, "config spot spot-venue window", "estimate the mean-reversion coefficient"),
     "prob": (_cmd_prob, _LOADS, f"{_MARKET} {_MODEL} trim out", "write the default-probability series"),
     "features": (_cmd_features, f"{_LOADS} features", f"{_PANEL} {_MODEL} estimator out", "write the regression panel"),

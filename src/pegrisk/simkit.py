@@ -70,7 +70,7 @@ class _ModelConfig:
 class SimConfig(_ModelConfig):
     """Parameters of one Monte Carlo run that :func:`roundtrip_invert` can invert; the defaults are ``simulate``'s."""
 
-    _AT_LEAST = _ModelConfig._AT_LEAST | {"n_paths": 1}
+    _AT_LEAST = _ModelConfig._AT_LEAST | {"n_paths": 2}  # one path has no standard error
 
     n_paths: int = 100_000
 
@@ -133,7 +133,7 @@ def simulate_paths(config: SimConfig) -> SimResult:
     m2 = math.fsum(m2_i + m * (total / m - mean) ** 2 for m, total, m2_i, _ in blocks)
     return SimResult(
         mc_futures=mean,
-        mc_stderr=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
+        mc_stderr=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
         default_count=sum(count for _, _, _, count in blocks),
     )
 

@@ -19,8 +19,7 @@ from pathlib import Path
 import pytest
 
 import pegrisk
-from pegrisk import config as cfgmod
-from pegrisk import econometrics, features, marketdata, pegmodel, simkit
+from pegrisk import cli, econometrics, features, marketdata, pegmodel, simkit
 from pegrisk.cli import _FLAGS, _MODEL_DEFAULTS, main
 from pegrisk.errors import EstimationError, ValidationError
 from pegrisk.marketdata import write_table_csv
@@ -808,6 +807,11 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == 'error stage=config type=DomainError msg="recovery must lie in [0, 1), got 1.0"\n'
 
+    def test_one_path_fails_at_config(self, capsys):
+        # one path has no standard error, so its recovered p would claim an exact answer
+        assert main(["simulate", "--n-paths", "1"]) == 1
+        assert capsys.readouterr() == ("", 'error stage=config type=DomainError msg="n_paths must be at least 2, got 1"\n')
+
     def test_invalid_rho_is_domain_error(self, capsys):
         code = main(["simulate", "--rho", "1.2", "--n-paths", "100"])
         assert code == 1
@@ -876,7 +880,7 @@ class TestSimulateCommand:
 @pytest.mark.parametrize(
     "command, module, name, stage",
     [
-        ("pipeline", cfgmod, "load_config", "config"),
+        ("pipeline", cli, "_load_config", "config"),
         ("pipeline", marketdata, "parse_bars", "parse"),
         ("pipeline", marketdata, "align_daily", "align"),
         ("pipeline", pegmodel, "fit_ar1", "fit"),
@@ -1123,17 +1127,17 @@ def test_import_loads_only_the_modules_it_uses(module, loads):
 
 # the pegrisk modules a command loads when run as a program: no data command loads simkit, and stats does not load
 # features, which econometrics imports for an annotation only
-_TABLE_LOADS = ["cli", "config", "econometrics", "errors", "features", "marketdata", "pegmodel"]
+_TABLE_LOADS = ["cli", "econometrics", "errors", "features", "marketdata", "pegmodel"]
 COMMAND_LOADS = {
-    "align": ["cli", "config", "errors", "marketdata"],
-    "fit": ["cli", "config", "errors", "marketdata", "pegmodel"],
-    "prob": ["cli", "config", "errors", "marketdata", "pegmodel"],
-    "features": ["cli", "config", "errors", "features", "marketdata", "pegmodel"],
+    "align": ["cli", "errors", "marketdata"],
+    "fit": ["cli", "errors", "marketdata", "pegmodel"],
+    "prob": ["cli", "errors", "marketdata", "pegmodel"],
+    "features": ["cli", "errors", "features", "marketdata", "pegmodel"],
     "regress": _TABLE_LOADS,
-    "stats": ["cli", "config", "econometrics", "errors", "marketdata", "pegmodel"],
+    "stats": ["cli", "econometrics", "errors", "marketdata", "pegmodel"],
     "pipeline": _TABLE_LOADS,
-    "simulate": ["cli", "config", "errors", "marketdata", "pegmodel", "simkit"],
-    "fixture": ["cli", "config", "errors", "marketdata", "pegmodel", "simkit"],
+    "simulate": ["cli", "errors", "marketdata", "pegmodel", "simkit"],
+    "fixture": ["cli", "errors", "marketdata", "pegmodel", "simkit"],
 }
 
 

@@ -145,6 +145,8 @@ class TestSimulatePaths:
             SimConfig(p_default=-0.1)
         with pytest.raises(DomainError):
             SimConfig(n_paths=0)
+        with pytest.raises(DomainError, match="n_paths must be at least 2, got 1"):  # one path has no standard error
+            SimConfig(n_paths=1)
 
     def test_fields_are_keyword_only(self):
         with pytest.raises(TypeError):
