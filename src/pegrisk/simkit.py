@@ -1,6 +1,6 @@
 """Monte Carlo engine for the jump-to-default peg model, plus fixture data.
 
-Each path evolves the peg deviation one day at a time with i.i.d. Gaussian
+Each path evolves the peg deviation one day at a time with Gaussian
 innovations; an independent draw decides whether the peg survives to
 contract expiry. Surviving paths terminate at 1 + deviation, broken ones
 at the recovery value. The sample mean of terminal prices estimates the
@@ -11,16 +11,29 @@ touches the closed form.
 The paths are simulated in blocks of ``PATH_BLOCK`` paths; the last block
 may be partial. Block i covers paths [i * PATH_BLOCK, (i + 1) * PATH_BLOCK)
 and draws from its own SFC64 generator, seeded by the i-th child that
-``SeedSequence(seed).spawn`` gives. Within a block the draw order is fixed:
-one uniform per path for the default flags, then, day by day, one
-standard normal per path. Innovations are drawn for every path regardless
-of its default flag to keep the draw count invariant. The blocks run on as
-many threads as the process has CPUs, but which thread runs which block
-does not touch the draws, and SFC64 uses integer arithmetic only, so a
-given config produces bit-identical output on any machine.
+``SeedSequence(seed).spawn`` gives. Within a block of m paths the draw
+order is fixed: one uniform per path for the default flags, then, day by
+day, ceil(m / 2) standard normals. The innovations are mirrored
+(antithetic): path j of the block takes the j-th normal and path
+j + ceil(m / 2) the same normal with opposite sign, so when m is odd the
+middle path, ceil(m / 2) - 1, has no partner. Each path still follows its
+own stepwise AR(1) recursion with i.i.d. Gaussian innovations, and the
+default flags stay independent. Innovations are drawn for every path
+regardless of its default flag to keep the draw count invariant. The
+blocks run on as many threads as the process has CPUs, but which thread
+runs which block does not touch the draws, and SFC64 uses integer
+arithmetic only, so a given config produces bit-identical output on any
+machine.
 
-This is the third draw stream: a single generator came first, then one
-PCG64 generator per block, then SFC64 per block. SFC64 draws normals
+``mc_stderr`` is the per-path sample formula, which treats the paths as
+independent. It is an upper bound: the two paths of a pair share their
+innovations with opposite sign and their default flags are independent, so
+their covariance is -(1 - p)**2 times the variance of the innovation part
+of one path, never positive.
+
+This is the fourth draw stream: a single generator came first, then one
+PCG64 generator per block, then SFC64 per block, then SFC64 per block with
+mirrored innovations, which halves the normal draws. SFC64 draws normals
 faster, and its 64-bit counter keeps two distinct seeds from colliding for
 at least 2**64 draws, which is what independent block streams need. Each
 change gave the same seed other draws than before it.
@@ -76,7 +89,11 @@ class SimConfig(_ModelConfig):
 
 
 class SimResult(NamedTuple):
-    """First two moments of the terminal prices, and the number of defaults."""
+    """First two moments of the terminal prices, and the number of defaults.
+
+    ``mc_stderr`` is the sample standard deviation of the paths over the square root of their
+    count; the mirrored pairs are negatively correlated, so it bounds the standard error from above.
+    """
 
     mc_futures: float
     mc_stderr: float
@@ -91,15 +108,19 @@ def _simulate_block(
 ) -> None:
     """Fill one block's terminal values (in ``deviation``) and default flags in place."""
     rng = np.random.Generator(np.random.SFC64(stream))
-    z = np.empty(deviation.size)
-    rng.random(out=z)
-    np.less(z, config.p_default, out=defaulted)
+    m = deviation.size
+    half = -(-m // 2)
+    uniforms = np.empty(m)
+    rng.random(out=uniforms)
+    np.less(uniforms, config.p_default, out=defaulted)
+    z = uniforms[:half]  # the flags are set, so the uniforms' buffer holds the innovations
     deviation.fill(config.delta0)
     for _ in range(config.horizon_days):
         rng.standard_normal(out=z)
         z *= config.innovation_sd
         deviation *= config.rho
-        deviation += z
+        deviation[:half] += z  # path j + half takes path j's innovation with opposite sign
+        deviation[half:] -= z[: m - half]
     deviation += 1.0
     deviation[defaulted] = config.recovery
 

@@ -191,7 +191,7 @@ GOLDEN = {
 
 # 200,000 paths are 4 blocks of the Monte Carlo stream, the last one partial
 SIMULATE = ["simulate", "--n-paths", "200000", "--seed", "5"]
-SIMULATE_STDOUT = "f6c5eaf9d144f986d98b94f1a9c44be57165451d904d946bed8d079710f6ce57"
+SIMULATE_STDOUT = "e4cd0abc3a1f9e3595e8db285748b91b38da74fb4c4e284bbee2065a370753ab"
 
 # every fixture setting away from its default: the golden datasets plant p_amplitude = 0 and
 # delta0 = 0, so only this pin covers the planted sine and the start of the AR(1) recursion

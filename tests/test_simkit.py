@@ -157,6 +157,7 @@ class TestPathBlocks:
     CONFIG = dict(rho=0.73, horizon_days=5, delta0=0.001, innovation_sd=5e-4, p_default=0.02, seed=7)
 
     def test_matches_stepwise_reference(self, simulate_recorded):
+        # a full block and a 5-path tail, whose path 2 has no mirror
         config = SimConfig(n_paths=PATH_BLOCK + 5, **self.CONFIG)
         streams = np.random.SeedSequence(config.seed).spawn(2)
         blocks = []
@@ -164,9 +165,12 @@ class TestPathBlocks:
         for stream, m in zip(streams, (PATH_BLOCK, 5)):
             rng = np.random.Generator(np.random.SFC64(stream))
             defaulted = rng.random(m) < config.p_default
+            half = (m + 1) // 2
             deviation = np.full(m, config.delta0)
             for _ in range(config.horizon_days):
-                deviation = config.rho * deviation + config.innovation_sd * rng.standard_normal(m)
+                z = config.innovation_sd * rng.standard_normal(half)
+                innovation = np.concatenate((z, -z[: m - half]))
+                deviation = config.rho * deviation + innovation
             blocks.append(np.where(defaulted, config.recovery, 1.0 + deviation))
             flags.append(defaulted)
         reference = np.concatenate(blocks)
@@ -175,6 +179,34 @@ class TestPathBlocks:
         assert np.array_equal(defaulted, np.concatenate(flags))
         assert_moments_of(result, reference)
         assert result.default_count == np.count_nonzero(np.concatenate(flags))
+
+    @pytest.mark.parametrize("n_paths, seed", [(PATH_BLOCK, 7), (2 * PATH_BLOCK + 6, 8)])
+    def test_mirrored_pairs_cancel_without_defaults(self, simulate_recorded, n_paths, seed):
+        # paths j and j + half of a block end at 1 + rho**h * delta0 plus and minus one sum, so the mean
+        # is that value to rounding for any seed, while mc_stderr, blind to the pairing, is one path's spread
+        config = SimConfig(**dict(self.CONFIG, p_default=0.0, seed=seed), n_paths=n_paths)
+        rho, h = config.rho, config.horizon_days
+        exact = 1.0 + rho**h * config.delta0
+        result, terminal, _ = simulate_recorded(config)
+        for start in range(0, n_paths, PATH_BLOCK):
+            block = terminal[start : start + PATH_BLOCK]
+            half = block.size // 2
+            assert np.abs((block[:half] + block[half:]) / 2.0 - exact).max() <= 4.0 * math.ulp(1.0)
+        assert abs(result.mc_futures - exact) <= 8.0 * math.ulp(1.0)
+        path_sd = config.innovation_sd * math.sqrt((1.0 - rho ** (2 * h)) / (1.0 - rho**2))
+        assert result.mc_stderr == pytest.approx(path_sd / math.sqrt(n_paths), rel=0.05)
+
+    def test_stderr_covers_the_spread_over_seeds(self):
+        # with defaults, the spread of mc_futures over seeds is not above the mean mc_stderr,
+        # beyond the sampling error of a standard deviation over this many seeds
+        n_seeds = 400
+        results = [
+            simulate_paths(SimConfig(**dict(self.CONFIG, p_default=0.01, seed=seed), n_paths=4_000))
+            for seed in range(n_seeds)
+        ]
+        spread = np.std([r.mc_futures for r in results], ddof=1)
+        stderr = np.mean([r.mc_stderr for r in results])
+        assert spread / stderr <= 1.0 + 3.0 / math.sqrt(2.0 * (n_seeds - 1))
 
     def test_draws_do_not_depend_on_cpu_count(self, monkeypatch, simulate_recorded):
         config = SimConfig(n_paths=3 * PATH_BLOCK + 7, **self.CONFIG)
