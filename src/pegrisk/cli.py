@@ -87,7 +87,7 @@ _FIGURE2_STUB = """\
 _BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 # model setting -> its default, in the manifest's order after pegmodel.DEFAULTS (rho, horizon, recovery)
-_MODEL_DEFAULTS = {"window": 60, "estimator": "parkinson", "annualization": "linear", "trim": True}
+_MODEL_DEFAULTS = {"estimator": "parkinson", "annualization": "linear", "trim": True}
 
 _PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are handled by forked workers
 
@@ -244,8 +244,8 @@ class _Stages:
 
         It reads its flags but --config, with "_" for "-", and the column names, each value given through ``_cast``
         in that order; no flag has a default, so ``vars(args)`` holds the flags given. Each input it reads but
-        usdt_alt must be given, as must the input of a venue, and a data command's window, horizon, recovery and
-        numeric rho pass pegmodel's checks here, before any input is parsed.
+        usdt_alt must be given, as must the input of a venue, and a data command's horizon, recovery and numeric
+        rho pass pegmodel's checks here, before any input is parsed.
         """
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
@@ -265,8 +265,6 @@ class _Stages:
             del settings["usdt_alt"]
         if "usdt_alt_venue" in settings and "usdt_alt" not in settings:
             raise SchemaError("'usdt_alt_venue' is set, but its input 'usdt_alt' is not given")
-        if "window" in settings:
-            pegmodel.check_window(settings["window"])
         if {"spot", "horizon"} <= settings.keys():  # simulate's and fixture's are checked by their config class
             rho = 0.0 if settings["rho"] == "estimate" else float(settings["rho"])  # a fitted rho is checked at prob
             pegmodel.check_inversion_domain(rho, settings["horizon"], settings["recovery"])
@@ -293,11 +291,6 @@ class _Stages:
     def fit(self) -> pegmodel.Ar1Fit:
         spot = self.bars["spot"]
         return pegmodel.fit_ar1(spot.date, spot.close - 1.0)
-
-    @_stage("fit")
-    def rolling(self) -> pegmodel.RollingAr1:
-        spot = self.bars["spot"]
-        return pegmodel.fit_ar1_rolling(spot.date, spot.close - 1.0, self.settings["window"])
 
     @_stage("fit")
     def rho(self) -> float:
@@ -410,10 +403,6 @@ def _join_summary(aligned: marketdata.AlignedSeries) -> str:
 def _manifest(stages: _Stages) -> str:
     fmt = marketdata.fmt_float
     try:
-        rolling_fit = f"rho_rolling_mean = {fmt(stages.rolling.rho_mean)} over {len(stages.rolling.fits)} windows"
-    except EstimationError as exc:  # bad data is reported; the window was checked at config
-        rolling_fit = f"rolling fit unavailable: {exc}"
-    try:
         full_fit = f"rho_full_sample = {fmt(stages.fit.rho)} (stderr {fmt(stages.fit.stderr)})"
     except EstimationError as exc:  # a fixed rho goes on without it; under 'estimate', stages.rho below raises it
         full_fit = f"full-sample fit unavailable: {exc}"
@@ -430,7 +419,6 @@ def _manifest(stages: _Stages) -> str:
         "pegrisk run manifest; feed back via --config to reproduce",
         f"rho_effective = {fmt(stages.rho)}",
         full_fit,
-        rolling_fit,
         f"join: matched {report.matched}, "
         f"dropped {report.dropped_spot} spot / {report.dropped_futures} futures",
         "artifacts: " + " ".join(_PIPELINE_ARTIFACTS),
@@ -473,18 +461,12 @@ def _cmd_align(stages: _Stages) -> None:
 
 
 def _cmd_fit(stages: _Stages) -> None:
-    full_fit, window = stages.fit, stages.settings["window"]
-    try:
-        rolling = stages.rolling
-        rolling_fit = f"rolling mean rho = {rolling.rho_mean:.6f} over {len(rolling.fits)} windows of {window} days"
-    except EstimationError as exc:
-        rolling_fit = f"rolling fit unavailable: {exc}"
+    full_fit = stages.fit
     print(f"full-sample rho = {full_fit.rho:.6f} (stderr {full_fit.stderr:.6f}, n {full_fit.n})")
     try:
         print(f"half-life = {pegmodel.half_life(full_fit.rho):.3f} days")
     except DomainError:
         print("fit is not stable (rho outside (0, 1)); no half-life")
-    print(rolling_fit)
 
 
 def _cmd_prob(stages: _Stages) -> None:
@@ -547,7 +529,6 @@ _FLAGS: dict[str, dict] = {
     "rho": {"type": _rho, "help": "mean-reversion coefficient, or 'estimate'"},
     "horizon": {"type": int, "help": lambda: f"futures horizon in days (default {pegmodel.DEFAULTS['horizon']})"},
     "recovery": {"type": float, "help": lambda: f"recovery rate in [0, 1) (default {pegmodel.DEFAULTS['recovery']:g})"},
-    "window": {"type": int, "help": f"rolling estimation window (default {_MODEL_DEFAULTS['window']})"},
     "annualization": {"choices": lambda: pegmodel.ANNUALIZATIONS},
     "estimator": {"choices": lambda: features.ESTIMATORS, "help": "intraday volatility estimator"},
     "trim": {"action": argparse.BooleanOptionalAction, "help": "clamp negative probabilities to 0 (default on)"},
@@ -577,11 +558,11 @@ _COMMANDS = {
     "pipeline": (
         _cmd_pipeline,
         _TABLES,
-        f"{_PANEL} {_MODEL} window estimator trim out",
+        f"{_PANEL} {_MODEL} estimator trim out",
         "run everything and write all artifacts",
     ),
     "align": (_cmd_align, "marketdata", f"{_MARKET} out", "align spot and futures into a daily panel"),
-    "fit": (_cmd_fit, _LOADS, "config spot spot-venue window", "estimate the mean-reversion coefficient"),
+    "fit": (_cmd_fit, _LOADS, "config spot spot-venue", "estimate the mean-reversion coefficient"),
     "prob": (_cmd_prob, _LOADS, f"{_MARKET} {_MODEL} trim out", "write the default-probability series"),
     "features": (_cmd_features, f"{_LOADS} features", f"{_PANEL} {_MODEL} estimator out", "write the regression panel"),
     "regress": (_cmd_regress, _TABLES, f"{_PANEL} {_MODEL} estimator out", "run the panel regressions"),

@@ -42,7 +42,7 @@ DEFAULTS = {"rho": 0.73, "horizon": 90, "recovery": 0.0}
 
 
 class Ar1Fit(NamedTuple):
-    """One estimated mean-reversion coefficient."""
+    """One estimated mean-reversion coefficient; ``n`` counts the pairs of consecutive days it was fitted on."""
 
     rho: float
     stderr: float
@@ -96,7 +96,7 @@ def fit_ar1(days: np.ndarray, deviations: Sequence[float] | np.ndarray) -> Ar1Fi
     rho = float(np.dot(lagged, lead) / sxx)
     residuals = lead - rho * lagged
     sigma2 = float(np.dot(residuals, residuals)) / (pairs - 1)  # pairs minus the one slope
-    return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=lagged.size + 1)
+    return Ar1Fit(rho=rho, stderr=math.sqrt(sigma2 / sxx), n=pairs)
 
 
 def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, window: int) -> RollingAr1:
@@ -107,7 +107,8 @@ def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, 
     does not depend on the gaps. A window with no usable variation raises
     :class:`EstimationError` naming its first date, a ``window`` below 3 :class:`DomainError`.
     """
-    check_window(window)
+    if window < 3:  # too short to hold 2 pairs
+        raise DomainError(f"rolling window must be at least 3, got {window}")
     lagged, lead, _ = _consecutive_pairs(days, deviations)
     if window > lagged.size + 1:
         raise EstimationError(f"window {window} longer than series of length {lagged.size + 1}")
@@ -121,12 +122,6 @@ def fit_ar1_rolling(days: np.ndarray, deviations: Sequence[float] | np.ndarray, 
         raise EstimationError(f"rolling window starting {first_day}: {_DEGENERATE}")
     rhos = np.vecdot(lagged, lead) / sxx
     return RollingAr1(fits=rhos, rho_mean=float(np.mean(rhos)))
-
-
-def check_window(window: int) -> None:
-    """Raise :class:`DomainError` for a rolling window below 3 rows, too short to hold 2 pairs."""
-    if window < 3:
-        raise DomainError(f"rolling window must be at least 3, got {window}")
 
 
 def half_life(rho: float) -> float:

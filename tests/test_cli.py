@@ -330,7 +330,7 @@ class TestPipelineCommand:
 
     def test_rho_estimate_mode(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
-        args = _pipeline_args(fixture_dir, out) + ["--rho", "estimate", "--window", "30"]
+        args = _pipeline_args(fixture_dir, out) + ["--rho", "estimate"]
         assert main(args) == 0
         manifest = (out / "run_manifest.txt").read_text()
         assert "rho = estimate" in manifest
@@ -406,7 +406,7 @@ class TestPipelineCommand:
         inputs = {role: str(data / f"{role}.csv") for role in ("spot", "futures", "btc", "usdt_alt")}
         columns = {f"col_{role}": column for role, column in renamed.items()}
         venues = {f"{role}_venue": f"venue-{role}" for role in inputs}
-        model = {"rho": "0.8", "horizon": "30", "recovery": "0.25", "window": "40"}
+        model = {"rho": "0.8", "horizon": "30", "recovery": "0.25"}
         model |= {"estimator": "range", "annualization": "compounded"}
         by_config, only_columns = tmp_path / "all.txt", tmp_path / "columns.txt"
         everything = inputs | columns | venues | model | {"trim": "off"}
@@ -452,11 +452,11 @@ class TestPipelineCommand:
             ("annualization = weekly", "bad value for 'annualization': 'weekly' (expected one of linear, compounded)"),
             ("estimator = foo", "bad value for 'estimator': 'foo' (expected one of parkinson, range)"),
             # only a line feed, a carriage return or both end a config line, not a form feed or a separator
-            ("window = 30\x0c\nbogus", "config line 5: expected key=value, got 'bogus'"),
+            ("horizon = 30\x0c\nbogus", "config line 5: expected key=value, got 'bogus'"),
             (
-                "window = 30\x1chorizon = 30",
-                r"bad value for 'window': '30\x1chorizon = 30' "
-                r"(invalid literal for int() with base 10: '30\x1chorizon = 30')",
+                "horizon = 30\x1crecovery = 0.5",
+                r"bad value for 'horizon': '30\x1crecovery = 0.5' "
+                r"(invalid literal for int() with base 10: '30\x1crecovery = 0.5')",
             ),
         ],
         ids=[
@@ -517,14 +517,6 @@ class TestPipelineCommand:
         assert capsys.readouterr() == ("", f'error stage=config type=SchemaError msg="{message}"\n')
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.txt"]
 
-    @pytest.mark.parametrize("rho", [[], ["--rho", "estimate"]], ids=["fixed", "estimate"])
-    def test_window_below_three_fails_at_fit(self, fixture_dir, tmp_path, capsys, rho):
-        out = tmp_path / "run"
-        assert main(_pipeline_args(fixture_dir, out) + ["--window", "2", *rho]) == 1
-        err = capsys.readouterr().err
-        assert err == 'error stage=config type=DomainError msg="rolling window must be at least 3, got 2"\n'
-        assert not out.exists() or not any(out.iterdir())
-
     def test_last_trim_flag_wins(self, fixture_dir, tmp_path):
         # at a one-day horizon some raw probabilities are negative, so trimming moves prob.csv
         runs = {"trim": ["--trim"], "no-trim": ["--no-trim"]}
@@ -576,6 +568,23 @@ class TestConfigFile:
         assert main(["fit", "--config", str(tmp_path / "run" / "run_manifest.txt")]) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("command", ["pipeline", "fit"])
+    def test_manifest_with_a_window_fails_at_config(self, fixture_dir, tmp_path, capsys, command):
+        # a manifest of the rolling fit's time holds its window after recovery; no command reads that key, so the
+        # manifest is refused, not replayed with a setting dropped
+        assert main(_pipeline_args(fixture_dir, tmp_path / "run")) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "run" / "run_manifest.txt").read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("recovery = ")) + 1
+        lines.insert(lineno - 1, "window = 60")
+        config = tmp_path / "old_manifest.txt"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "again"
+        assert main([command, "--config", str(config), *(["--out", str(out)] if command == "pipeline" else [])]) == 1
+        message = f"config line {lineno}: no command reads the key 'window'"
+        assert capsys.readouterr() == ("", f'error stage=config type=SchemaError msg="{message}"\n')
+        assert not out.exists()
+
 
 class TestSingleStageCommands:
     def test_align(self, fixture_dir, tmp_path, capsys):
@@ -624,11 +633,11 @@ class TestSingleStageCommands:
         assert (tmp_path / "piped" / "aligned.csv").read_bytes() == (tmp_path / "file" / "aligned.csv").read_bytes()
 
     def test_fit_reports_coefficient(self, fixture_dir, capsys):
-        code = main(["fit", "--spot", str(fixture_dir / "spot.csv"), "--window", "30"])
+        code = main(["fit", "--spot", str(fixture_dir / "spot.csv")])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "full-sample rho" in out
-        assert "rolling mean rho" in out
+        full_sample, half_life = capsys.readouterr().out.splitlines()
+        assert full_sample.startswith("full-sample rho = ")
+        assert half_life.startswith("half-life = ")
 
     def test_fit_on_empty_file_fails_at_parse(self, tmp_path, capsys):
         spot = tmp_path / "spot.csv"
@@ -638,12 +647,14 @@ class TestSingleStageCommands:
         assert err == f'error stage=parse type=SchemaError msg="{spot}: empty input: no header row"\n'
 
     def test_fit_skips_rolling_fit_on_short_series(self, tmp_path, capsys):
+        # no rolling fit runs, on this 40-day series as on any other: fit prints the full-sample fit and its half-life
         data = tmp_path / "data"
         assert main(["fixture", "--out", str(data), "--n-days", "40", "--seed", "7"]) == 0
         capsys.readouterr()
         assert main(["fit", "--spot", str(data / "spot.csv")]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert "rolling fit unavailable: window 60 longer than series of length 40" in out
+        full_sample, half_life = capsys.readouterr().out.splitlines()
+        assert full_sample.startswith("full-sample rho = ") and full_sample.endswith(", n 39)")
+        assert half_life.startswith("half-life = ")
 
     def test_fit_without_stable_rho_prints_no_half_life(self, tmp_path, capsys):
         # deviations of -10 and +10 bps by turns: rho is -1
@@ -653,11 +664,6 @@ class TestSingleStageCommands:
         spot.write_text("\n".join(["timestamp,open,high,low,close,volume", *rows]) + "\n")
         assert main(["fit", "--spot", str(spot)]) == 0
         assert "fit is not stable (rho outside (0, 1)); no half-life" in capsys.readouterr().out.splitlines()
-
-    def test_fit_window_below_three_fails_at_fit(self, fixture_dir, capsys):
-        assert main(["fit", "--spot", str(fixture_dir / "spot.csv"), "--window", "2"]) == 1
-        err = capsys.readouterr().err
-        assert err == 'error stage=config type=DomainError msg="rolling window must be at least 3, got 2"\n'
 
     def test_prob_writes_series(self, fixture_dir, tmp_path):
         out = tmp_path / "p"
@@ -715,9 +721,6 @@ class TestSingleStageCommands:
         config.write_text("trim = maybe\n")  # nor does features
         inputs = [*spot, "--futures", str(fixture_dir / "futures.csv"), "--btc", str(fixture_dir / "btc.csv")]
         assert main(["features", "--config", str(config), *inputs, "--out", str(tmp_path / "features")]) == 0
-        config.write_text("window = abc\n")
-        assert main(["fit", "--config", str(config), *spot]) == 1
-        assert capsys.readouterr().err.startswith("error stage=config type=SchemaError msg=\"bad value for 'window'")
 
     def test_fit_reports_cell_over_csv_field_limit(self, tmp_path, capsys):
         spot = tmp_path / "spot.csv"
@@ -884,7 +887,6 @@ class TestSimulateCommand:
         ("pipeline", marketdata, "parse_bars", "parse"),
         ("pipeline", marketdata, "align_daily", "align"),
         ("pipeline", pegmodel, "fit_ar1", "fit"),
-        ("pipeline", pegmodel, "fit_ar1_rolling", "fit"),
         ("pipeline", pegmodel, "prob_series", "prob"),  # the untrimmed series
         ("pipeline", pegmodel, "trim_negative", "prob"),  # the published series
         ("pipeline", features, "build_feature_panel", "features"),
@@ -935,7 +937,6 @@ _OUT_OF_RANGE = {
     "rho": ("1", "rho must lie in [0, 1), got 1.0"),
     "horizon": ("0", "horizon must be at least 1 day, got 0"),
     "recovery": ("1", "recovery must lie in [0, 1), got 1.0"),
-    "window": ("2", "rolling window must be at least 3, got 2"),
     "p_default": ("1.5", "p_default must lie in [0, 1], got 1.5"),
     "innovation_sd": ("-1", "innovation_sd must be non-negative, got -1.0"),
     "p_period_days": ("0", "p_period_days must be at least 1, got 0"),
@@ -946,11 +947,10 @@ _RANGE_COMMANDS = {
     "fixture": (["--out", "out"], "seed rho horizon recovery p_default innovation_sd p_period_days"),
     "pipeline": (
         ["--spot", "no.csv", "--futures", "no.csv", "--btc", "no.csv", "--out", "out"],
-        "rho horizon recovery window",
+        "rho horizon recovery",
     ),
     "prob": (["--spot", "no.csv", "--futures", "no.csv", "--out", "out"], "horizon"),
     "stats": (["--spot", "no.csv", "--futures", "no.csv"], "recovery"),
-    "fit": (["--spot", "no.csv"], "window"),
 }
 
 
@@ -974,7 +974,7 @@ def test_setting_out_of_range_fails_at_config(tmp_path, monkeypatch, capsys, sou
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--window", "30"],
+        ["simulate", "--trim"],
         ["fixture", "--estimator", "range"],
         ["fit", "--spot", "spot.csv", "--rho", "0.5"],
         ["prob", "--estimator", "range"],
@@ -999,9 +999,9 @@ def test_flag_without_its_value_is_a_usage_error(capsys):
     assert "argument --horizon: expected one argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["prob", "features", "regress", "stats"])
-def test_window_is_a_flag_of_pipeline_and_fit_only(command, capsys):
-    # the rolling fit runs only where it is reported: the pipeline manifest and fit's output
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_window_is_a_flag_of_no_command(command, capsys):
+    # no command runs a rolling fit, so none takes its window
     with pytest.raises(SystemExit) as exc:
         main([command, "--window", "30"])
     assert exc.value.code == 2
@@ -1036,9 +1036,9 @@ def test_readme_lists_every_config_key():
 # (CI's) formats it; a change to any of these texts updates its hash and says why in CHANGES.md
 HELP_SHA256 = {
     "": "76588ea651e6749414d90b52ceb7802a2fc62319cbc8cd84235dcdc926b38656",
-    "pipeline": "ec77106de63bf0eee936a7200191c0da2296554896ba078464de3e2064c36143",
+    "pipeline": "7e06be64e97e27b06c2f18e88b47eb49b4d78d26248cab79691610dcfce43299",
     "align": "752160b9acfefd7d36b17702aac1db8363217ab1b2a7bac2c776987dbe4f7753",
-    "fit": "8124c0ef0f772c269dfc98b83026f72209a8c705319174f362e8014438f3ffca",
+    "fit": "0934dd9cd72094fce96a12af659304fea0ebf909e5205c1435a92af1c5736310",
     "prob": "484f90f4b0df80afe055c402a22cc7357dbc2134ef688fa36c1e4e2a00c5c24b",
     "features": "e6f82641271312af12489a80be6c685091a7795aa3989b0abb9725879cdffb91",
     "regress": "9530ea97754f05d686d0ea349ccc5aa0f9a5219338b2b6bd8ee8d10c233265f2",
@@ -1050,7 +1050,7 @@ HELP_SHA256 = {
 
 @pytest.mark.parametrize("command", HELP_SHA256, ids=lambda command: command or "pegrisk")
 def test_help_text_is_pinned(command, monkeypatch, capsys):
-    # the help of --horizon and --recovery shows its default from pegmodel.DEFAULTS, that of --window from _MODEL_DEFAULTS
+    # the help of --horizon and --recovery shows its default from pegmodel.DEFAULTS
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"] if command else ["--help"])

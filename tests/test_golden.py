@@ -44,15 +44,13 @@ P_DEFAULT = 30.0 * 90.0 / (365.0 * 1e4)
 MARKET = ["--spot", "data/spot.csv", "--futures", "data/futures.csv"]
 BTC = ["--btc", "data/btc.csv"]
 ESTIMATE = ["--rho", "estimate", "--no-trim", "--annualization", "compounded"]
-# only pipeline and fit take a window: the rolling fit runs only where it is reported
-WINDOW = ["--window", "30"]
 # priced at a 90-day horizon, read at one day: some raw probabilities are negative
 SHORT = ["--horizon", "1"]
 
 # name -> argv; the last argument is the output directory, except for fit
 INVOCATIONS = {
     "pipeline": ["pipeline", *MARKET, *BTC, "--out", "pipeline"],
-    "pipeline-estimate": ["pipeline", *MARKET, *BTC, *ESTIMATE, *WINDOW, "--out", "pipeline-estimate"],
+    "pipeline-estimate": ["pipeline", *MARKET, *BTC, *ESTIMATE, "--out", "pipeline-estimate"],
     "align": ["align", *MARKET, "--out", "align"],
     "prob": ["prob", *MARKET, "--out", "prob"],
     "prob-trimmed": ["prob", *MARKET, *SHORT, "--out", "prob-trimmed"],
@@ -70,7 +68,7 @@ GOLDEN = {
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
             "prob.csv": "be13b1583cf3f63d9e8a3576f27b1170584183ca0fdf557a11cb369c21064558",
-            "run_manifest.txt": "f57ff95a31f6d578e01c686d700de5f2247051b6ae99f92736b8a009202168c6",
+            "run_manifest.txt": "f7e147ce09a6eed24c8e594e7cd702cbddf3e0529e8dcfc75abb81b4602cb2e1",
             "table3.csv": "0a90085bb374ebae18cc42633643c0d7fabbf46632465dd62d94fe356ddda7d6",
             "table3.txt": "49523ec0eb9326fd77a88a9ffcc1260ecb95cd2755a7a00b127c6885ec3065ba",
             "table4.csv": "1c3e22e80990aa7e588a554c5a233653f58f7f3d222d35454af07bd6a41fed92",
@@ -82,7 +80,7 @@ GOLDEN = {
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
             "prob.csv": "e6932699c81e89d0002ed8a62dc321bb0539ddf07066b78ae7cb630fbacf28d1",
-            "run_manifest.txt": "402b733d66b78b96c1b47bc4cbf4fdd567d683acf0d2de3718fb3ef87e747aaf",
+            "run_manifest.txt": "ed45e287bf15836ada894cc54dbc5742d505ff8c61b9f199d9f6273392e751db",
             "table3.csv": "3ebd0035c6eee69ff12964be1c849efea1dbe8af51cbc3ee4c8b693fd6582928",
             "table3.txt": "0ddf9de5b9916c49f35594faf89a4ee484cf0ee570d57d42f0c6fd73afd65e31",
             "table4.csv": "8ecdddbbf52b8d834c4e5be88f1925d81418b06febd4edf19a5702e86b9a1e97",
@@ -115,7 +113,7 @@ GOLDEN = {
             "table3.txt": "49523ec0eb9326fd77a88a9ffcc1260ecb95cd2755a7a00b127c6885ec3065ba",
         },
         "fit": {
-            "stdout": "1225854ce925f636fb533d9550c0603054b65ec8dd8b1860781ad6345463655c",
+            "stdout": "1bcbb270a3473e23e316dfe63e5f9d9ef35042579d7f4fc98ca9f852d62b4140",
         },
     },
     "gaps": {
@@ -125,7 +123,7 @@ GOLDEN = {
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
             "prob.csv": "1ab98f87e31cb7956edea91bf88f084c7f38f4ba6bdd676bda23bb087662676a",
-            "run_manifest.txt": "419292ff7169d247ff3a044ec2192c1849a08a2df4233541823ae8fd8eb7166d",
+            "run_manifest.txt": "793b59e774e7ec49b8373d315a15ba2c1644de359c8d5e398d96cb06ecfbc0ed",
             "table3.csv": "c10c8a740acd6b36866da1f8698dd4c15d572e54a6c925fc3f816abe03952031",
             "table3.txt": "2789fa690f4bea8613dd27278eb5f88ab04e231d81e697d04c944aa15a18c1b1",
             "table4.csv": "b773f95b7219e5eec8635cc6df5d2832bd5b0bff7e0b44665e88b8ca26c396d2",
@@ -137,7 +135,7 @@ GOLDEN = {
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
             "prob.csv": "eee99203b6334c1b84cc77d1d2968b6b55d2499ca9e746f8e4513c1c1ebbf64f",
-            "run_manifest.txt": "c4c8b02dbcec4a58380252a6643a37554acf0fd3b6008cf288084208cd7db20a",
+            "run_manifest.txt": "196b36557f4012437c59836ce81c50b22ce0a40bad19d0ecb2f2a1c40d2c7fb9",
             "table3.csv": "8005d9bc5308e998d445e44ce09e1bea048bf01bd25989c4d238133da7ea03dc",
             "table3.txt": "d1f8f0d135fcd7d37f3ce7e0d586f50800a74d3838b8944773a1dc01926a53f7",
             "table4.csv": "f0ffe8a379195d4d77f7a096afe84366241d4400b2c93e86cd9f0932ff6bc254",
@@ -170,7 +168,7 @@ GOLDEN = {
             "table3.txt": "2789fa690f4bea8613dd27278eb5f88ab04e231d81e697d04c944aa15a18c1b1",
         },
         "fit": {
-            "stdout": "1225854ce925f636fb533d9550c0603054b65ec8dd8b1860781ad6345463655c",
+            "stdout": "1bcbb270a3473e23e316dfe63e5f9d9ef35042579d7f4fc98ca9f852d62b4140",
         },
     },
     "long": {
@@ -180,7 +178,7 @@ GOLDEN = {
             "figure1.vl.json": "1c6e0f58f14aa1c20cedfaa5c8a3e00c80abc487488dbf4ba2213edfd22d6e13",
             "figure2.vl.json": "af704caf1b4ddb2c64cdfce383a47d1a88dd9038c96dc64fc1cb07f09e599609",
             "prob.csv": "e4a81bb6ac66f65df6ca7d45a94664078dbd88315289882afa1ecc0c40fe7695",
-            "run_manifest.txt": "debf61b0b448d1bf7549c032a639b5a451aee624a05d99113e5faa1180db0e87",
+            "run_manifest.txt": "c63cbddb910d01838a870d8744826f22344b26e2a3277d4c0ebb1931b00e6589",
             "table3.csv": "7b9798041ab38987a7079726ea08bcb5c59198521daf10f04e9864b9f70425e4",
             "table3.txt": "e723b5af95cb8342b07fd38a4486726ccae8d6faf4ecdbcb56cd821d15106ef7",
             "table4.csv": "db5ba24cf5040c8feacd84629de6050b149ab42cd63c00f4b542381d710eee6c",
@@ -321,7 +319,7 @@ def test_single_stage_outputs_equal_pipeline_artifacts(datasets, dataset, model,
     market = ["--spot", str(data / "spot.csv"), "--futures", str(data / "futures.csv")]
     btc = ["--btc", str(data / "btc.csv")]
     pipe = tmp_path / "pipeline"
-    assert _run(["pipeline", *market, *btc, *model, *WINDOW, "--out", str(pipe)], capsys)[0] == 0
+    assert _run(["pipeline", *market, *btc, *model, "--out", str(pipe)], capsys)[0] == 0
     # regress and stats read the untrimmed series and take no trim flag
     untrimmed = [arg for arg in model if arg != "--no-trim"]
     commands = {
@@ -441,20 +439,19 @@ def flat_stretch_data(tmp_path_factory):
 
 
 def test_degenerate_rolling_window_leaves_estimate_to_the_full_sample(flat_stretch_data, tmp_path, capsys):
+    # ten flat days would make a 10-day rolling fit degenerate; the full-sample fit, the only one run, goes on
     out = tmp_path / "out"
-    args = _command_args("pipeline", flat_stretch_data, out) + ["--window", "10", "--rho", "estimate"]
+    args = _command_args("pipeline", flat_stretch_data, out) + ["--rho", "estimate"]
     code, _, err = _run(args, capsys)
     assert code == 0, err
     manifest = (out / "run_manifest.txt").read_text()
     effective = re.search(r"rho_effective = (\S+)", manifest).group(1)
     assert f"rho_full_sample = {effective} (stderr " in manifest
-    # the first degenerate window starts on day 20, 2020-03-19
-    reason = "rolling window starting 2020-03-19: degenerate regressor: lagged deviations are all zero"
-    unavailable = f"rolling fit unavailable: {reason}"
-    assert f"# {unavailable}" in manifest.splitlines()
-    code, stdout, err = _run(["fit", "--spot", str(flat_stretch_data / "spot.csv"), "--window", "10"], capsys)
+    assert "rolling" not in manifest
+    code, stdout, err = _run(["fit", "--spot", str(flat_stretch_data / "spot.csv")], capsys)
     assert code == 0, err
-    assert unavailable in stdout.splitlines()
+    assert stdout.startswith(f"full-sample rho = {float(effective):.6f} (stderr ")
+    assert "rolling" not in stdout
 
 
 @pytest.fixture
@@ -658,9 +655,8 @@ def test_fit_reports_the_rho_of_the_pipeline_manifest(datasets, tmp_path, monkey
     assert _run(["pipeline", *MARKET, *BTC, "--out", str(tmp_path)], capsys)[0] == 0
     manifest = (tmp_path / "run_manifest.txt").read_text()
     full, stderr = re.search(r"rho_full_sample = (\S+) \(stderr (\S+)\)", manifest).groups()
-    rolling, windows = re.search(r"rho_rolling_mean = (\S+) over (\d+) windows", manifest).groups()
-    assert f"full-sample rho = {float(full):.6f} (stderr {float(stderr):.6f}, n 410)" in out
-    assert f"rolling mean rho = {float(rolling):.6f} over {windows} windows of 60 days" in out
+    # n counts the 409 pairs of consecutive spot days, not the 410 days
+    assert f"full-sample rho = {float(full):.6f} (stderr {float(stderr):.6f}, n 409)" in out
 
 
 @pytest.fixture(params=("serial", "forked"))

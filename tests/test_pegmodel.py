@@ -47,7 +47,7 @@ class TestFitAr1:
         fit = fit_ar1(_days(4), [1.0, 0.5, 0.25, 0.125])
         assert fit.rho == pytest.approx(0.5, abs=1e-15)
         assert fit.stderr == pytest.approx(0.0, abs=1e-12)
-        assert fit.n == 4
+        assert fit.n == 3  # pairs, not days
 
     @given(
         rho0=st.floats(min_value=0.05, max_value=0.95),
@@ -109,7 +109,7 @@ class TestFitAr1:
             fit_ar1_rolling(_days(3), [1.0, 0.5, 0.25], window=4)
 
     def test_window_below_minimum(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^rolling window must be at least 3, got 2$"):
             fit_ar1_rolling(_days(4), [1.0, 0.5, 0.25, 0.1], window=2)
 
     # two runs of halving deviations, a week apart: the pair across the gap
@@ -121,7 +121,7 @@ class TestFitAr1:
         fit = fit_ar1(self.GAP_DAYS, self.GAP_VALUES)
         assert fit.rho == 0.5
         assert fit.stderr == 0.0
-        assert fit.n == 8
+        assert fit.n == 6  # the pair across the gap is not counted
         # read as one-day steps, the jump across the gap is a large residual
         assert fit_ar1(_days(8), self.GAP_VALUES).stderr > 0.1
 

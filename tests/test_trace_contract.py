@@ -32,7 +32,7 @@ def test_trace_counts_match_artifacts(tmp_path, monkeypatch, capsys):
     inputs = {role: data / f"{role}.csv" for role in ("spot", "futures", "btc")}
     argv = ["pipeline", *(arg for role, path in inputs.items() for arg in (f"--{role}", str(path)))]
     # one-day horizon: some raw probabilities come out negative and are trimmed
-    argv += ["--rho", "estimate", "--window", "20", "--horizon", "1", "--out", str(out)]
+    argv += ["--rho", "estimate", "--horizon", "1", "--out", str(out)]
     tracer = spans.Tracer()
     with tracer.installed():
         assert cli.main(argv) == 0
@@ -42,7 +42,6 @@ def test_trace_counts_match_artifacts(tmp_path, monkeypatch, capsys):
     matched, dropped_spot, dropped_futures = map(
         int, re.search(r"join: matched (\d+), dropped (\d+) spot / (\d+) futures", manifest).groups()
     )
-    windows = int(re.search(r"rho_rolling_mean = \S+ over (\d+) windows", manifest).group(1))
     trimmed = sum(row[3] == "true" for row in _data_rows(out / "prob.csv"))
     n_obs = {row[0]: int(row[7]) for row in _data_rows(out / "table4.csv")}
 
@@ -51,8 +50,9 @@ def test_trace_counts_match_artifacts(tmp_path, monkeypatch, capsys):
     assert counts["marketdata.rows_parsed"] == sum(len(_data_rows(path)) for path in inputs.values())
     assert counts["marketdata.rows_matched"] == matched == len(_data_rows(out / "aligned.csv"))
     assert counts["marketdata.rows_dropped"] == dropped_spot + dropped_futures
-    # the rolling fit runs over the spot days, not the joined ones
-    assert counts["pegmodel.rolling_windows"] == windows == len(_data_rows(inputs["spot"])) - 20 + 1
+    # no command runs the rolling fit, and the manifest reports none
+    assert counts["pegmodel.rolling_windows"] == 0
+    assert "rho_rolling_mean" not in manifest
     assert counts["pegmodel.points_trimmed"] == trimmed
     assert counts["features.panel_rows"] == n_obs["I"] == matched
     assert counts["econometrics.ols_hc0_calls"] == 4
