@@ -93,10 +93,10 @@ _PARALLEL_BYTES = 8 << 20  # input files, or CSV tables, this large in all are h
 
 
 def _cast(key: str, raw: str | bool, source: str):
-    """A setting's value from the flag or config file ``source``, cast and checked by its ``_FLAGS`` entry."""
+    """A setting's value from the flag or config file ``source``, cast and checked by its ``_spec``."""
     spec = _spec(key.replace("_", "-"))
     raw = raw.strip() if isinstance(raw, str) else raw  # a flag's value is stripped, as a config line's is
-    if raw == "" and key != "usdt_alt":  # an empty usdt_alt names no input
+    if raw == "":
         raise SchemaError(f"empty value for {key!r} (from {source})")
     if spec.get("action") is argparse.BooleanOptionalAction:
         word = str(raw).lower()  # a word from config; True or False from --trim and --no-trim
@@ -113,7 +113,13 @@ def _cast(key: str, raw: str | bool, source: str):
 
 
 def _spec(flag: str) -> dict:
-    """A flag's ``_FLAGS`` keywords; a help or choices owned by a library module is a function there, called here."""
+    """A flag's ``_FLAGS`` keywords; a help or choices owned by a library module is a function there, called here.
+
+    A flag that only simulate or fixture reads has no entry: its type is the annotation of its config class's field.
+    """
+    if flag not in _FLAGS and not flag.startswith("col-"):  # a column name is text; simkit is loaded for the rest
+        fields = dataclasses.fields(simkit.SimConfig) + dataclasses.fields(simkit.FixtureConfig)
+        return {"type": {"int": int, "float": float}[next(f.type for f in fields if f.name == flag.replace("-", "_"))]}
     spec = _FLAGS.get(flag, {})
     return {key: value() if key in ("help", "choices") and callable(value) else value for key, value in spec.items()}
 
@@ -249,7 +255,8 @@ class _Stages:
         """
         given, columns = vars(self.args), [f"col_{role}" for role in marketdata.ROLES]
         # a config file may set any flag but --config, and the column names, whichever command reads it
-        allowed = {flag.replace("-", "_") for flag in _FLAGS if flag != "config"} | set(columns)
+        flags = {flag for command in _COMMANDS.values() for flag in command[2].split()} - {"config"}
+        allowed = {flag.replace("-", "_") for flag in flags} | set(columns)
         raw = _load_config(_cast("config", given["config"], "--config"), allowed) if "config" in given else {}
         reads = [flag.replace("-", "_") for flag in _COMMANDS[given["command"]][2].split() if flag != "config"]
         settings = {key: value for key, value in _MODEL_DEFAULTS.items() if key in reads}
@@ -261,8 +268,6 @@ class _Stages:
         for role in ("spot", "futures", "btc"):
             if role in reads and role not in settings:
                 raise SchemaError(f"missing required input {role!r} (flag --{role} or config)")
-        if settings.get("usdt_alt") == "":  # names no input, as if not given
-            del settings["usdt_alt"]
         if "usdt_alt_venue" in settings and "usdt_alt" not in settings:
             raise SchemaError("'usdt_alt_venue' is set, but its input 'usdt_alt' is not given")
         if {"spot", "horizon"} <= settings.keys():  # simulate's and fixture's are checked by their config class
@@ -515,7 +520,7 @@ def _cmd_fixture(stages: _Stages) -> None:
     )
 
 
-# add_argument keywords of every flag, whose dest is its name with "_" for "-"; its type and choices are _cast's alone
+# add_argument keywords of each flag but simulate's and fixture's own (_spec); its type and choices are _cast's alone
 _FLAGS: dict[str, dict] = {
     "config": {"help": "key=value config file; flags override it"},
     "spot": {"help": "spot OHLCV CSV"},
@@ -533,16 +538,6 @@ _FLAGS: dict[str, dict] = {
     "estimator": {"choices": lambda: features.ESTIMATORS, "help": "intraday volatility estimator"},
     "trim": {"action": argparse.BooleanOptionalAction, "help": "clamp negative probabilities to 0 (default on)"},
     "out": {"help": "output directory"},
-    "innovation-sd": {"type": float},
-    "delta0": {"type": float},
-    "p-default": {"type": float},
-    "seed": {"type": int},
-    "n-paths": {"type": int},
-    "n-days": {"type": int},
-    "p-amplitude": {"type": float},
-    "p-period-days": {"type": int},
-    "futures-noise-sd": {"type": float},
-    "intraday-range-sd": {"type": float},
 }
 
 _MARKET = "config spot spot-venue futures futures-venue"

@@ -191,8 +191,8 @@ def run_panel_regressions(panel: Panel) -> dict[str, RegressionResult]:
         rows = has_return if "r_btc_bps" in regressors else np.ones(len(panel), dtype=bool)
         if not rows.any():
             raise EstimationError(f"no usable rows for regression {label}")
-        columns = [np.ones(int(rows.sum()))] + [getattr(panel, reg)[rows] for reg in regressors]
-        results[label] = ols_hc0(panel.p_bps[rows], np.column_stack(columns), names=("intercept",) + regressors)
+        design = np.column_stack([np.ones(int(rows.sum()))] + [getattr(panel, reg)[rows] for reg in regressors])
+        results[label] = ols_hc0(panel.p_annualized_bps[rows], design, names=("intercept",) + regressors)
     return results
 
 

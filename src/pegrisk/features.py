@@ -59,10 +59,8 @@ class Panel(Table):
     ``r_btc_bps`` is NaN on the first BTC date, where no return is defined.
     """
 
-    HEADER = ("date", "p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps")
-
     date: Dates
-    p_bps: Floats
+    p_annualized_bps: Floats
     sigma_btc_bps: Floats
     sigma_usdt_bps: Floats
     r_btc_bps: Floats
@@ -96,7 +94,7 @@ def build_feature_panel(
     in_btc, in_usdt = in_btc[in_features], in_usdt[in_features]
     return Panel(
         date=days,
-        p_bps=prob.p_annualized_bps[in_prob],
+        p_annualized_bps=prob.p_annualized_bps[in_prob],
         sigma_btc_bps=sigma_btc[in_btc],
         sigma_usdt_bps=sigma_usdt[in_usdt],
         r_btc_bps=returns[in_btc],

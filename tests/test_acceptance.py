@@ -156,7 +156,7 @@ def test_criterion_08_planted_coefficient_regression():
         r_btc[0] = np.nan  # no return on the first date
         panel = Panel(
             date=np.datetime64("2020-02-28") + np.arange(n),
-            p_bps=p,
+            p_annualized_bps=p,
             sigma_btc_bps=sigma_btc,
             sigma_usdt_bps=sigma_usdt,
             r_btc_bps=r_btc,

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import dataclasses
 import datetime
 import errno
 import hashlib
@@ -193,6 +194,7 @@ _BAD_VALUES = {
     "pipeline-futures_venue": ("pipeline", "futures_venue", "", "empty value for 'futures_venue' (from {source})"),
     "stats-spot_venue": ("stats", "spot_venue", "", "empty value for 'spot_venue' (from {source})"),
     "pipeline-spot": ("pipeline", "spot", "", "empty value for 'spot' (from {source})"),
+    "pipeline-usdt_alt": ("pipeline", "usdt_alt", "", "empty value for 'usdt_alt' (from {source})"),
     "pipeline-col_close": ("pipeline", "col_close", "", "empty value for 'col_close' (from {source})"),
     "pipeline-config": ("pipeline", "config", "", "empty value for 'config' (from {source})"),
     "pipeline-horizon": (
@@ -206,6 +208,13 @@ _BAD_VALUES = {
     ),
     "pipeline-usdt_alt_venue": (
         "pipeline", "usdt_alt_venue", "kraken", "'usdt_alt_venue' is set, but its input 'usdt_alt' is not given"
+    ),
+    # simulate's and fixture's own settings are cast by the type of their config field, with the same lines
+    "simulate-seed": (
+        "simulate", "seed", "1.5", "bad value for 'seed': '1.5' (invalid literal for int() with base 10: '1.5')"
+    ),
+    "fixture-p_amplitude": (
+        "fixture", "p_amplitude", "x", "bad value for 'p_amplitude': 'x' (could not convert string to float: 'x')"
     ),
 }
 # no flag names a column, and no config line the config file
@@ -245,15 +254,6 @@ class TestPipelineCommand:
         assert {"rho = 0.5", "spot_venue = x"} <= set(manifest.read_text().splitlines())
         assert main(["pipeline", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 0
         assert _read_artifacts(tmp_path / "b") == _read_artifacts(tmp_path / "a")
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_empty_usdt_alt_names_no_input(self, fixture_dir, tmp_path, source):
-        # an empty --usdt-alt, or usdt_alt line, is a run without one
-        cfg = _market_config(fixture_dir, tmp_path / "cfg.txt", *(["usdt_alt ="] if source == "config" else []))
-        given = ["--usdt-alt", ""] if source == "flag" else []
-        assert main(["pipeline", "--config", str(cfg), *given, "--out", str(tmp_path / "empty")]) == 0
-        assert main(_pipeline_args(fixture_dir, tmp_path / "without")) == 0
-        assert _read_artifacts(tmp_path / "empty") == _read_artifacts(tmp_path / "without")
 
     def test_missing_input_names_path(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -1025,10 +1025,31 @@ def test_model_defaults_are_the_library_defaults():
         assert default(func, "recovery") == pegmodel.DEFAULTS["recovery"], func.__name__
 
 
+def test_each_flag_has_one_cast_declaration():
+    # a flag that only simulate or fixture reads is typed by its config class's field alone; any other flag, which a
+    # data command reads without loading simkit, by its _FLAGS entry
+    readers: dict[str, set[str]] = {}
+    for command, (_, _, flags, _) in cli._COMMANDS.items():
+        for flag in flags.split():
+            readers.setdefault(flag, set()).add(command)
+    configs = {"simulate": simkit.SimConfig, "fixture": simkit.FixtureConfig}
+    for flag, commands in readers.items():
+        if flag == "config":
+            continue
+        if commands <= configs.keys():
+            assert flag not in _FLAGS, flag
+            for command in commands:
+                fields = {field.name: field.type for field in dataclasses.fields(configs[command])}
+                assert fields.get(flag.replace("-", "_")) in ("int", "float"), (flag, command)
+        else:
+            assert flag in _FLAGS, flag
+
+
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = next(text for text in readme.split("\n\n") if text.startswith("Every flag can instead be given"))
-    keys = {flag.replace("-", "_") for flag in _FLAGS if flag != "config"} | set(_MODEL_DEFAULTS)
+    keys = {flag.replace("-", "_") for _, _, flags, _ in cli._COMMANDS.values() for flag in flags.split()}
+    keys = keys - {"config"} | set(_MODEL_DEFAULTS)
     assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []
 
 

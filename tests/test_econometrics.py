@@ -263,7 +263,7 @@ def _panel(n, seed=0, beta=0.04, constant_usdt=False):
     r_btc[0] = np.nan  # no return on the first date
     return Panel(
         date=np.datetime64("2020-02-28") + np.arange(n),
-        p_bps=p,
+        p_annualized_bps=p,
         sigma_btc_bps=sigma_btc,
         sigma_usdt_bps=sigma_usdt,
         r_btc_bps=r_btc,

@@ -249,7 +249,7 @@ class TestTableColumns:
             Panel,
             {
                 "date": "datetime64[D]",
-                **dict.fromkeys(("p_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps"), "float64"),
+                **dict.fromkeys(("p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps"), "float64"),
             },
             ("date", "p_annualized_bps", "sigma_btc_bps", "sigma_usdt_bps", "r_btc_bps"),
         ),
